@@ -41,7 +41,6 @@ from .devices import (
     string_mode_frequency,
 )
 from .errors import (
-    DimensionMismatch,
     DivergentMass,
     GeometryMismatch,
     GridMismatch,
@@ -49,7 +48,6 @@ from .errors import (
     NoResonanceInWindow,
     NonEvanescent,
     NotAString,
-    NotCriticallyCoupled,
     OptomechError,
     OutOfDomain,
     ZeroPower,
@@ -100,12 +98,7 @@ from .units import (
     HBAR,
     K_B,
     TWO_PI,
-    Dimension,
-    PhysicalQuantity,
     SpectralDensity,
-    angular_to_ordinary,
-    check_dimension,
-    ordinary_to_angular,
 )
 
 __version__ = "0.1.0"

@@ -1,25 +1,27 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 I/O failure, 2 config/parse error, 3 domain
-error (non-evanescent geometry, divergent mass, fit failure, ...).
+error (non-evanescent geometry, divergent mass, fit failure, arithmetic
+overflow, a non-finite result, ...).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
-from . import coupling, scenarios, sensing
+from . import scenarios
 from .errors import OptomechError
 from .runner import ConfigError, run_scenario
-from .units import TWO_PI
 
 
 def _emit(payload: dict, out_dir: Path | None):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise OptomechError(f"non-finite result: {exc}") from exc
     if out_dir is not None:
         (out_dir / "result.json").write_text(text + "\n", encoding="utf-8")
     print(text)
@@ -54,28 +56,10 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _cmd_fit_shift(args) -> int:
-    curve = coupling.ShiftCurve.from_csv(args.csv)
-    fit = coupling.fit_exponential(curve)
-    _emit({
-        "amplitude_hz": fit.amplitude / TWO_PI,
-        "decay_length_m": fit.decay_length,
-        "residual": fit.residual_norm / TWO_PI,
-    }, None)
-    return 0
-
-
-def _cmd_fit_response(args) -> int:
-    curve = sensing.ResponseCurve.from_csv(args.csv)
-    fit = sensing.fit_response(curve)
-    g_eff = fit.g_eff / (TWO_PI * 1e9) if math.isfinite(fit.g_eff) else None
-    _emit({
-        "a1": fit.a1,
-        "omega_m_hz": fit.omega_m / TWO_PI,
-        "gamma_m_hz": fit.gamma_m / TWO_PI,
-        "g_eff_hz_per_nm": g_eff,
-        "residual": fit.residual_norm,
-    }, None)
+def _cmd_fit(args) -> int:
+    config = {"schema_version": 1, "analysis": args.command,
+              "data_csv": args.csv}
+    _emit(run_scenario(config), None)
     return 0
 
 
@@ -98,13 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="fit exp decay to a shift-vs-gap CSV "
                                "(columns x0_m, dfreq_hz)")
     p_fs.add_argument("csv")
-    p_fs.set_defaults(func=_cmd_fit_shift)
+    p_fs.set_defaults(func=_cmd_fit)
 
     p_fr = sub.add_parser("fit-response",
                           help="fit interference model to a response CSV "
                                "(columns freq_hz, h_mag)")
     p_fr.add_argument("csv")
-    p_fr.set_defaults(func=_cmd_fit_response)
+    p_fr.set_defaults(func=_cmd_fit)
     return parser
 
 
@@ -116,7 +100,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OptomechError as exc:
+    except (OptomechError, ArithmeticError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -96,8 +96,8 @@ def _sampled_area(cav: Microcavity, osc: NanoOscillator,
     return l_x * l_y
 
 
-def _shift_magnitude_at(cav: Microcavity, osc: NanoOscillator,
-                        geom: CouplingGeometry, x0: float) -> float:
+def _shift_magnitude(cav: Microcavity, osc: NanoOscillator,
+                     geom: CouplingGeometry, x0: float) -> float:
     # x0 passed separately so finite-difference stencils may evaluate the
     # analytic exponential profile slightly inside the validated range
     alpha = devices.decay_constant(cav)
@@ -108,15 +108,10 @@ def _shift_magnitude_at(cav: Microcavity, osc: NanoOscillator,
             * math.exp(-2.0 * alpha * x0))
 
 
-def _shift_magnitude(cav: Microcavity, osc: NanoOscillator,
-                     geom: CouplingGeometry) -> float:
-    return _shift_magnitude_at(cav, osc, geom, geom.x0)
-
-
 def frequency_shift(cav: Microcavity, osc: NanoOscillator,
                     geom: CouplingGeometry) -> float:
     """Static cavity frequency shift dw0(x0) <= 0 (rad/s)."""
-    return -_shift_magnitude(cav, osc, geom)
+    return -_shift_magnitude(cav, osc, geom, geom.x0)
 
 
 def thin_film_shift(cav: Microcavity, osc: NanoOscillator,
@@ -133,7 +128,7 @@ def coupling_rate(cav: Microcavity, osc: NanoOscillator,
                   geom: CouplingGeometry) -> CouplingRate:
     """Linear coupling rate g(x0) = 2*alpha*|dw0(x0)| (rad/s per m)."""
     alpha = devices.decay_constant(cav)
-    g = 2.0 * alpha * _shift_magnitude(cav, osc, geom)
+    g = 2.0 * alpha * _shift_magnitude(cav, osc, geom, geom.x0)
     return CouplingRate(g=g, x0=geom.x0, geometry=geom)
 
 
@@ -153,8 +148,8 @@ def numeric_g_check(cav: Microcavity, osc: NanoOscillator,
     if not (0 < h < 1.0 / (10.0 * alpha)):
         raise ValueError("step must lie in (0, 1/(10*alpha))")
     x0 = geom.x0
-    lo = _shift_magnitude_at(cav, osc, geom, x0 - h)
-    hi = _shift_magnitude_at(cav, osc, geom, x0 + h)
+    lo = _shift_magnitude(cav, osc, geom, x0 - h)
+    hi = _shift_magnitude(cav, osc, geom, x0 + h)
     g_fd = (lo - hi) / (2.0 * h)
     g = coupling_rate(cav, osc, geom).g
     return abs(g_fd - g) / g

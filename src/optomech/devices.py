@@ -108,7 +108,6 @@ class CouplingGeometry:
 
     x0: float
     orientation: Orientation
-    standing_wave_phase: float = 0.0
 
     def __post_init__(self):
         if self.x0 < 0:

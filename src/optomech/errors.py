@@ -7,15 +7,6 @@ class OptomechError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class DimensionMismatch(OptomechError):
-    """Arithmetic or check between quantities of incompatible dimension."""
-
-    def __init__(self, got, expected):
-        self.got = got
-        self.expected = expected
-        super().__init__(f"dimension mismatch: got {got}, expected {expected}")
-
-
 class NonEvanescent(OptomechError):
     """Refractive index <= 1: no evanescent field outside the resonator."""
 
@@ -50,7 +41,3 @@ class GridMismatch(OptomechError):
 
 class NoResonanceInWindow(OptomechError):
     """Response data does not bracket the interference extremum pair."""
-
-
-class NotCriticallyCoupled(OptomechError):
-    """Model derived under critical coupling; other regimes are rejected."""

@@ -9,9 +9,8 @@ externally.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +20,7 @@ from . import coupling, devices, mechanics, qba, sensing
 from .devices import CouplingGeometry, Microcavity, NanoOscillator
 from .mechanics import MechanicalMode, ProbeProfile
 from .sensing import DriveCondition
-from .units import TWO_PI, SpectralDensity
+from .units import HBAR, TWO_PI, SpectralDensity
 
 ANALYSES = ("coupling", "spectrum", "sensitivity", "response", "backaction",
             "qba", "fit-shift", "fit-response")
@@ -33,19 +32,27 @@ class ConfigError(Exception):
     """Scenario config failed validation."""
 
 
-def max_threads() -> int:
-    """Parallelism cap from OPTOMECH_THREADS (default: serial)."""
-    raw = os.environ.get("OPTOMECH_THREADS", "")
-    try:
-        return max(int(raw), 1) if raw else 1
-    except ValueError:
-        return 1
-
-
 def _require(section: dict, key: str, path: str):
     if key not in section:
         raise ConfigError(f"missing required key `{path}.{key}`")
     return section[key]
+
+
+def _number(section: dict, key: str, path: str, default: float | None = None
+            ) -> float:
+    """`section[key]` as a finite float; `default` when the key is absent
+    and a default is given."""
+    if key not in section and default is not None:
+        return float(default)
+    raw = _require(section, key, path)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"`{path}.{key}` must be a finite number, "
+                          f"got {raw!r:.40}")
+    return value
 
 
 def _section(config: dict, key: str) -> dict:
@@ -57,63 +64,50 @@ def _section(config: dict, key: str) -> dict:
 
 def build_cavity(config: dict) -> Microcavity:
     c = _section(config, "cavity")
-    try:
-        return Microcavity(
-            R=float(_require(c, "major_radius_m", "cavity")),
-            r=float(_require(c, "minor_radius_m", "cavity")),
-            wavelength=float(_require(c, "wavelength_m", "cavity")),
-            n=float(_require(c, "refractive_index", "cavity")),
-            n_eff=float(_require(c, "effective_index", "cavity")),
-            kappa=TWO_PI * float(_require(c, "kappa_hz", "cavity")),
-            D_mode=float(_require(c, "mode_diameter_m", "cavity")),
-            xi=float(_require(c, "surface_field_fraction", "cavity")),
-            n2=float(c.get("kerr_coefficient_m2_per_w", 3e-20)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid cavity: {exc}") from exc
+    return Microcavity(
+        R=_number(c, "major_radius_m", "cavity"),
+        r=_number(c, "minor_radius_m", "cavity"),
+        wavelength=_number(c, "wavelength_m", "cavity"),
+        n=_number(c, "refractive_index", "cavity"),
+        n_eff=_number(c, "effective_index", "cavity"),
+        kappa=TWO_PI * _number(c, "kappa_hz", "cavity"),
+        D_mode=_number(c, "mode_diameter_m", "cavity"),
+        xi=_number(c, "surface_field_fraction", "cavity"),
+        n2=_number(c, "kerr_coefficient_m2_per_w", "cavity", default=3e-20),
+    )
 
 
 def build_oscillator(config: dict) -> NanoOscillator:
     o = _section(config, "oscillator")
-    try:
-        return NanoOscillator(
-            kind=_require(o, "kind", "oscillator"),
-            L=float(_require(o, "length_m", "oscillator")),
-            w=float(_require(o, "width_m", "oscillator")),
-            t=float(_require(o, "thickness_m", "oscillator")),
-            rho=float(_require(o, "density_kg_per_m3", "oscillator")),
-            stress=float(_require(o, "stress_pa", "oscillator")),
-            n_nano=float(_require(o, "refractive_index", "oscillator")),
-            Q=float(_require(o, "quality_factor", "oscillator")),
-            mode_index=int(o.get("mode_index", 1)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid oscillator: {exc}") from exc
+    return NanoOscillator(
+        kind=_require(o, "kind", "oscillator"),
+        L=_number(o, "length_m", "oscillator"),
+        w=_number(o, "width_m", "oscillator"),
+        t=_number(o, "thickness_m", "oscillator"),
+        rho=_number(o, "density_kg_per_m3", "oscillator"),
+        stress=_number(o, "stress_pa", "oscillator"),
+        n_nano=_number(o, "refractive_index", "oscillator"),
+        Q=_number(o, "quality_factor", "oscillator"),
+        mode_index=int(o.get("mode_index", 1)),
+    )
 
 
 def build_geometry(config: dict) -> CouplingGeometry:
     gsec = _section(config, "geometry")
-    try:
-        return CouplingGeometry(
-            x0=float(_require(gsec, "separation_m", "geometry")),
-            orientation=_require(gsec, "orientation", "geometry"),
-            standing_wave_phase=float(gsec.get("standing_wave_phase_rad", 0.0)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid geometry: {exc}") from exc
+    return CouplingGeometry(
+        x0=_number(gsec, "separation_m", "geometry"),
+        orientation=_require(gsec, "orientation", "geometry"),
+    )
 
 
 def build_drive(config: dict) -> DriveCondition:
     d = _section(config, "drive")
-    try:
-        return DriveCondition(
-            p_in=float(_require(d, "input_power_w", "drive")),
-            detuning=TWO_PI * float(d.get("detuning_hz", 0.0)),
-            temperature=float(d.get("temperature_k", 300.0)),
-            readout=d.get("readout", "homodyne"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid drive: {exc}") from exc
+    return DriveCondition(
+        p_in=_number(d, "input_power_w", "drive"),
+        detuning=TWO_PI * _number(d, "detuning_hz", "drive", default=0.0),
+        temperature=_number(d, "temperature_k", "drive", default=300.0),
+        readout=d.get("readout", "homodyne"),
+    )
 
 
 def build_mode(config: dict, cav: Microcavity) -> MechanicalMode:
@@ -121,14 +115,11 @@ def build_mode(config: dict, cav: Microcavity) -> MechanicalMode:
     the oscillator geometry with the Gaussian probe set by the cavity."""
     if "mode" in config:
         m = config["mode"]
-        try:
-            return MechanicalMode.from_quality_factor(
-                omega_m=TWO_PI * float(_require(m, "frequency_hz", "mode")),
-                Q=float(_require(m, "quality_factor", "mode")),
-                m_eff=float(_require(m, "effective_mass_kg", "mode")),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"invalid mode: {exc}") from exc
+        return MechanicalMode.from_quality_factor(
+            omega_m=TWO_PI * _number(m, "frequency_hz", "mode"),
+            Q=_number(m, "quality_factor", "mode"),
+            m_eff=_number(m, "effective_mass_kg", "mode"),
+        )
     if "oscillator" not in config:
         raise ConfigError("need a `mode` or `oscillator` section")
     osc = build_oscillator(config)
@@ -140,13 +131,10 @@ def build_mode(config: dict, cav: Microcavity) -> MechanicalMode:
 
 def build_grid(config: dict) -> np.ndarray:
     grid = _section(config, "grid")
-    try:
-        f_min = float(_require(grid, "f_min_hz", "grid"))
-        f_max = float(_require(grid, "f_max_hz", "grid"))
-        points = int(_require(grid, "points", "grid"))
-        spacing = grid.get("spacing", "linear")
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
+    f_min = _number(grid, "f_min_hz", "grid")
+    f_max = _number(grid, "f_max_hz", "grid")
+    points = int(_require(grid, "points", "grid"))
+    spacing = grid.get("spacing", "linear")
     if points < 2:
         raise ConfigError("`grid.points` must be >= 2")
     if not (0 < f_min < f_max):
@@ -161,7 +149,7 @@ def build_grid(config: dict) -> np.ndarray:
 def coupling_rate_external(config: dict, cav: Microcavity) -> float:
     """Coupling rate in rad/s/m, from the config override or the model."""
     if "coupling_rate_hz_per_nm" in config:
-        return float(config["coupling_rate_hz_per_nm"]) * HZ_PER_NM
+        return _number(config, "coupling_rate_hz_per_nm", "$") * HZ_PER_NM
     if "oscillator" in config and "geometry" in config:
         osc = build_oscillator(config)
         geom = build_geometry(config)
@@ -191,18 +179,6 @@ def _write_rows_csv(path: Path, header: list[str], rows):
             writer.writerow([repr(float(x)) for x in row])
 
 
-def _chunked_eval(func, grid: np.ndarray) -> np.ndarray:
-    """Evaluate an array function over a grid, chunked across worker
-    threads when OPTOMECH_THREADS allows."""
-    threads = max_threads()
-    if threads <= 1 or grid.size < 4 * threads:
-        return func(grid)
-    chunks = np.array_split(grid, threads)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(func, chunks))
-    return np.concatenate(parts)
-
-
 def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
     """Execute one scenario; returns the result dict written to
     result.json. CSV artifacts land in out_dir when given."""
@@ -221,7 +197,12 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
         "fit-shift": _run_fit_shift,
         "fit-response": _run_fit_response,
     }[analysis]
-    results, artifacts = handler(config, out_dir)
+    # dataclass validators and library input checks raise ValueError;
+    # wrong-typed config values raise TypeError from int() or comparisons
+    try:
+        results, artifacts = handler(config, out_dir)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from exc
     return {
         "schema_version": 1,
         "scenario": config.get("name", ""),
@@ -261,13 +242,12 @@ def _run_coupling(config: dict, out_dir):
             results["physical_mass_kg"] = _q(osc.physical_mass, "kg")
             if "measured_f1_hz" in config:
                 stress = devices.infer_stress(
-                    osc, float(config["measured_f1_hz"]))
+                    osc, _number(config, "measured_f1_hz", "$"))
                 results["inferred_stress_pa"] = _q(stress, "Pa")
     if "standing_wave" in config:
         sw = config["standing_wave"]
-        mean_shift = TWO_PI * float(_require(sw, "mean_shift_hz",
-                                             "standing_wave"))
-        y = float(sw.get("lateral_position_m", 0.0))
+        mean_shift = TWO_PI * _number(sw, "mean_shift_hz", "standing_wave")
+        y = _number(sw, "lateral_position_m", "standing_wave", default=0.0)
         branch = int(sw.get("branch", 1))
         prof = coupling.standing_wave_shift(cav, y, mean_shift, branch)
         results["standing_wave_period_m"] = _q(
@@ -309,18 +289,23 @@ def _run_spectrum(config: dict, out_dir):
     return results, artifacts
 
 
+def _homodyne_shot_floor(cav: Microcavity, mode: MechanicalMode, g: float,
+                         drive: DriveCondition) -> float:
+    """Double-sided homodyne shot-noise floor at the mechanical resonance,
+    whatever readout the drive names."""
+    homodyne = dataclasses.replace(drive, readout="homodyne")
+    return sensing.shot_noise_floor(cav, g, homodyne, mode.omega_m,
+                                    sidedness="double")
+
+
 def _run_sensitivity(config: dict, out_dir):
     cav = build_cavity(config)
     mode = build_mode(config, cav)
     drive = build_drive(config)
     g = coupling_rate_external(config, cav)
     grid = build_grid(config)
-    floor = float(config.get("detector_floor_m_per_sqrt_hz", 0.0))
-    homodyne = DriveCondition(p_in=drive.p_in, detuning=drive.detuning,
-                              temperature=drive.temperature,
-                              readout="homodyne")
-    shot_double = sensing.shot_noise_floor(cav, g, homodyne, mode.omega_m,
-                                           sidedness="double")
+    floor = _number(config, "detector_floor_m_per_sqrt_hz", "$", default=0.0)
+    shot_double = _homodyne_shot_floor(cav, mode, g, drive)
     shot_pdh = shot_double * sensing.PDH_PENALTY
     budget = sensing.noise_budget(cav, mode, g, drive, grid, floor)
     x_zp, s_sql = mechanics.zero_point(mode)
@@ -342,18 +327,20 @@ def _run_sensitivity(config: dict, out_dir):
     return results, artifacts
 
 
+def _response_rates(config: dict) -> tuple[float, float]:
+    """(g_pump, g_probe) in rad/s/m from the `response` section."""
+    rsec = _section(config, "response")
+    return (_number(rsec, "g_pump_hz_per_nm", "response") * HZ_PER_NM,
+            _number(rsec, "g_probe_hz_per_nm", "response") * HZ_PER_NM)
+
+
 def _run_response(config: dict, out_dir):
     cav = build_cavity(config)
     mode = build_mode(config, cav)
-    rsec = _section(config, "response")
-    g_pump = float(_require(rsec, "g_pump_hz_per_nm", "response")) * HZ_PER_NM
-    g_probe = float(_require(rsec, "g_probe_hz_per_nm", "response")) \
-        * HZ_PER_NM
+    g_pump, g_probe = _response_rates(config)
     grid = build_grid(config)
     a1 = sensing.response_coefficient(cav, mode, g_pump, g_probe)
-    h = _chunked_eval(
-        lambda f: sensing.response_model(TWO_PI * f, a1, mode.omega_m,
-                                         mode.gamma_m), grid)
+    h = sensing.response_model(TWO_PI * grid, a1, mode.omega_m, mode.gamma_m)
     g_eff = math.sqrt(g_pump * g_probe)
     results = {
         "a1": _q(a1, "rad^2/s^2"),
@@ -393,10 +380,10 @@ def _run_backaction(config: dict, out_dir):
     if out_dir is not None:
         gsec = config.get("backaction_g_grid")
         if gsec is not None:
-            g_lo = float(_require(gsec, "g_min_hz_per_nm",
-                                  "backaction_g_grid")) * HZ_PER_NM
-            g_hi = float(_require(gsec, "g_max_hz_per_nm",
-                                  "backaction_g_grid")) * HZ_PER_NM
+            g_lo = _number(gsec, "g_min_hz_per_nm",
+                           "backaction_g_grid") * HZ_PER_NM
+            g_hi = _number(gsec, "g_max_hz_per_nm",
+                           "backaction_g_grid") * HZ_PER_NM
             points = int(gsec.get("points", 25))
             g_grid = np.linspace(g_lo, g_hi, points)
         else:
@@ -418,12 +405,7 @@ def _run_qba(config: dict, out_dir):
     s_th = qba.thermal_force_psd(mode, drive.temperature)
     s_qba = qba.qba_force_psd(cav, g, drive, mode.omega_m)
     ratio = qba.qba_thermal_ratio(cav, mode, g, drive)
-    homodyne = DriveCondition(p_in=drive.p_in, detuning=drive.detuning,
-                              temperature=drive.temperature,
-                              readout="homodyne")
-    s_xx_shot = sensing.shot_noise_floor(cav, g, homodyne, mode.omega_m,
-                                         sidedness="double") ** 2
-    from .units import HBAR
+    s_xx_shot = _homodyne_shot_floor(cav, mode, g, drive) ** 2
     product_over_hbar2 = s_xx_shot * s_qba.value / HBAR ** 2
     results = {
         "s_ff_th": _q(s_th.value, "N^2/Hz"),
@@ -441,7 +423,7 @@ def _synth_shift_curve(config: dict) -> coupling.ShiftCurve:
     alpha = devices.decay_constant(cav)
     points = []
     for x0 in np.linspace(0.0, 2.5 / alpha, 30):
-        g = CouplingGeometry(x0, geom.orientation, geom.standing_wave_phase)
+        g = dataclasses.replace(geom, x0=x0)
         points.append((float(x0), coupling.frequency_shift(cav, osc, g)))
     return coupling.ShiftCurve(tuple(points), provenance="model")
 
@@ -461,16 +443,16 @@ def _run_fit_shift(config: dict, out_dir):
 
 
 def _run_fit_response(config: dict, out_dir):
-    cav = build_cavity(config)
-    mode = build_mode(config, cav)
+    """Fit a measured (`data_csv`) or modelled response curve. Without a
+    `cavity` section g_eff is undefined and left out of the results."""
+    cav = mode = None
+    if "cavity" in config or "data_csv" not in config:  # model needs both
+        cav = build_cavity(config)
+        mode = build_mode(config, cav)
     if "data_csv" in config:
         curve = sensing.ResponseCurve.from_csv(config["data_csv"])
     else:
-        rsec = _section(config, "response")
-        g_pump = float(_require(rsec, "g_pump_hz_per_nm", "response")) \
-            * HZ_PER_NM
-        g_probe = float(_require(rsec, "g_probe_hz_per_nm", "response")) \
-            * HZ_PER_NM
+        g_pump, g_probe = _response_rates(config)
         grid = build_grid(config)
         h = sensing.response_magnitude(cav, mode, g_pump, g_probe,
                                        TWO_PI * grid)
@@ -480,9 +462,8 @@ def _run_fit_response(config: dict, out_dir):
         "a1": _q(fit.a1, "rad^2/s^2"),
         "omega_m_hz": _q(fit.omega_m / TWO_PI, "Hz"),
         "gamma_m_hz": _q(fit.gamma_m / TWO_PI, "Hz"),
-        "g_eff_hz_per_nm": _q(fit.g_eff / HZ_PER_NM
-                              if math.isfinite(fit.g_eff) else math.nan,
-                              "Hz/nm"),
         "residual": _q(fit.residual_norm, "1"),
     }
+    if math.isfinite(fit.g_eff):
+        results["g_eff_hz_per_nm"] = _q(fit.g_eff / HZ_PER_NM, "Hz/nm")
     return results, []

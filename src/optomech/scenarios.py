@@ -8,7 +8,7 @@ estimates.
 
 from __future__ import annotations
 
-import math
+import copy
 
 from .devices import index_for_decay_length
 
@@ -261,6 +261,6 @@ def get_scenario(name: str) -> dict:
     cfg = SCENARIOS.get(name)
     if cfg is None:
         raise KeyError(f"unknown scenario {name!r}")
-    out = dict(cfg)
+    out = copy.deepcopy(cfg)
     out["name"] = name
     return out

@@ -104,8 +104,10 @@ class ResponseFit:
 
 
 def shot_noise_floor(cav: Microcavity, g: float, drive: DriveCondition,
-                     omega: float, sidedness: str = "double") -> float:
-    """Shot-noise displacement amplitude spectral density (m/sqrt(Hz)).
+                     omega, sidedness: str = "double"
+                     ) -> float | np.ndarray:
+    """Shot-noise displacement amplitude spectral density (m/sqrt(Hz)) at
+    angular frequency omega (scalar or array).
 
     Double-sided homodyne by default; single-sided is sqrt(2) larger and
     PDH readout (from `drive.readout`) adds the 1.73 penalty.
@@ -116,7 +118,7 @@ def shot_noise_floor(cav: Microcavity, g: float, drive: DriveCondition,
         raise ValueError("require g > 0")
     base = (cav.kappa / (4.0 * g)) \
         * math.sqrt(HBAR * cav.omega0 / drive.p_in) \
-        * math.sqrt(1.0 + (2.0 * omega / cav.kappa) ** 2)
+        * np.sqrt(1.0 + (2.0 * omega / cav.kappa) ** 2)
     if sidedness == "single":
         base *= math.sqrt(2.0)
     elif sidedness != "double":
@@ -253,15 +255,7 @@ def noise_budget(cav: Microcavity, mode: MechanicalMode, g: float,
     """
     f = np.asarray(grid_hz, dtype=float)
     signal = thermal_spectrum(mode, drive.temperature, f)
-    if drive.p_in == 0:
-        raise ZeroPower("shot-noise floor undefined at zero input power")
-    omega = TWO_PI * f
-    shot = (cav.kappa / (4.0 * g)
-            * math.sqrt(HBAR * cav.omega0 / drive.p_in)
-            * np.sqrt(1.0 + (2.0 * omega / cav.kappa) ** 2)
-            * math.sqrt(2.0))
-    if drive.readout == "pdh":
-        shot = shot * PDH_PENALTY
+    shot = shot_noise_floor(cav, g, drive, TWO_PI * f, sidedness="single")
     bg_vals = shot ** 2 + detector_floor ** 2
     background = SpectralDensity(f, bg_vals, "single", "m")
     total = SpectralDensity(f, signal.values + bg_vals, "single", "m")

@@ -1,10 +1,4 @@
-"""Physical constants, dimension-checked quantities, and spectral densities.
-
-Dimensions are tracked as exponent vectors over (m, kg, s, A, K, rad). The
-radian exponent is carried explicitly so that angular frequencies (rad/s)
-and ordinary frequencies (Hz) are distinct types; conversion between the
-two is only available through :func:`angular_to_ordinary` and
-:func:`ordinary_to_angular` (a factor 2*pi).
+"""Physical constants and sidedness-tagged spectral densities.
 
 Single-sided spectral densities (defined for positive Fourier frequencies)
 carry twice the density of the double-sided convention.
@@ -13,12 +7,10 @@ carry twice the density of the double-sided convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-
-from .errors import DimensionMismatch
 
 # CODATA 2018 values
 HBAR = 1.054571817e-34  # J s
@@ -28,141 +20,6 @@ C_LIGHT = 299792458.0   # m / s
 TWO_PI = 2.0 * math.pi
 
 Sidedness = Literal["single", "double"]
-
-
-@dataclass(frozen=True)
-class Dimension:
-    """SI dimension exponent vector, with an explicit radian slot."""
-
-    m: float = 0.0
-    kg: float = 0.0
-    s: float = 0.0
-    A: float = 0.0
-    K: float = 0.0
-    rad: float = 0.0
-
-    def __mul__(self, other: "Dimension") -> "Dimension":
-        return Dimension(*(a + b for a, b in zip(self.vector(), other.vector())))
-
-    def __truediv__(self, other: "Dimension") -> "Dimension":
-        return Dimension(*(a - b for a, b in zip(self.vector(), other.vector())))
-
-    def __pow__(self, exponent: float) -> "Dimension":
-        return Dimension(*(a * exponent for a in self.vector()))
-
-    def inverse(self) -> "Dimension":
-        return Dimension(*(-a for a in self.vector()))
-
-    def vector(self) -> tuple[float, ...]:
-        return (self.m, self.kg, self.s, self.A, self.K, self.rad)
-
-    def is_dimensionless(self) -> bool:
-        return all(a == 0.0 for a in self.vector())
-
-    def __str__(self) -> str:
-        names = ("m", "kg", "s", "A", "K", "rad")
-        parts = [f"{n}^{e:g}" for n, e in zip(names, self.vector()) if e != 0.0]
-        return " ".join(parts) if parts else "1"
-
-
-DIMENSIONLESS = Dimension()
-LENGTH = Dimension(m=1)
-MASS = Dimension(kg=1)
-TIME = Dimension(s=1)
-TEMPERATURE = Dimension(K=1)
-FREQUENCY = Dimension(s=-1)
-ANGULAR_FREQUENCY = Dimension(s=-1, rad=1)
-ENERGY = Dimension(m=2, kg=1, s=-2)
-POWER = Dimension(m=2, kg=1, s=-3)
-FORCE = Dimension(m=1, kg=1, s=-2)
-ACTION = Dimension(m=2, kg=1, s=-1)  # J s
-
-
-@dataclass(frozen=True)
-class PhysicalQuantity:
-    """A real value tagged with its SI dimension.
-
-    Addition and subtraction require equal dimensions; multiplication and
-    division combine them. Raw floats are treated as dimensionless.
-    """
-
-    value: float
-    dimension: Dimension = DIMENSIONLESS
-
-    def _coerce(self, other) -> "PhysicalQuantity":
-        if isinstance(other, PhysicalQuantity):
-            return other
-        return PhysicalQuantity(float(other))
-
-    def __add__(self, other) -> "PhysicalQuantity":
-        other = self._coerce(other)
-        if other.dimension != self.dimension:
-            raise DimensionMismatch(other.dimension, self.dimension)
-        return PhysicalQuantity(self.value + other.value, self.dimension)
-
-    def __sub__(self, other) -> "PhysicalQuantity":
-        other = self._coerce(other)
-        if other.dimension != self.dimension:
-            raise DimensionMismatch(other.dimension, self.dimension)
-        return PhysicalQuantity(self.value - other.value, self.dimension)
-
-    def __mul__(self, other) -> "PhysicalQuantity":
-        other = self._coerce(other)
-        return PhysicalQuantity(self.value * other.value,
-                                self.dimension * other.dimension)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "PhysicalQuantity":
-        other = self._coerce(other)
-        return PhysicalQuantity(self.value / other.value,
-                                self.dimension / other.dimension)
-
-    def __rtruediv__(self, other) -> "PhysicalQuantity":
-        return self._coerce(other) / self
-
-    def __pow__(self, exponent: float) -> "PhysicalQuantity":
-        return PhysicalQuantity(self.value ** exponent,
-                                self.dimension ** exponent)
-
-    def __neg__(self) -> "PhysicalQuantity":
-        return PhysicalQuantity(-self.value, self.dimension)
-
-    def __abs__(self) -> "PhysicalQuantity":
-        return PhysicalQuantity(abs(self.value), self.dimension)
-
-    def __lt__(self, other) -> bool:
-        other = self._coerce(other)
-        if other.dimension != self.dimension:
-            raise DimensionMismatch(other.dimension, self.dimension)
-        return self.value < other.value
-
-    def __repr__(self) -> str:
-        return f"PhysicalQuantity({self.value!r}, {self.dimension})"
-
-
-# Dimension-tagged constants for interface checks
-HBAR_Q = PhysicalQuantity(HBAR, ACTION)
-K_B_Q = PhysicalQuantity(K_B, ENERGY / TEMPERATURE)
-C_LIGHT_Q = PhysicalQuantity(C_LIGHT, LENGTH / TIME)
-
-
-def check_dimension(q: PhysicalQuantity, expected: Dimension) -> None:
-    """Raise :class:`DimensionMismatch` unless q carries `expected`."""
-    if q.dimension != expected:
-        raise DimensionMismatch(q.dimension, expected)
-
-
-def angular_to_ordinary(q: PhysicalQuantity) -> PhysicalQuantity:
-    """rad/s -> Hz (divide by 2*pi and drop the radian tag)."""
-    check_dimension(q, ANGULAR_FREQUENCY)
-    return PhysicalQuantity(q.value / TWO_PI, FREQUENCY)
-
-
-def ordinary_to_angular(q: PhysicalQuantity) -> PhysicalQuantity:
-    """Hz -> rad/s (multiply by 2*pi and add the radian tag)."""
-    check_dimension(q, FREQUENCY)
-    return PhysicalQuantity(q.value * TWO_PI, ANGULAR_FREQUENCY)
 
 
 @dataclass(frozen=True)

@@ -136,8 +136,9 @@ def test_fit_shift_command(tmp_path, capsys):
                              repr(-6.9e9 * math.exp(-x / 110e-9))])
     assert run_cli(["fit-shift", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
-    approx_rel(out["decay_length_m"], 110e-9, 1e-6)
-    approx_rel(out["amplitude_hz"], 6.9e9, 1e-6)
+    assert out["analysis"] == "fit-shift"
+    approx_rel(out["results"]["decay_length_m"]["value"], 110e-9, 1e-6)
+    approx_rel(out["results"]["amplitude_hz"]["value"], 6.9e9, 1e-6)
 
 
 def test_fit_shift_bad_csv_exits_3(tmp_path, capsys):
@@ -163,9 +164,11 @@ def test_fit_response_command(tmp_path, capsys):
             writer.writerow([repr(float(fi)), repr(float(hi))])
     assert run_cli(["fit-response", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
-    approx_rel(out["omega_m_hz"], 10.74e6, 1e-6)
-    approx_rel(out["a1"], a1, 1e-3)
-    assert out["g_eff_hz_per_nm"] is None
+    assert out["analysis"] == "fit-response"
+    approx_rel(out["results"]["omega_m_hz"]["value"], 10.74e6, 1e-6)
+    approx_rel(out["results"]["a1"]["value"], a1, 1e-3)
+    # no cavity context: g_eff is undefined and left out
+    assert "g_eff_hz_per_nm" not in out["results"]
 
 
 def test_spectrum_csv_format(tmp_path):
@@ -202,20 +205,85 @@ def test_response_csv_format(tmp_path):
     assert max(h) > 1.0 and min(h) < 1.0
 
 
-def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
-    serial = tmp_path / "serial"
-    run_cli(["run", "paper_response_interference", "--out", str(serial)])
-    monkeypatch.setenv("OPTOMECH_THREADS", "4")
-    parallel = tmp_path / "parallel"
-    run_cli(["run", "paper_response_interference", "--out", str(parallel)])
-    assert (serial / "response.csv").read_bytes() \
-        == (parallel / "response.csv").read_bytes()
-    assert (serial / "result.json").read_bytes() \
-        == (parallel / "result.json").read_bytes()
-
-
 def test_run_scenario_requires_schema_version():
     config = scenarios.get_scenario("paper_decay_length")
     config.pop("schema_version", None)
     with pytest.raises(ConfigError):
         run_scenario(config)
+
+
+def _write_config(tmp_path, name, section, key, value):
+    config = scenarios.get_scenario(name)
+    (config if section is None else config[section])[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
+def _one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize("name, section, key, value", [
+    ("paper_fig3_sensitivity", None, "coupling_rate_hz_per_nm", "abc"),
+    ("paper_fig3_sensitivity", None, "coupling_rate_hz_per_nm", -1),
+    ("paper_standing_wave", "standing_wave", "branch", 3),
+    ("paper_stress_inference", None, "measured_f1_hz", -1),
+    ("paper_fig2c_thermal", "cavity", "kappa_hz", math.nan),
+])
+def test_invalid_value_exits_2(name, section, key, value, tmp_path, capsys):
+    path = _write_config(tmp_path, name, section, key, value)
+    assert run_cli(["run", str(path)]) == 2
+    _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("name, key, value", [
+    # g/2pi = 1e300 Hz/nm overflows to inf in the rad/s/m conversion
+    ("paper_fig4_backaction", "coupling_rate_hz_per_nm", 1e300),
+    # (2*L*f1)^2 in the stress inversion raises OverflowError
+    ("paper_stress_inference", "measured_f1_hz", 1e200),
+])
+def test_overflow_exits_3(name, key, value, tmp_path, capsys):
+    path = _write_config(tmp_path, name, None, key, value)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 3
+    _one_line_error(capsys)
+    assert not (out / "result.json").exists()
+
+
+@pytest.mark.parametrize("command", ["fit-shift", "fit-response", "run"])
+@pytest.mark.parametrize("case", ["wrong header", "non-numeric cell"])
+def test_bad_csv_exits_2(command, case, tmp_path, capsys):
+    header = ["freq_hz", "h_mag"] if command == "fit-response" \
+        else ["x0_m", "dfreq_hz"]
+    if case == "wrong header":
+        rows = [["x", "y"], ["0.0", "-1e9"]]
+    else:
+        rows = [header, ["0.0", "-1e9"], ["1e-7", "abc"]]
+    path = tmp_path / "data.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    if command == "run":
+        config = tmp_path / "fit.json"
+        config.write_text(json.dumps({"schema_version": 1,
+                                      "analysis": "fit-shift",
+                                      "data_csv": str(path)}))
+        args = ["run", str(config)]
+    else:
+        args = [command, str(path)]
+    assert run_cli(args) == 2
+    message = _one_line_error(capsys)
+    if case == "non-numeric cell":
+        assert "abc" in message
+
+
+def test_get_scenario_returns_independent_copy():
+    before = json.dumps(scenarios.SCENARIOS, sort_keys=True)
+    config = scenarios.get_scenario("paper_fig3_sensitivity")
+    config["cavity"]["kappa_hz"] = 1.0
+    config["drive"]["input_power_w"] = 0.0
+    assert json.dumps(scenarios.SCENARIOS, sort_keys=True) == before

@@ -15,7 +15,6 @@ from .backaction import (
     transmission_modulation,
 )
 from .coupling import (
-    CouplingRate,
     ExpFit,
     ShiftCurve,
     StandingWaveShift,

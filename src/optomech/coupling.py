@@ -34,20 +34,10 @@ from .units import TWO_PI
 
 
 @dataclass(frozen=True)
-class CouplingRate:
-    """Linear coupling rate g = dw0/dx0 at separation x0 (rad/s per m)."""
-
-    g: float
-    x0: float
-    geometry: CouplingGeometry
-
-
-@dataclass(frozen=True)
 class ShiftCurve:
     """Frequency-shift-vs-separation data, dw0 <= 0 (red shift)."""
 
     points: tuple[tuple[float, float], ...]  # (x0 m, dw0 rad/s)
-    provenance: str = "model"
 
     def __post_init__(self):
         pts = tuple((float(x), float(dw)) for x, dw in self.points)
@@ -59,7 +49,7 @@ class ShiftCurve:
             raise ValueError("frequency shifts must be <= 0 (red shift)")
 
     @classmethod
-    def from_csv(cls, path: str | Path, provenance: str = "measured") -> "ShiftCurve":
+    def from_csv(cls, path: str | Path) -> "ShiftCurve":
         """Read columns `x0_m, dfreq_hz` (dw0/2pi in Hz); header required."""
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -68,7 +58,7 @@ class ShiftCurve:
                 raise ValueError("expected CSV header `x0_m, dfreq_hz`")
             pts = [(float(row["x0_m"]), TWO_PI * float(row["dfreq_hz"]))
                    for row in reader]
-        return cls(tuple(pts), provenance=provenance)
+        return cls(tuple(pts))
 
 
 @dataclass(frozen=True)
@@ -117,19 +107,16 @@ def frequency_shift(cav: Microcavity, osc: NanoOscillator,
 def thin_film_shift(cav: Microcavity, osc: NanoOscillator,
                     geom: CouplingGeometry) -> float:
     """Thin-film approximation (t << 1/2alpha): thickness factor -> t."""
-    alpha = devices.decay_constant(cav)
-    area = _sampled_area(cav, osc, geom, alpha)
-    return -(0.5 * cav.omega0 * area / devices.mode_volume(cav)
-             * osc.t * (osc.n_nano ** 2 - 1.0) * cav.xi ** 2
-             * math.exp(-2.0 * alpha * geom.x0))
+    two_alpha_t = 2.0 * devices.decay_constant(cav) * osc.t
+    return (frequency_shift(cav, osc, geom)
+            * two_alpha_t / (1.0 - math.exp(-two_alpha_t)))
 
 
 def coupling_rate(cav: Microcavity, osc: NanoOscillator,
-                  geom: CouplingGeometry) -> CouplingRate:
+                  geom: CouplingGeometry) -> float:
     """Linear coupling rate g(x0) = 2*alpha*|dw0(x0)| (rad/s per m)."""
     alpha = devices.decay_constant(cav)
-    g = 2.0 * alpha * _shift_magnitude(cav, osc, geom, geom.x0)
-    return CouplingRate(g=g, x0=geom.x0, geometry=geom)
+    return 2.0 * alpha * _shift_magnitude(cav, osc, geom, geom.x0)
 
 
 def coupling_ratio_hv(cav: Microcavity) -> float:
@@ -151,7 +138,7 @@ def numeric_g_check(cav: Microcavity, osc: NanoOscillator,
     lo = _shift_magnitude(cav, osc, geom, x0 - h)
     hi = _shift_magnitude(cav, osc, geom, x0 + h)
     g_fd = (lo - hi) / (2.0 * h)
-    g = coupling_rate(cav, osc, geom).g
+    g = coupling_rate(cav, osc, geom)
     return abs(g_fd - g) / g
 
 
@@ -183,6 +170,9 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
 
     sol = least_squares(residual, x0=[a0, l0], method="lm",
                         xtol=1e-12, ftol=1e-12)
+    if sol.status <= 0:
+        raise IllConditioned(f"exponential fit did not converge: "
+                             f"{sol.message}")
     amp, ell = float(sol.x[0]), float(sol.x[1])
     if ell <= 0:
         raise IllConditioned("fitted decay length non-positive")

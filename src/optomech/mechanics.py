@@ -25,20 +25,18 @@ from .errors import DivergentMass, OutOfDomain
 from .quadrature import adaptive_quadrature
 from .units import HBAR, K_B, TWO_PI, SpectralDensity
 
-ProbeShape = Literal["gaussian", "delta", "custom"]
+ProbeShape = Literal["gaussian", "delta"]
 
 _OVERLAP_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class MechanicalMode:
-    """Mechanical mode parameters: angular frequency, damping, masses."""
+    """Mechanical mode parameters: angular frequency, damping, mass."""
 
     omega_m: float    # rad/s
     gamma_m: float    # rad/s
     m_eff: float      # kg
-    m_phys: float     # kg
-    mode_index: int = 1
 
     def __post_init__(self):
         if self.omega_m <= 0 or self.gamma_m <= 0:
@@ -51,12 +49,9 @@ class MechanicalMode:
         return self.omega_m / self.gamma_m
 
     @classmethod
-    def from_quality_factor(cls, omega_m: float, Q: float, m_eff: float,
-                            m_phys: float | None = None,
-                            mode_index: int = 1) -> "MechanicalMode":
-        return cls(omega_m=omega_m, gamma_m=omega_m / Q, m_eff=m_eff,
-                   m_phys=m_phys if m_phys is not None else m_eff,
-                   mode_index=mode_index)
+    def from_quality_factor(cls, omega_m: float, Q: float, m_eff: float
+                            ) -> "MechanicalMode":
+        return cls(omega_m=omega_m, gamma_m=omega_m / Q, m_eff=m_eff)
 
 
 @dataclass(frozen=True)
@@ -66,37 +61,21 @@ class ProbeProfile:
 
     gaussian: v0(y)^2 = (1/l_y) * exp(-pi*(y - c)^2 / l_y^2)
     delta:    point-like probe at the center offset
-    custom:   tabulated v0^2 samples, renormalized on construction
     """
 
     shape: ProbeShape
     l_y: float = 0.0
     center_offset: float = 0.0
-    table_y: np.ndarray | None = None
-    table_density: np.ndarray | None = None
 
     def __post_init__(self):
         if self.shape == "gaussian" and self.l_y <= 0:
             raise ValueError("gaussian probe requires l_y > 0")
-        if self.shape == "custom":
-            y = np.asarray(self.table_y, dtype=float)
-            d = np.asarray(self.table_density, dtype=float)
-            if y.ndim != 1 or y.shape != d.shape or y.size < 2:
-                raise ValueError("custom probe needs congruent 1-D tables")
-            norm = np.trapezoid(d, y)
-            if norm <= 0:
-                raise ValueError("custom probe density must have positive mass")
-            object.__setattr__(self, "table_y", y)
-            object.__setattr__(self, "table_density", d / norm)
 
     def density(self, y: float) -> float:
         """Probe intensity profile v0(y)^2 (1/m)."""
         if self.shape == "gaussian":
             u = y - self.center_offset
             return math.exp(-math.pi * u * u / (self.l_y ** 2)) / self.l_y
-        if self.shape == "custom":
-            return float(np.interp(y, self.table_y, self.table_density,
-                                   left=0.0, right=0.0))
         raise ValueError("delta probes have no pointwise density")
 
 
@@ -187,19 +166,16 @@ def thermal_rms(mode: MechanicalMode, T: float) -> float:
     return math.sqrt(K_B * T / (mode.m_eff * mode.omega_m ** 2))
 
 
-def resonance_grid(mode: MechanicalMode, span_decades: float = 2.0,
-                   broad_points: int = 2000,
-                   narrow_points: int = 40001) -> np.ndarray:
-    """Hz grid spanning [f_m/10^d, f_m*10^d] with dense refinement of the
-    Lorentzian peak (+/- 2000 linewidths, capped at half the resonance
-    frequency)."""
+def resonance_grid(mode: MechanicalMode) -> np.ndarray:
+    """Hz grid of 2000 log-spaced points over [f_m/100, f_m*100] with 40001
+    linear points refining the Lorentzian peak (+/- 2000 linewidths,
+    capped at half the resonance frequency)."""
     f_m = mode.omega_m / TWO_PI
     gamma_hz = mode.gamma_m / TWO_PI
-    broad = np.logspace(math.log10(f_m) - span_decades,
-                        math.log10(f_m) + span_decades, broad_points)
+    broad = np.logspace(math.log10(f_m) - 2.0, math.log10(f_m) + 2.0, 2000)
     half_window = min(2000.0 * gamma_hz, 0.5 * f_m)
     narrow = np.linspace(max(f_m - half_window, broad[0]),
-                         f_m + half_window, narrow_points)
+                         f_m + half_window, 40001)
     return np.unique(np.concatenate([broad, narrow]))
 
 
@@ -244,4 +220,4 @@ def mode_from_oscillator(osc: NanoOscillator, probe: ProbeProfile,
     omega_m = TWO_PI * string_mode_frequency(osc, n)
     m_eff = effective_mass(osc, probe, n)
     return MechanicalMode(omega_m=omega_m, gamma_m=omega_m / osc.Q,
-                          m_eff=m_eff, m_phys=osc.physical_mass, mode_index=n)
+                          m_eff=m_eff)

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-DEFAULT_REL_TOL = 1e-10
-DEFAULT_ABS_TOL = 1e-14
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-14
 _MAX_DEPTH = 60
 
 
@@ -18,19 +18,18 @@ def _simpson(fa: float, fm: float, fb: float, h: float) -> float:
     return h / 6.0 * (fa + 4.0 * fm + fb)
 
 
-def adaptive_quadrature(f: Callable[[float], float], a: float, b: float,
-                        rel_tol: float = DEFAULT_REL_TOL,
-                        abs_tol: float = DEFAULT_ABS_TOL) -> float:
-    """Integrate f over [a, b] to the requested relative tolerance."""
+def adaptive_quadrature(f: Callable[[float], float], a: float, b: float
+                        ) -> float:
+    """Integrate f over [a, b] to a relative tolerance of 1e-10."""
     if b == a:
         return 0.0
     m = 0.5 * (a + b)
     fa, fm, fb = f(a), f(m), f(b)
     whole = _simpson(fa, fm, fb, b - a)
-    return _refine(f, a, b, fa, fm, fb, whole, rel_tol, abs_tol, _MAX_DEPTH)
+    return _refine(f, a, b, fa, fm, fb, whole, _ABS_TOL, _MAX_DEPTH)
 
 
-def _refine(f, a, b, fa, fm, fb, whole, rel_tol, abs_tol, depth) -> float:
+def _refine(f, a, b, fa, fm, fb, whole, abs_tol, depth) -> float:
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
@@ -39,9 +38,8 @@ def _refine(f, a, b, fa, fm, fb, whole, rel_tol, abs_tol, depth) -> float:
     right = _simpson(fm, frm, fb, b - m)
     delta = left + right - whole
     if depth <= 0 or abs(delta) <= 15.0 * max(abs_tol,
-                                              rel_tol * abs(left + right)):
+                                              _REL_TOL * abs(left + right)):
         return left + right + delta / 15.0
-    half_tol = rel_tol  # relative tolerance carries over; abs floor is split
-    return (_refine(f, a, m, fa, flm, fm, left, half_tol, abs_tol / 2, depth - 1)
-            + _refine(f, m, b, fm, frm, fb, right, half_tol, abs_tol / 2,
-                      depth - 1))
+    # the relative tolerance carries over; the absolute floor is split
+    return (_refine(f, a, m, fa, flm, fm, left, abs_tol / 2, depth - 1)
+            + _refine(f, m, b, fm, frm, fb, right, abs_tol / 2, depth - 1))

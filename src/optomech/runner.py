@@ -22,10 +22,11 @@ from .mechanics import MechanicalMode, ProbeProfile
 from .sensing import DriveCondition
 from .units import HBAR, TWO_PI, SpectralDensity
 
-ANALYSES = ("coupling", "spectrum", "sensitivity", "response", "backaction",
-            "qba", "fit-shift", "fit-response")
+# file name -> (header, float columns, constant text fields of every row)
+Tables = dict[str, tuple[list[str], tuple, list[str]]]
 
 HZ_PER_NM = TWO_PI * 1e9  # rad/s/m per (Hz/nm)
+MAX_POINTS = 1_000_000     # largest frequency or coupling grid
 
 
 class ConfigError(Exception):
@@ -53,6 +54,20 @@ def _number(section: dict, key: str, path: str, default: float | None = None
         raise ConfigError(f"`{path}.{key}` must be a finite number, "
                           f"got {raw!r:.40}")
     return value
+
+
+def _integer(section: dict, key: str, path: str, lo: int, hi: int,
+             default: int | None = None) -> int:
+    """`section[key]` as an integer in [lo, hi]; `default` when the key is
+    absent and a default is given."""
+    if key not in section and default is not None:
+        return default
+    raw = _require(section, key, path)
+    if isinstance(raw, bool) or not isinstance(raw, int) \
+            or not lo <= raw <= hi:
+        raise ConfigError(f"`{path}.{key}` must be an integer in "
+                          f"[{lo}, {hi}], got {raw!r:.40}")
+    return raw
 
 
 def _section(config: dict, key: str) -> dict:
@@ -88,7 +103,7 @@ def build_oscillator(config: dict) -> NanoOscillator:
         stress=_number(o, "stress_pa", "oscillator"),
         n_nano=_number(o, "refractive_index", "oscillator"),
         Q=_number(o, "quality_factor", "oscillator"),
-        mode_index=int(o.get("mode_index", 1)),
+        mode_index=_integer(o, "mode_index", "oscillator", 1, 100, default=1),
     )
 
 
@@ -114,7 +129,7 @@ def build_mode(config: dict, cav: Microcavity) -> MechanicalMode:
     """Mechanical mode from an explicit `mode` section, else derived from
     the oscillator geometry with the Gaussian probe set by the cavity."""
     if "mode" in config:
-        m = config["mode"]
+        m = _section(config, "mode")
         return MechanicalMode.from_quality_factor(
             omega_m=TWO_PI * _number(m, "frequency_hz", "mode"),
             Q=_number(m, "quality_factor", "mode"),
@@ -133,10 +148,8 @@ def build_grid(config: dict) -> np.ndarray:
     grid = _section(config, "grid")
     f_min = _number(grid, "f_min_hz", "grid")
     f_max = _number(grid, "f_max_hz", "grid")
-    points = int(_require(grid, "points", "grid"))
+    points = _integer(grid, "points", "grid", 2, MAX_POINTS)
     spacing = grid.get("spacing", "linear")
-    if points < 2:
-        raise ConfigError("`grid.points` must be >= 2")
     if not (0 < f_min < f_max):
         raise ConfigError("require 0 < grid.f_min_hz < grid.f_max_hz")
     if spacing == "linear":
@@ -153,7 +166,7 @@ def coupling_rate_external(config: dict, cav: Microcavity) -> float:
     if "oscillator" in config and "geometry" in config:
         osc = build_oscillator(config)
         geom = build_geometry(config)
-        return coupling.coupling_rate(cav, osc, geom).g
+        return coupling.coupling_rate(cav, osc, geom)
     raise ConfigError("need `coupling_rate_hz_per_nm` or oscillator+geometry")
 
 
@@ -161,48 +174,42 @@ def _q(value: float, unit: str) -> dict:
     return {"value": value, "unit": unit}
 
 
-def _write_spectrum_csv(path: Path, s: SpectralDensity):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["freq_hz", "psd", "unit", "sidedness"])
-        unit = f"{s.quantity_unit}^2/Hz"
-        for f, v in zip(s.frequencies, s.values):
-            writer.writerow([repr(float(f)), repr(float(v)), unit,
-                             s.sidedness])
+def _spectrum_table(s: SpectralDensity) -> tuple:
+    return (["freq_hz", "psd", "unit", "sidedness"],
+            (s.frequencies, s.values),
+            [f"{s.quantity_unit}^2/Hz", s.sidedness])
 
 
-def _write_rows_csv(path: Path, header: list[str], rows):
+def _write_csv(path: Path, header: list[str], columns, text: list[str]):
+    """One row per column entry: each float as repr, then the text."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([repr(float(x)) for x in row])
+        for row in zip(*columns):
+            writer.writerow([repr(float(x)) for x in row] + text)
 
 
 def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
     """Execute one scenario; returns the result dict written to
     result.json. CSV artifacts land in out_dir when given."""
+    if not isinstance(config, dict):
+        raise ConfigError("config must be a JSON object")
     analysis = _require(config, "analysis", "$")
-    if analysis not in ANALYSES:
-        raise ConfigError(f"unknown analysis {analysis!r}")
+    if not isinstance(analysis, str) or analysis not in _HANDLERS:
+        raise ConfigError(f"unknown analysis {analysis!r:.40}")
     if "schema_version" not in config:
         raise ConfigError("missing required key `$.schema_version`")
-    handler = {
-        "coupling": _run_coupling,
-        "spectrum": _run_spectrum,
-        "sensitivity": _run_sensitivity,
-        "response": _run_response,
-        "backaction": _run_backaction,
-        "qba": _run_qba,
-        "fit-shift": _run_fit_shift,
-        "fit-response": _run_fit_response,
-    }[analysis]
     # dataclass validators and library input checks raise ValueError;
-    # wrong-typed config values raise TypeError from int() or comparisons
+    # wrong-typed config values raise TypeError, e.g. from comparisons
     try:
-        results, artifacts = handler(config, out_dir)
+        results, tables = _HANDLERS[analysis](config)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
+    artifacts = []
+    if out_dir is not None:
+        for name, (header, columns, text) in tables.items():
+            _write_csv(out_dir / name, header, columns, text)
+            artifacts.append(name)
     return {
         "schema_version": 1,
         "scenario": config.get("name", ""),
@@ -212,7 +219,7 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
     }
 
 
-def _run_coupling(config: dict, out_dir):
+def _run_coupling(config: dict) -> tuple[dict, Tables]:
     cav = build_cavity(config)
     alpha = devices.decay_constant(cav)
     l_x, l_y = devices.sampling_lengths(cav, alpha)
@@ -230,7 +237,7 @@ def _run_coupling(config: dict, out_dir):
         if "geometry" in config:
             geom = build_geometry(config)
             dw = coupling.frequency_shift(cav, osc, geom)
-            g = coupling.coupling_rate(cav, osc, geom).g
+            g = coupling.coupling_rate(cav, osc, geom)
             results["frequency_shift_hz"] = _q(dw / TWO_PI, "Hz")
             results["coupling_rate_hz_per_nm"] = _q(g / HZ_PER_NM, "Hz/nm")
         if osc.kind == "string":
@@ -245,10 +252,10 @@ def _run_coupling(config: dict, out_dir):
                     osc, _number(config, "measured_f1_hz", "$"))
                 results["inferred_stress_pa"] = _q(stress, "Pa")
     if "standing_wave" in config:
-        sw = config["standing_wave"]
+        sw = _section(config, "standing_wave")
         mean_shift = TWO_PI * _number(sw, "mean_shift_hz", "standing_wave")
         y = _number(sw, "lateral_position_m", "standing_wave", default=0.0)
-        branch = int(sw.get("branch", 1))
+        branch = _integer(sw, "branch", "standing_wave", -1, 1, default=1)
         prof = coupling.standing_wave_shift(cav, y, mean_shift, branch)
         results["standing_wave_period_m"] = _q(
             coupling.standing_wave_period(cav), "m")
@@ -257,10 +264,10 @@ def _run_coupling(config: dict, out_dir):
                                                    "Hz/nm")
         results["standing_wave_g2_hz_per_nm2"] = _q(
             prof.g2 / (TWO_PI * 1e18), "Hz/nm^2")
-    return results, []
+    return results, {}
 
 
-def _run_spectrum(config: dict, out_dir):
+def _run_spectrum(config: dict) -> tuple[dict, Tables]:
     cav = build_cavity(config)
     mode = build_mode(config, cav)
     drive = build_drive(config)
@@ -281,12 +288,7 @@ def _run_spectrum(config: dict, out_dir):
         "snr_requirement_amplitude": _q(amp_ratio, "1"),
         "snr_requirement_db": _q(snr_db, "dB"),
     }
-    artifacts = []
-    if out_dir is not None:
-        path = out_dir / "thermal_spectrum.csv"
-        _write_spectrum_csv(path, spectrum)
-        artifacts.append(path.name)
-    return results, artifacts
+    return results, {"thermal_spectrum.csv": _spectrum_table(spectrum)}
 
 
 def _homodyne_shot_floor(cav: Microcavity, mode: MechanicalMode, g: float,
@@ -298,7 +300,7 @@ def _homodyne_shot_floor(cav: Microcavity, mode: MechanicalMode, g: float,
                                     sidedness="double")
 
 
-def _run_sensitivity(config: dict, out_dir):
+def _run_sensitivity(config: dict) -> tuple[dict, Tables]:
     cav = build_cavity(config)
     mode = build_mode(config, cav)
     drive = build_drive(config)
@@ -317,14 +319,9 @@ def _run_sensitivity(config: dict, out_dir):
             budget.imprecision / math.sqrt(s_sql), "1"),
         "signal_to_background_db": _q(budget.snr_db, "dB"),
     }
-    artifacts = []
-    if out_dir is not None:
-        for name, spectrum in (("signal.csv", budget.signal),
-                               ("background.csv", budget.background),
-                               ("total.csv", budget.total)):
-            _write_spectrum_csv(out_dir / name, spectrum)
-            artifacts.append(name)
-    return results, artifacts
+    return results, {"signal.csv": _spectrum_table(budget.signal),
+                     "background.csv": _spectrum_table(budget.background),
+                     "total.csv": _spectrum_table(budget.total)}
 
 
 def _response_rates(config: dict) -> tuple[float, float]:
@@ -334,7 +331,7 @@ def _response_rates(config: dict) -> tuple[float, float]:
             _number(rsec, "g_probe_hz_per_nm", "response") * HZ_PER_NM)
 
 
-def _run_response(config: dict, out_dir):
+def _run_response(config: dict) -> tuple[dict, Tables]:
     cav = build_cavity(config)
     mode = build_mode(config, cav)
     g_pump, g_probe = _response_rates(config)
@@ -347,15 +344,10 @@ def _run_response(config: dict, out_dir):
         "g_eff_hz_per_nm": _q(g_eff / HZ_PER_NM, "Hz/nm"),
         "h_at_dc_limit": _q(abs(1.0 + a1 / mode.omega_m ** 2), "1"),
     }
-    artifacts = []
-    if out_dir is not None:
-        path = out_dir / "response.csv"
-        _write_rows_csv(path, ["freq_hz", "h_mag"], zip(grid, h))
-        artifacts.append(path.name)
-    return results, artifacts
+    return results, {"response.csv": (["freq_hz", "h_mag"], (grid, h), [])}
 
 
-def _run_backaction(config: dict, out_dir):
+def _run_backaction(config: dict) -> tuple[dict, Tables]:
     cav = build_cavity(config)
     mode = build_mode(config, cav)
     drive = build_drive(config)
@@ -376,28 +368,22 @@ def _run_backaction(config: dict, out_dir):
         "amplitude_m": _q(state.amplitude, "m"),
         "modulation_depth": _q(state.modulation_depth, "1"),
     }
-    artifacts = []
-    if out_dir is not None:
-        gsec = config.get("backaction_g_grid")
-        if gsec is not None:
-            g_lo = _number(gsec, "g_min_hz_per_nm",
-                           "backaction_g_grid") * HZ_PER_NM
-            g_hi = _number(gsec, "g_max_hz_per_nm",
-                           "backaction_g_grid") * HZ_PER_NM
-            points = int(gsec.get("points", 25))
-            g_grid = np.linspace(g_lo, g_hi, points)
-        else:
-            g_grid = np.linspace(g / 10.0, g, 20)
-        table = ba.linewidth_vs_coupling(cav, mode, drive, g_grid)
-        rows = [((gg / HZ_PER_NM) ** 2, gt_hz)
-                for (_, gt_hz), gg in zip(table, g_grid)]
-        path = out_dir / "linewidth_vs_g2.csv"
-        _write_rows_csv(path, ["g2_hz2_per_nm2", "gamma_total_hz"], rows)
-        artifacts.append(path.name)
-    return results, artifacts
+    if "backaction_g_grid" in config:
+        gsec = _section(config, "backaction_g_grid")
+        path = "backaction_g_grid"
+        g_grid = np.linspace(
+            _number(gsec, "g_min_hz_per_nm", path) * HZ_PER_NM,
+            _number(gsec, "g_max_hz_per_nm", path) * HZ_PER_NM,
+            _integer(gsec, "points", path, 2, MAX_POINTS, default=25))
+    else:
+        g_grid = np.linspace(g / 10.0, g, 20)
+    table = ba.linewidth_vs_coupling(cav, mode, drive, g_grid)
+    g2 = [(gg / HZ_PER_NM) ** 2 for gg in g_grid]
+    return results, {"linewidth_vs_g2.csv": (
+        ["g2_hz2_per_nm2", "gamma_total_hz"], (g2, table[:, 1]), [])}
 
 
-def _run_qba(config: dict, out_dir):
+def _run_qba(config: dict) -> tuple[dict, Tables]:
     cav = build_cavity(config)
     mode = build_mode(config, cav)
     drive = build_drive(config)
@@ -413,7 +399,7 @@ def _run_qba(config: dict, out_dir):
         "ratio": _q(ratio, "1"),
         "heisenberg_product_over_hbar2": _q(product_over_hbar2, "1"),
     }
-    return results, []
+    return results, {}
 
 
 def _synth_shift_curve(config: dict) -> coupling.ShiftCurve:
@@ -425,10 +411,10 @@ def _synth_shift_curve(config: dict) -> coupling.ShiftCurve:
     for x0 in np.linspace(0.0, 2.5 / alpha, 30):
         g = dataclasses.replace(geom, x0=x0)
         points.append((float(x0), coupling.frequency_shift(cav, osc, g)))
-    return coupling.ShiftCurve(tuple(points), provenance="model")
+    return coupling.ShiftCurve(tuple(points))
 
 
-def _run_fit_shift(config: dict, out_dir):
+def _run_fit_shift(config: dict) -> tuple[dict, Tables]:
     if "data_csv" in config:
         curve = coupling.ShiftCurve.from_csv(config["data_csv"])
     else:
@@ -439,10 +425,10 @@ def _run_fit_shift(config: dict, out_dir):
         "decay_length_m": _q(fit.decay_length, "m"),
         "residual": _q(fit.residual_norm / TWO_PI, "Hz"),
     }
-    return results, []
+    return results, {}
 
 
-def _run_fit_response(config: dict, out_dir):
+def _run_fit_response(config: dict) -> tuple[dict, Tables]:
     """Fit a measured (`data_csv`) or modelled response curve. Without a
     `cavity` section g_eff is undefined and left out of the results."""
     cav = mode = None
@@ -456,7 +442,7 @@ def _run_fit_response(config: dict, out_dir):
         grid = build_grid(config)
         h = sensing.response_magnitude(cav, mode, g_pump, g_probe,
                                        TWO_PI * grid)
-        curve = sensing.ResponseCurve(grid, h, g_pump=g_pump, g_probe=g_probe)
+        curve = sensing.ResponseCurve(grid, h)
     fit = sensing.fit_response(curve, cav, mode)
     results = {
         "a1": _q(fit.a1, "rad^2/s^2"),
@@ -466,4 +452,16 @@ def _run_fit_response(config: dict, out_dir):
     }
     if math.isfinite(fit.g_eff):
         results["g_eff_hz_per_nm"] = _q(fit.g_eff / HZ_PER_NM, "Hz/nm")
-    return results, []
+    return results, {}
+
+
+_HANDLERS = {
+    "coupling": _run_coupling,
+    "spectrum": _run_spectrum,
+    "sensitivity": _run_sensitivity,
+    "response": _run_response,
+    "backaction": _run_backaction,
+    "qba": _run_qba,
+    "fit-shift": _run_fit_shift,
+    "fit-response": _run_fit_response,
+}

@@ -12,19 +12,23 @@ import copy
 
 from .devices import index_for_decay_length
 
-# reference toroid of the coupling-rate estimates: R = 30 um, r = 3 um,
-# lambda = 1.55 um, xi = 0.4, D_mode = 3.5 um, field decay length 220 nm
-_SI_CAVITY = {
-    "major_radius_m": 30e-6,
+# silica toroid of the measurements: R = 29 um, r = 3 um, lambda = 1.55 um
+_CAVITY_29UM = {
+    "major_radius_m": 29e-6,
     "minor_radius_m": 3e-6,
     "wavelength_m": 1.55e-6,
-    "refractive_index": index_for_decay_length(1.55e-6, 220e-9),
+    "refractive_index": 1.45,
     "effective_index": 1.44,
     "kappa_hz": 4.9e6,
     "mode_diameter_m": 3.5e-6,
     "surface_field_fraction": 0.4,
     "kerr_coefficient_m2_per_w": 3e-20,
 }
+
+# reference toroid of the coupling-rate estimates: R = 30 um, r = 3 um,
+# lambda = 1.55 um, xi = 0.4, D_mode = 3.5 um, field decay length 220 nm
+_SI_CAVITY = {**_CAVITY_29UM, "major_radius_m": 30e-6,
+              "refractive_index": index_for_decay_length(1.55e-6, 220e-9)}
 
 _SIN_STRING_25UM = {
     "kind": "string",
@@ -44,17 +48,7 @@ SCENARIOS: dict[str, dict] = {
         "description": "Field decay length 235 nm (silica, 1550 nm); "
                        "intensity decay length 110 nm.",
         "analysis": "coupling",
-        "cavity": {
-            "major_radius_m": 29e-6,
-            "minor_radius_m": 3e-6,
-            "wavelength_m": 1.55e-6,
-            "refractive_index": 1.45,
-            "effective_index": 1.44,
-            "kappa_hz": 4.9e6,
-            "mode_diameter_m": 3.5e-6,
-            "surface_field_fraction": 0.4,
-            "kerr_coefficient_m2_per_w": 3e-20,
-        },
+        "cavity": _CAVITY_29UM,
     },
     "paper_si_horizontal_g": {
         "schema_version": 1,
@@ -80,17 +74,8 @@ SCENARIOS: dict[str, dict] = {
                        "40 MHz/nm at contact.",
         "analysis": "coupling",
         "cavity": _SI_CAVITY,
-        "oscillator": {
-            "kind": "sheet",
-            "length_m": 40e-6,
-            "width_m": 50e-6,
-            "thickness_m": 30e-9,
-            "density_kg_per_m3": 3100.0,
-            "stress_pa": 0.9e9,
-            "refractive_index": 2.05,
-            "quality_factor": 53000.0,
-            "mode_index": 1,
-        },
+        "oscillator": {**_SIN_STRING_25UM, "kind": "sheet", "length_m": 40e-6,
+                       "width_m": 50e-6, "thickness_m": 30e-9},
         "geometry": {"separation_m": 0.0, "orientation": "sheet"},
     },
     "paper_fig2a_shift_fit": {
@@ -145,17 +130,7 @@ SCENARIOS: dict[str, dict] = {
                        "570 am/rtHz total background gives > 60 dB signal "
                        "to background (measured floor was 570 am/rtHz).",
         "analysis": "sensitivity",
-        "cavity": {
-            "major_radius_m": 29e-6,
-            "minor_radius_m": 3e-6,
-            "wavelength_m": 1.55e-6,
-            "refractive_index": 1.45,
-            "effective_index": 1.44,
-            "kappa_hz": 50e6,
-            "mode_diameter_m": 3.5e-6,
-            "surface_field_fraction": 0.4,
-            "kerr_coefficient_m2_per_w": 3e-20,
-        },
+        "cavity": {**_CAVITY_29UM, "kappa_hz": 50e6},
         "mode": {"frequency_hz": 8e6, "quality_factor": 40000.0,
                  "effective_mass_kg": 4.9e-15},
         "drive": {"input_power_w": 65e-6, "detuning_hz": 0.0,
@@ -171,17 +146,8 @@ SCENARIOS: dict[str, dict] = {
                        "interference dip above resonance; g_eff = "
                        "sqrt(g_pump*g_probe).",
         "analysis": "response",
-        "cavity": {
-            "major_radius_m": 29e-6,
-            "minor_radius_m": 3e-6,
-            "wavelength_m": 1.53e-6,
-            "refractive_index": 1.45,
-            "effective_index": 1.44,
-            "kappa_hz": 120e6,
-            "mode_diameter_m": 3.5e-6,
-            "surface_field_fraction": 0.4,
-            "kerr_coefficient_m2_per_w": 3e-20,
-        },
+        "cavity": {**_CAVITY_29UM, "wavelength_m": 1.53e-6,
+                   "kappa_hz": 120e6},
         "mode": {"frequency_hz": 10.74e6, "quality_factor": 53000.0,
                  "effective_mass_kg": 3.6e-15},
         "response": {"g_pump_hz_per_nm": 2.0e6, "g_probe_hz_per_nm": 1.0e6},
@@ -194,17 +160,7 @@ SCENARIOS: dict[str, dict] = {
                        "the 10.8 MHz string: linewidth narrowing, "
                        "threshold, saturation near (kappa/2)/g = 10 nm.",
         "analysis": "backaction",
-        "cavity": {
-            "major_radius_m": 29e-6,
-            "minor_radius_m": 3e-6,
-            "wavelength_m": 1.55e-6,
-            "refractive_index": 1.45,
-            "effective_index": 1.44,
-            "kappa_hz": 12e6,
-            "mode_diameter_m": 3.5e-6,
-            "surface_field_fraction": 0.4,
-            "kerr_coefficient_m2_per_w": 3e-20,
-        },
+        "cavity": {**_CAVITY_29UM, "kappa_hz": 12e6},
         "mode": {"frequency_hz": 10.8e6, "quality_factor": 70000.0,
                  "effective_mass_kg": 3.6e-15},
         "drive": {"input_power_w": 300e-6, "detuning_hz": 6e6,

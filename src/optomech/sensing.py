@@ -29,7 +29,8 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .devices import Microcavity
-from .errors import GridMismatch, NoResonanceInWindow, ZeroPower
+from .errors import (GridMismatch, IllConditioned, NoResonanceInWindow,
+                     ZeroPower)
 from .mechanics import MechanicalMode, thermal_spectrum
 from .units import C_LIGHT, HBAR, TWO_PI, SpectralDensity
 
@@ -62,8 +63,6 @@ class ResponseCurve:
 
     frequencies_hz: np.ndarray
     magnitudes: np.ndarray
-    g_pump: float = 0.0   # rad/s per m
-    g_probe: float = 0.0  # rad/s per m
 
     def __post_init__(self):
         f = np.asarray(self.frequencies_hz, dtype=float)
@@ -76,8 +75,7 @@ class ResponseCurve:
             raise ValueError("response magnitudes must be > 0")
 
     @classmethod
-    def from_csv(cls, path: str | Path, g_pump: float = 0.0,
-                 g_probe: float = 0.0) -> "ResponseCurve":
+    def from_csv(cls, path: str | Path) -> "ResponseCurve":
         """Read columns `freq_hz, h_mag`; header required."""
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -88,8 +86,7 @@ class ResponseCurve:
                     for row in reader]
         rows.sort()
         return cls(np.array([r[0] for r in rows]),
-                   np.array([r[1] for r in rows]),
-                   g_pump=g_pump, g_probe=g_probe)
+                   np.array([r[1] for r in rows]))
 
 
 @dataclass(frozen=True)
@@ -145,9 +142,7 @@ def response_coefficient(cav: Microcavity, mode: MechanicalMode,
 
 def g_eff_from_a1(cav: Microcavity, mode: MechanicalMode, a1: float) -> float:
     """Invert the a1 closed form for g_eff = sqrt(g_pump*g_probe)."""
-    scale = (TWO_PI * cav.R * cav.n_eff ** 2 * cav.mode_area
-             / (C_LIGHT * cav.n2) / mode.m_eff)
-    return cav.omega0 * math.sqrt(a1 / scale)
+    return math.sqrt(a1 / response_coefficient(cav, mode, 1.0, 1.0))
 
 
 def response_model(omega, a1: float, omega_m: float, gamma_m: float):
@@ -200,6 +195,8 @@ def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
 
     sol = least_squares(residual, x0=np.ones(3), method="lm",
                         xtol=1e-14, ftol=1e-14)
+    if sol.status <= 0:
+        raise IllConditioned(f"response fit did not converge: {sol.message}")
     a1, omega_m, gamma_m = sol.x * scales
     a1, omega_m, gamma_m = float(a1), abs(float(omega_m)), abs(float(gamma_m))
     g_eff = math.nan
@@ -260,7 +257,11 @@ def noise_budget(cav: Microcavity, mode: MechanicalMode, g: float,
     background = SpectralDensity(f, bg_vals, "single", "m")
     total = SpectralDensity(f, signal.values + bg_vals, "single", "m")
     i_res = int(np.argmin(np.abs(f - mode.omega_m / TWO_PI)))
-    snr_db = 10.0 * math.log10(signal.values[i_res] / bg_vals[i_res])
+    ratio = signal.values[i_res] / bg_vals[i_res]
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise ArithmeticError(f"signal-to-background ratio {float(ratio)!r} "
+                              "at resonance is not finite and positive")
+    snr_db = 10.0 * math.log10(ratio)
     return NoiseBudget(signal=signal, background=background, total=total,
                        snr_db=snr_db,
                        imprecision=float(math.sqrt(bg_vals[i_res])))

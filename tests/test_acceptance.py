@@ -76,14 +76,14 @@ def test_01_decay_length_235_nm():
 def test_02_horizontal_coupling_54_to_66_mhz_per_nm():
     cav = _si_cavity()
     osc = make_string()
-    g = coupling_rate(cav, osc, CouplingGeometry(0.0, "horizontal")).g
+    g = coupling_rate(cav, osc, CouplingGeometry(0.0, "horizontal"))
     assert 54e6 <= g / HZ_PER_NM <= 66e6
 
 
 def test_03_sheet_coupling_36_to_48_mhz_per_nm():
     cav = _si_cavity()
     sheet = make_string(kind="sheet", t=30e-9)
-    g = coupling_rate(cav, sheet, CouplingGeometry(0.0, "sheet")).g
+    g = coupling_rate(cav, sheet, CouplingGeometry(0.0, "sheet"))
     assert 36e6 <= g / HZ_PER_NM <= 48e6
 
 
@@ -202,14 +202,13 @@ def test_14_fit_round_trips(rng):
     x = np.linspace(0.0, 500e-9, 30)
     amplitude, ell = TWO_PI * 6.9e9, 110e-9
     clean = ShiftCurve(tuple((float(xi), -amplitude * math.exp(-xi / ell))
-                             for xi in x), provenance="synthetic")
+                             for xi in x))
     fit = fit_exponential(clean)
     assert abs(fit.decay_length - ell) / ell < 1e-3
     for _ in range(10):
         noisy = ShiftCurve(tuple(
             (float(xi), -amplitude * math.exp(-xi / ell)
-             * (1.0 + 0.01 * rng.standard_normal())) for xi in x),
-            provenance="synthetic")
+             * (1.0 + 0.01 * rng.standard_normal())) for xi in x))
         noisy_fit = fit_exponential(noisy)
         assert abs(noisy_fit.decay_length - ell) / ell < 0.05
     # response fit
@@ -219,7 +218,7 @@ def test_14_fit_round_trips(rng):
     f_m = mode.omega_m / TWO_PI
     f = np.linspace(f_m - 25e3, f_m + 25e3, 6001)
     h = response_magnitude(cav, mode, g_pump, g_probe, TWO_PI * f)
-    rfit = fit_response(ResponseCurve(f, h, g_pump, g_probe), cav, mode)
+    rfit = fit_response(ResponseCurve(f, h), cav, mode)
     a1 = response_coefficient(cav, mode, g_pump, g_probe)
     assert abs(rfit.a1 - a1) / a1 < 1e-3
     assert abs(rfit.omega_m - mode.omega_m) / mode.omega_m < 1e-3

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,11 +238,47 @@ def _one_line_error(capsys) -> str:
     ("paper_standing_wave", "standing_wave", "branch", 3),
     ("paper_stress_inference", None, "measured_f1_hz", -1),
     ("paper_fig2c_thermal", "cavity", "kappa_hz", math.nan),
+    ("paper_fig2c_thermal", "grid", "points", 2.7),
+    ("paper_fig2c_thermal", "grid", "points", 10 ** 12),
+    ("paper_fig4_backaction", "backaction_g_grid", "points", 0),
+    ("paper_fig4_backaction", "backaction_g_grid", "points", 10 ** 12),
+    ("paper_si_horizontal_g", "oscillator", "mode_index", 10 ** 6),
 ])
 def test_invalid_value_exits_2(name, section, key, value, tmp_path, capsys):
     path = _write_config(tmp_path, name, section, key, value)
     assert run_cli(["run", str(path)]) == 2
     _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text", ["5", "[]", '"x"'])
+def test_non_object_config_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert run_cli(["run", str(path)]) == 2
+    assert "JSON object" in _one_line_error(capsys)
+
+
+def test_vanishing_signal_to_background_exits_3(tmp_path, capsys):
+    # the background shot**2 overflows to inf, so the ratio is 0
+    path = _write_config(tmp_path, "paper_fig3_sensitivity", None,
+                         "coupling_rate_hz_per_nm", 1e-310)
+    assert run_cli(["run", str(path)]) == 3
+    assert "signal-to-background ratio" in _one_line_error(capsys)
+
+
+def test_numpy_warnings_stay_off_stderr(tmp_path):
+    # in a subprocess, where numpy's RuntimeWarnings would reach stderr
+    path = _write_config(tmp_path, "paper_fig2c_thermal", "mode",
+                         "effective_mass_kg", 1e-320)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    proc = subprocess.run([sys.executable, "-m", "optomech.cli", "run",
+                           str(path)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("name, key, value", [

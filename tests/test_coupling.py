@@ -22,6 +22,7 @@ from optomech import (
     standing_wave_shift,
     thin_film_shift,
 )
+from optomech import coupling
 from optomech.units import TWO_PI
 
 from conftest import approx_rel, make_cavity, make_string, random_cavity, \
@@ -66,7 +67,7 @@ def test_coupling_rate_is_two_alpha_times_shift():
     osc = make_string()
     geom = CouplingGeometry(120e-9, "horizontal")
     alpha = decay_constant(cav)
-    g = coupling_rate(cav, osc, geom).g
+    g = coupling_rate(cav, osc, geom)
     approx_rel(g, 2.0 * alpha * abs(frequency_shift(cav, osc, geom)), 1e-14)
 
 
@@ -87,8 +88,8 @@ def test_hv_ratio_is_sqrt_radius_ratio():
     geom_h = CouplingGeometry(0.0, "horizontal")
     geom_v = CouplingGeometry(0.0, "vertical")
     osc = make_string()
-    g_h = coupling_rate(cav, osc, geom_h).g
-    g_v = coupling_rate(cav, osc, geom_v).g
+    g_h = coupling_rate(cav, osc, geom_h)
+    g_v = coupling_rate(cav, osc, geom_v)
     approx_rel(g_h / g_v, coupling_ratio_hv(cav), 1e-12)
 
 
@@ -126,7 +127,7 @@ def test_geometry_mismatch_for_unknown_sampling():
 
 def _model_curve(amplitude, ell, x):
     return ShiftCurve(tuple((float(xi), -amplitude * math.exp(-xi / ell))
-                            for xi in x), provenance="synthetic")
+                            for xi in x))
 
 
 def test_exponential_fit_noiseless_round_trip():
@@ -153,28 +154,38 @@ def test_exponential_fit_with_noise(rng):
             (float(xi), -amplitude * math.exp(-xi / ell)
              * (1.0 + 0.01 * rng.standard_normal()))
             for xi in x)
-        fit = fit_exponential(ShiftCurve(noisy, provenance="synthetic"))
+        fit = fit_exponential(ShiftCurve(noisy))
         worst = max(worst, abs(fit.decay_length - ell) / ell)
     assert worst < 0.05
 
 
 def test_fit_requires_two_points():
     with pytest.raises(IllConditioned):
-        fit_exponential(ShiftCurve(((0.0, -1.0),), provenance="s"))
+        fit_exponential(ShiftCurve(((0.0, -1.0),)))
 
 
 def test_fit_rejects_growing_magnitudes():
-    curve = ShiftCurve(((0.0, -1.0), (1e-7, -2.0), (2e-7, -4.0)),
-                       provenance="s")
+    curve = ShiftCurve(((0.0, -1.0), (1e-7, -2.0), (2e-7, -4.0)))
     with pytest.raises(IllConditioned):
         fit_exponential(curve)
 
 
+def test_unconverged_exponential_fit_raises(monkeypatch, rng):
+    least_squares = coupling.least_squares
+    monkeypatch.setattr(coupling, "least_squares", lambda *args, **kw:
+                        least_squares(*args, **dict(kw, max_nfev=1)))
+    x = np.linspace(0.0, 500e-9, 40)
+    noisy = tuple((float(xi), -TWO_PI * 5e9 * math.exp(-xi / 110e-9)
+                   * (1.0 + 0.01 * rng.standard_normal())) for xi in x)
+    with pytest.raises(IllConditioned, match="did not converge"):
+        fit_exponential(ShiftCurve(noisy))
+
+
 def test_shift_curve_validation():
     with pytest.raises(ValueError):
-        ShiftCurve(((0.0, -1.0), (0.0, -2.0)), provenance="s")
+        ShiftCurve(((0.0, -1.0), (0.0, -2.0)))
     with pytest.raises(ValueError):
-        ShiftCurve(((0.0, 1.0),), provenance="s")
+        ShiftCurve(((0.0, 1.0),))
 
 
 def test_shift_curve_csv_round_trip(tmp_path):

@@ -107,17 +107,6 @@ def test_offset_delta_probe_raises_mass():
     approx_rel(off, centered / math.cos(math.pi / 4) ** 2, 1e-12)
 
 
-def test_custom_probe_matches_gaussian_table():
-    osc = make_string()
-    l_y = 4e-6
-    y = np.linspace(-osc.L / 2, osc.L / 2, 40001)
-    table = np.exp(-np.pi * y ** 2 / l_y ** 2) / l_y
-    custom = ProbeProfile(shape="custom", table_y=y, table_density=table)
-    gauss = ProbeProfile(shape="gaussian", l_y=l_y)
-    approx_rel(effective_mass(osc, custom, 1),
-               effective_mass(osc, gauss, 1), 1e-6)
-
-
 def test_susceptibility_peak_value():
     mode = make_mode()
     chi = susceptibility(mode, mode.omega_m)

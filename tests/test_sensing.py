@@ -6,6 +6,7 @@ import pytest
 
 from optomech import (
     GridMismatch,
+    IllConditioned,
     NoResonanceInWindow,
     ResponseCurve,
     ZeroPower,
@@ -21,6 +22,7 @@ from optomech import (
     shot_noise_floor,
     thermal_spectrum,
 )
+from optomech import sensing
 from optomech.sensing import PDH_PENALTY
 from optomech.units import C_LIGHT, HBAR, TWO_PI, SpectralDensity
 
@@ -133,7 +135,7 @@ def test_fit_response_noiseless_round_trip():
     f_m = mode.omega_m / TWO_PI
     f = np.linspace(f_m - 25e3, f_m + 25e3, 8001)
     h = response_magnitude(cav, mode, g_pump, g_probe, TWO_PI * f)
-    fit = fit_response(ResponseCurve(f, h, g_pump, g_probe), cav, mode)
+    fit = fit_response(ResponseCurve(f, h), cav, mode)
     a1 = response_coefficient(cav, mode, g_pump, g_probe)
     approx_rel(fit.a1, a1, 1e-3)
     approx_rel(fit.omega_m, mode.omega_m, 1e-6)
@@ -161,6 +163,20 @@ def test_fit_response_requires_bracketed_resonance():
         fit_response(ResponseCurve(f, h))
     with pytest.raises(NoResonanceInWindow):
         fit_response(ResponseCurve(f[:5], h[:5]))
+
+
+def test_unconverged_response_fit_raises(monkeypatch):
+    least_squares = sensing.least_squares
+    monkeypatch.setattr(sensing, "least_squares", lambda *args, **kw:
+                        least_squares(*args, **dict(kw, max_nfev=1)))
+    cav = make_cavity()
+    mode = make_mode()
+    f_m = mode.omega_m / TWO_PI
+    f = np.linspace(f_m - 25e3, f_m + 25e3, 2001)
+    h = response_magnitude(cav, mode, 2e6 * HZ_PER_NM, 1e6 * HZ_PER_NM,
+                           TWO_PI * f)
+    with pytest.raises(IllConditioned, match="did not converge"):
+        fit_response(ResponseCurve(f, h))
 
 
 def test_response_curve_csv_round_trip(tmp_path):

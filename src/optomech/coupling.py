@@ -25,12 +25,23 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import devices
 from .devices import CouplingGeometry, Microcavity, NanoOscillator
 from .errors import GeometryMismatch, IllConditioned
 from .units import TWO_PI
+
+
+def least_squares(*args, **kwargs):
+    """scipy.optimize.least_squares, imported on the first call.
+
+    scipy.optimize takes most of a cold `import optomech` and only the two
+    fits use it, so the import is deferred to here. `fit_exponential` and
+    `sensing.fit_response` call this through their modules' global
+    `least_squares`, which tests and tracers may replace.
+    """
+    from scipy.optimize import least_squares
+    return least_squares(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import NonEvanescent, NotAString
+from .errors import NonEvanescent, NotAString, require_finite
 from .units import C_LIGHT, TWO_PI
 
 Orientation = Literal["horizontal", "vertical", "sheet"]
@@ -38,6 +38,8 @@ class Microcavity:
     n2: float = 3e-20  # Kerr coefficient of silica, m^2/W
 
     def __post_init__(self):
+        require_finite(self, "R", "r", "wavelength", "n", "n_eff", "kappa",
+                       "D_mode", "xi", "n2")
         if not (self.R > self.r > 0):
             raise ValueError("require R > r > 0")
         if self.n <= 0 or self.n_eff <= 0:
@@ -86,6 +88,7 @@ class NanoOscillator:
     mode_index: int = 1
 
     def __post_init__(self):
+        require_finite(self, "L", "w", "t", "rho", "stress", "n_nano", "Q")
         for name in ("L", "w", "t", "rho", "stress"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"require {name} > 0")
@@ -110,6 +113,7 @@ class CouplingGeometry:
     orientation: Orientation
 
     def __post_init__(self):
+        require_finite(self, "x0")
         if self.x0 < 0:
             raise ValueError("require x0 >= 0")
         if self.orientation not in ("horizontal", "vertical", "sheet"):

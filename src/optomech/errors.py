@@ -1,6 +1,18 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the finiteness check shared across the package."""
 
 from __future__ import annotations
+
+import math
+
+
+def require_finite(obj, *names: str) -> None:
+    """Raise ValueError naming the first field of `obj` in `names` that is
+    NaN or infinite. NaN passes every `<=` check, and a NaN integrand keeps
+    the adaptive quadrature bisecting to its maximum depth."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ValueError(f"require finite {name}, got {value!r}")
 
 
 class OptomechError(Exception):

@@ -20,8 +20,8 @@ from typing import Literal
 
 import numpy as np
 
-from .devices import NanoOscillator
-from .errors import DivergentMass, OutOfDomain
+from .devices import NanoOscillator, string_mode_frequency
+from .errors import DivergentMass, OutOfDomain, require_finite
 from .quadrature import adaptive_quadrature
 from .units import HBAR, K_B, TWO_PI, SpectralDensity
 
@@ -39,6 +39,7 @@ class MechanicalMode:
     m_eff: float      # kg
 
     def __post_init__(self):
+        require_finite(self, "omega_m", "gamma_m", "m_eff")
         if self.omega_m <= 0 or self.gamma_m <= 0:
             raise ValueError("require omega_m > 0 and gamma_m > 0")
         if self.m_eff <= 0:
@@ -68,6 +69,7 @@ class ProbeProfile:
     center_offset: float = 0.0
 
     def __post_init__(self):
+        require_finite(self, "l_y", "center_offset")
         if self.shape == "gaussian" and self.l_y <= 0:
             raise ValueError("gaussian probe requires l_y > 0")
 
@@ -214,7 +216,6 @@ def snr_requirement(mode: MechanicalMode, T: float) -> tuple[float, float]:
 def mode_from_oscillator(osc: NanoOscillator, probe: ProbeProfile,
                          n: int | None = None) -> MechanicalMode:
     """Build a MechanicalMode from string geometry and a probe profile."""
-    from .devices import string_mode_frequency
     if n is None:
         n = osc.mode_index
     omega_m = TWO_PI * string_mode_frequency(osc, n)

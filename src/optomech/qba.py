@@ -26,7 +26,7 @@ from . import devices
 from .devices import Microcavity
 from .mechanics import MechanicalMode
 from .sensing import DriveCondition
-from .units import HBAR, K_B
+from .units import C_LIGHT, HBAR, K_B, TWO_PI
 
 ForceSource = Literal["thermal", "quantum_backaction"]
 
@@ -111,7 +111,6 @@ _REF = {
 
 
 def _ratio_closed_form(g, kappa, m_eff, Q, omega_m, p_in, wavelength, T):
-    from .units import C_LIGHT, TWO_PI
     lorentz = 4.0 / (1.0 + 4.0 * omega_m ** 2 / kappa ** 2)
     return (HBAR * Q * g ** 2 * p_in * wavelength
             / (m_eff * omega_m * kappa ** 2 * K_B * T * TWO_PI * C_LIGHT)

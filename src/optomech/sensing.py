@@ -26,11 +26,11 @@ from pathlib import Path
 from typing import Literal
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from .coupling import least_squares
 from .devices import Microcavity
 from .errors import (GridMismatch, IllConditioned, NoResonanceInWindow,
-                     ZeroPower)
+                     ZeroPower, require_finite)
 from .mechanics import MechanicalMode, thermal_spectrum
 from .units import C_LIGHT, HBAR, TWO_PI, SpectralDensity
 
@@ -49,6 +49,7 @@ class DriveCondition:
     readout: Readout = "homodyne"
 
     def __post_init__(self):
+        require_finite(self, "p_in", "detuning", "temperature")
         if self.p_in < 0:
             raise ValueError("require p_in >= 0")
         if self.temperature <= 0:

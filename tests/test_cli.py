@@ -327,3 +327,41 @@ def test_get_scenario_returns_independent_copy():
     config["cavity"]["kappa_hz"] = 1.0
     config["drive"]["input_power_w"] = 0.0
     assert json.dumps(scenarios.SCENARIOS, sort_keys=True) == before
+
+
+_SCIPY_PROBE = """
+import sys
+import optomech, optomech.cli
+from optomech import runner, scenarios
+for name in scenarios.SCENARIOS:
+    if name != "paper_fig2a_shift_fit":
+        runner.run_scenario(scenarios.get_scenario(name))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+runner.run_scenario(scenarios.get_scenario("paper_fig2a_shift_fit"))
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_for_a_fit():
+    # a fresh interpreter: this process has already imported scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
+
+
+def test_tracer_patch_points_reach_the_fits(monkeypatch):
+    # the benchmark's tracer replaces `least_squares` in both fit modules
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_scenario(scenarios.get_scenario("paper_fig2a_shift_fit"))
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["fit.attempts"] == 1
+    assert tracer.counters["coupling.fit_exponential.nfev"] > 0

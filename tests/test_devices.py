@@ -3,6 +3,7 @@ import math
 import pytest
 
 from optomech import (
+    CouplingGeometry,
     Microcavity,
     NanoOscillator,
     NonEvanescent,
@@ -99,6 +100,7 @@ def test_physical_mass():
 @pytest.mark.parametrize("bad", [
     dict(R=-1e-6), dict(r=0.0), dict(wavelength=0.0), dict(kappa=-1.0),
     dict(D_mode=0.0), dict(xi=0.0), dict(xi=1.5), dict(n_eff=0.0),
+    dict(kappa=math.nan), dict(n2=math.inf),
 ])
 def test_cavity_invariants(bad):
     with pytest.raises(ValueError):
@@ -108,7 +110,14 @@ def test_cavity_invariants(bad):
 @pytest.mark.parametrize("bad", [
     dict(L=0.0), dict(w=-1e-9), dict(rho=0.0), dict(stress=-1.0),
     dict(Q=0.0), dict(mode_index=0), dict(kind="drum"),
+    dict(stress=math.inf), dict(n_nano=math.nan),
 ])
 def test_oscillator_invariants(bad):
     with pytest.raises(ValueError):
         make_string(**bad)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_geometry_rejects_non_finite_x0(value):
+    with pytest.raises(ValueError, match="finite x0"):
+        CouplingGeometry(value, "horizontal")

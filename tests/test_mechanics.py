@@ -117,6 +117,16 @@ def test_susceptibility_peak_value():
         susceptibility(mode, -1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_probe_and_mode_raise(value):
+    # with a NaN l_y every integrand value is NaN and the adaptive
+    # quadrature would bisect to its maximum depth on every branch
+    with pytest.raises(ValueError, match="finite l_y"):
+        ProbeProfile("gaussian", l_y=value)
+    with pytest.raises(ValueError, match="finite m_eff"):
+        MechanicalMode(omega_m=1.0, gamma_m=1.0, m_eff=value)
+
+
 def test_thermal_spectrum_peak_closed_form():
     mode = make_mode()
     f_m = mode.omega_m / TWO_PI

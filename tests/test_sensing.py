@@ -85,6 +85,14 @@ def test_zero_power_raises():
                          TWO_PI * 8e6)
 
 
+@pytest.mark.parametrize("bad", [
+    dict(p_in=math.inf), dict(detuning_hz=math.nan), dict(temperature=math.inf),
+])
+def test_drive_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        make_drive(**bad)
+
+
 def test_heisenberg_product(rng):
     # randomized (g, kappa, P, Omega): double-sided imprecision times
     # backaction force PSD pins the hbar^2/2 uncertainty product

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal
 
 import numpy as np
 
@@ -81,9 +81,10 @@ def backaction_rate(cav: Microcavity, mode: MechanicalMode, g: float,
                             regime=regime)
 
 
-def blue_detuned_rate(cav: Microcavity, mode: MechanicalMode, g: float,
-                      p_in: float) -> float:
-    """Closed-form backaction rate at Delta = +kappa/2 (rad/s, negative)."""
+def blue_detuned_rate(cav: Microcavity, mode: MechanicalMode, g,
+                      p_in: float):
+    """Closed-form backaction rate at Delta = +kappa/2 (rad/s, negative)
+    for a coupling rate g (scalar or array)."""
     x_zp, _ = zero_point(mode)
     kappa = cav.kappa
     om = mode.omega_m
@@ -103,20 +104,17 @@ def threshold_power(cav: Microcavity, mode: MechanicalMode, g: float) -> float:
 
 
 def linewidth_vs_coupling(cav: Microcavity, mode: MechanicalMode,
-                          drive: DriveCondition,
-                          g_grid: Iterable[float]) -> np.ndarray:
+                          drive: DriveCondition, g_grid) -> np.ndarray:
     """Total linewidth against squared coupling at Delta = +kappa/2.
 
-    Returns rows (g^2 in (rad/s/m)^2, Gamma_total/2pi in Hz); the linewidth
-    is affine in g^2 with negative slope and clipped at zero above
-    threshold.
+    Returns rows (g^2 in (rad/s/m)^2, Gamma_total/2pi in Hz) for the
+    coupling rates in g_grid; the linewidth is affine in g^2 with negative
+    slope and clipped at zero above threshold.
     """
-    rows = []
-    for g in g_grid:
-        gamma_ba = blue_detuned_rate(cav, mode, g, drive.p_in)
-        gamma_total = max(mode.gamma_m + gamma_ba, 0.0)
-        rows.append((g * g, gamma_total / TWO_PI))
-    return np.array(rows)
+    g = np.asarray(g_grid, dtype=float)
+    gamma_total = np.maximum(
+        mode.gamma_m + blue_detuned_rate(cav, mode, g, drive.p_in), 0.0)
+    return np.column_stack((g * g, gamma_total / TWO_PI))
 
 
 def linewidth_slope(cav: Microcavity, mode: MechanicalMode,

@@ -44,6 +44,34 @@ def least_squares(*args, **kwargs):
     return least_squares(*args, **kwargs)
 
 
+def read_columns(path: str | Path, names: tuple[str, ...]) -> np.ndarray:
+    """The first len(names) columns of a measured-data CSV, one array row
+    per column.
+
+    The header must start with `names` (spaces around a name are allowed);
+    every data row needs a finite number in each of those columns.
+    """
+    n = len(names)
+    values: list[float] = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if [c.strip() for c in next(reader, [])[:n]] != list(names):
+            raise ValueError(f"expected CSV header `{', '.join(names)}`")
+        for row in reader:
+            if len(row) < n:
+                if not row:
+                    continue
+                raise ValueError(f"line {reader.line_num}: expected {n} "
+                                 f"values, got {len(row)}")
+            values.extend(map(float, row[:n]))
+    table = np.array(values, dtype=float).reshape(-1, n)
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ValueError(f"data row {bad[0] + 1}: values must be finite, "
+                         f"got {', '.join(map(repr, table[bad[0]].tolist()))}")
+    return table.T
+
+
 @dataclass(frozen=True)
 class ShiftCurve:
     """Frequency-shift-vs-separation data, dw0 <= 0 (red shift)."""
@@ -62,14 +90,8 @@ class ShiftCurve:
     @classmethod
     def from_csv(cls, path: str | Path) -> "ShiftCurve":
         """Read columns `x0_m, dfreq_hz` (dw0/2pi in Hz); header required."""
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or \
-                    [f.strip() for f in reader.fieldnames[:2]] != ["x0_m", "dfreq_hz"]:
-                raise ValueError("expected CSV header `x0_m, dfreq_hz`")
-            pts = [(float(row["x0_m"]), TWO_PI * float(row["dfreq_hz"]))
-                   for row in reader]
-        return cls(tuple(pts))
+        x0, dfreq = read_columns(path, ("x0_m", "dfreq_hz"))
+        return cls(tuple(zip(x0.tolist(), (TWO_PI * dfreq).tolist())))
 
 
 @dataclass(frozen=True)

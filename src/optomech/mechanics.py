@@ -178,7 +178,10 @@ def resonance_grid(mode: MechanicalMode) -> np.ndarray:
     half_window = min(2000.0 * gamma_hz, 0.5 * f_m)
     narrow = np.linspace(max(f_m - half_window, broad[0]),
                          f_m + half_window, 40001)
-    return np.unique(np.concatenate([broad, narrow]))
+    # sort and drop repeats: np.unique would import numpy.ma on first use
+    grid = np.concatenate([broad, narrow])
+    grid.sort()
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def integrated_rms(spectrum: SpectralDensity) -> float:

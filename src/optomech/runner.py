@@ -8,9 +8,9 @@ externally.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ Tables = dict[str, tuple[list[str], tuple, list[str]]]
 
 HZ_PER_NM = TWO_PI * 1e9  # rad/s/m per (Hz/nm)
 MAX_POINTS = 1_000_000     # largest frequency or coupling grid
+CSV_CHUNK_ROWS = 8192      # CSV rows formatted and written at a time
 
 
 class ConfigError(Exception):
@@ -180,13 +181,36 @@ def _spectrum_table(s: SpectralDensity) -> tuple:
             [f"{s.quantity_unit}^2/Hz", s.sidedness])
 
 
-def _write_csv(path: Path, header: list[str], columns, text: list[str]):
-    """One row per column entry: each float as repr, then the text."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in zip(*columns):
-            writer.writerow([repr(float(x)) for x in row] + text)
+def _write_tables(out_dir: Path, tables: Tables):
+    """Write each table to `out_dir / name`: the header, then one row per
+    column entry, each float as its repr followed by the text fields.
+
+    The tables are written side by side, CSV_CHUNK_ROWS rows at a time,
+    and a column object that several tables share is formatted once per
+    chunk.
+    """
+    with ExitStack() as stack:
+        outs = []
+        for name, (header, columns, text) in tables.items():
+            fh = stack.enter_context(
+                open(out_dir / name, "w", newline="", encoding="utf-8"))
+            fh.write(",".join(header) + "\n")
+            outs.append((fh, columns, "".join("," + t for t in text) + "\n"))
+        rows = max((len(c) for _, columns, _ in outs for c in columns),
+                   default=0)
+        for start in range(0, rows, CSV_CHUNK_ROWS):
+            formatted: dict[int, list[str]] = {}
+            for fh, columns, suffix in outs:
+                cells = []
+                for col in columns:
+                    if id(col) not in formatted:
+                        chunk = col[start:start + CSV_CHUNK_ROWS]
+                        formatted[id(col)] = list(map(
+                            repr, np.asarray(chunk, dtype=float).tolist()))
+                    cells.append(formatted[id(col)])
+                lines = suffix.join(map(",".join, zip(*cells)))
+                if lines:
+                    fh.write(lines + suffix)
 
 
 def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
@@ -205,17 +229,14 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
         results, tables = _HANDLERS[analysis](config)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    artifacts = []
     if out_dir is not None:
-        for name, (header, columns, text) in tables.items():
-            _write_csv(out_dir / name, header, columns, text)
-            artifacts.append(name)
+        _write_tables(out_dir, tables)
     return {
         "schema_version": 1,
         "scenario": config.get("name", ""),
         "analysis": analysis,
         "results": results,
-        "artifacts": artifacts,
+        "artifacts": list(tables) if out_dir is not None else [],
     }
 
 
@@ -378,9 +399,9 @@ def _run_backaction(config: dict) -> tuple[dict, Tables]:
     else:
         g_grid = np.linspace(g / 10.0, g, 20)
     table = ba.linewidth_vs_coupling(cav, mode, drive, g_grid)
-    g2 = [(gg / HZ_PER_NM) ** 2 for gg in g_grid]
     return results, {"linewidth_vs_g2.csv": (
-        ["g2_hz2_per_nm2", "gamma_total_hz"], (g2, table[:, 1]), [])}
+        ["g2_hz2_per_nm2", "gamma_total_hz"],
+        ((g_grid / HZ_PER_NM) ** 2, table[:, 1]), [])}
 
 
 def _run_qba(config: dict) -> tuple[dict, Tables]:

@@ -19,7 +19,6 @@ destructive-interference dip above the mechanical resonance.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,7 +26,7 @@ from typing import Literal
 
 import numpy as np
 
-from .coupling import least_squares
+from .coupling import least_squares, read_columns
 from .devices import Microcavity
 from .errors import (GridMismatch, IllConditioned, NoResonanceInWindow,
                      ZeroPower, require_finite)
@@ -78,16 +77,9 @@ class ResponseCurve:
     @classmethod
     def from_csv(cls, path: str | Path) -> "ResponseCurve":
         """Read columns `freq_hz, h_mag`; header required."""
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or \
-                    [c.strip() for c in reader.fieldnames[:2]] != ["freq_hz", "h_mag"]:
-                raise ValueError("expected CSV header `freq_hz, h_mag`")
-            rows = [(float(row["freq_hz"]), float(row["h_mag"]))
-                    for row in reader]
-        rows.sort()
-        return cls(np.array([r[0] for r in rows]),
-                   np.array([r[1] for r in rows]))
+        f, h = read_columns(path, ("freq_hz", "h_mag"))
+        order = np.lexsort((h, f))
+        return cls(f[order], h[order])
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,30 @@ def test_linewidth_clipped_above_threshold():
     assert rows[-1, 1] == 0.0
 
 
+def test_linewidth_table_matches_per_point_rate(rng):
+    # the array evaluation against one scalar blue_detuned_rate per point;
+    # near the zero clip Gamma_m + Gamma_ba cancels, so a 1-ulp change of
+    # Gamma_ba is compared on the scale of Gamma_m
+    for _ in range(20):
+        cav = make_cavity(kappa=TWO_PI * rng.uniform(2e6, 100e6))
+        mode = make_mode(f_m=rng.uniform(2e6, 30e6), Q=rng.uniform(1e4, 1e6),
+                         m_eff=rng.uniform(1e-15, 1e-14))
+        g_thres = rng.uniform(0.2e6, 5e6) * HZ_PER_NM
+        p_in = threshold_power(cav, mode, g_thres)
+        drive = DriveCondition(p_in=p_in, detuning=cav.kappa / 2.0)
+        g_grid = np.linspace(0.05, 2.0, 5001) * g_thres
+        rows = linewidth_vs_coupling(cav, mode, drive, g_grid)
+        assert rows.shape == (g_grid.size, 2)
+        for g, (g2, gamma_hz) in zip(g_grid.tolist(), rows.tolist()):
+            assert abs(g2 - g * g) <= np.spacing(g * g)
+            total = mode.gamma_m + blue_detuned_rate(cav, mode, g, p_in)
+            if total < -1e-9 * mode.gamma_m:     # above threshold
+                assert gamma_hz == 0.0
+            else:
+                assert abs(gamma_hz - max(total, 0.0) / TWO_PI) \
+                    <= 1e-12 * mode.gamma_m / TWO_PI
+
+
 def test_amplitude_zero_below_threshold_and_sqrt_law_above():
     cav, mode, g = _fig4_setup()
     p_thres = threshold_power(cav, mode, g)

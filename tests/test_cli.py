@@ -11,7 +11,8 @@ import pytest
 
 from optomech import scenarios
 from optomech.cli import main
-from optomech.runner import ConfigError, run_scenario
+from optomech.runner import (CSV_CHUNK_ROWS, ConfigError, _write_tables,
+                             run_scenario)
 
 from conftest import approx_rel
 
@@ -209,6 +210,41 @@ def test_response_csv_format(tmp_path):
     assert max(h) > 1.0 and min(h) < 1.0
 
 
+def _reference_csv(path, header, columns, text):
+    """csv.writer with each float as repr(float(x)), then the text."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([repr(float(x)) for x in row] + text)
+
+
+def test_write_tables_matches_csv_writer(tmp_path):
+    rows = 2 * CSV_CHUNK_ROWS + 5      # crosses two chunk edges
+    special = [-0.0, 5e-324, 1e16, 1e-05, 3.0, -2.0, 0.1, 1.5e308]
+    rng = np.random.default_rng(6)
+    shared = np.concatenate([special, rng.uniform(1e6, 2e7, rows - 8)])
+    values = rng.standard_normal((3, rows)) * 10.0 ** rng.integers(
+        -30, 30, (3, rows))
+    tables = {
+        "signal.csv": (["freq_hz", "psd", "unit", "sidedness"],
+                       (shared, values[0]), ["m^2/Hz", "single"]),
+        "background.csv": (["freq_hz", "psd", "unit", "sidedness"],
+                           (shared, values[1]), ["m^2/Hz", "single"]),
+        "total.csv": (["freq_hz", "psd", "unit"], (shared, values[2]),
+                      ["rad^2/Hz"]),
+        "plain.csv": (["a", "b"], (values[2].tolist(), special * 3), []),
+    }
+    out = tmp_path / "out"
+    ref = tmp_path / "ref"
+    out.mkdir()
+    ref.mkdir()
+    _write_tables(out, tables)
+    for name, (header, columns, text) in tables.items():
+        _reference_csv(ref / name, header, columns, text)
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
 def test_run_scenario_requires_schema_version():
     config = scenarios.get_scenario("paper_decay_length")
     config.pop("schema_version", None)
@@ -296,14 +332,17 @@ def test_overflow_exits_3(name, key, value, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["fit-shift", "fit-response", "run"])
-@pytest.mark.parametrize("case", ["wrong header", "non-numeric cell"])
+@pytest.mark.parametrize("case", ["wrong header", "non-numeric cell",
+                                  "nan cell", "inf cell"])
 def test_bad_csv_exits_2(command, case, tmp_path, capsys):
     header = ["freq_hz", "h_mag"] if command == "fit-response" \
         else ["x0_m", "dfreq_hz"]
     if case == "wrong header":
         rows = [["x", "y"], ["0.0", "-1e9"]]
     else:
-        rows = [header, ["0.0", "-1e9"], ["1e-7", "abc"]]
+        bad = {"non-numeric cell": "abc", "nan cell": "nan",
+               "inf cell": "-inf"}[case]
+        rows = [header, ["0.0", "-1e9"], ["1e-7", bad]]
     path = tmp_path / "data.csv"
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
@@ -319,6 +358,8 @@ def test_bad_csv_exits_2(command, case, tmp_path, capsys):
     message = _one_line_error(capsys)
     if case == "non-numeric cell":
         assert "abc" in message
+    elif case != "wrong header":
+        assert "finite" in message
 
 
 def test_get_scenario_returns_independent_copy():
@@ -337,6 +378,7 @@ for name in scenarios.SCENARIOS:
     if name != "paper_fig2a_shift_fit":
         runner.run_scenario(scenarios.get_scenario(name))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print("numpy.ma" in sys.modules)
 runner.run_scenario(scenarios.get_scenario("paper_fig2a_shift_fit"))
 print("scipy.optimize" in sys.modules)
 """
@@ -349,7 +391,7 @@ def test_scipy_loads_only_for_a_fit():
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True"]
+    assert proc.stdout.splitlines() == ["[]", "False", "True"]
 
 
 def test_tracer_patch_points_reach_the_fits(monkeypatch):

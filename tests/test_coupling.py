@@ -199,6 +199,11 @@ def test_shift_curve_csv_round_trip(tmp_path):
     fit = fit_exponential(curve)
     approx_rel(fit.decay_length, 110e-9, 1e-6)
     approx_rel(fit.amplitude, TWO_PI * 5e9, 1e-6)
+    # the header as README spells it, with a space after the comma
+    spaced = tmp_path / "spaced.csv"
+    text = path.read_text()
+    spaced.write_text(text.replace("x0_m,dfreq_hz", "x0_m, dfreq_hz", 1))
+    assert ShiftCurve.from_csv(spaced) == curve
 
 
 def test_standing_wave_period():

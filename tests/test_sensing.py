@@ -201,6 +201,13 @@ def test_response_curve_csv_round_trip(tmp_path):
     curve = ResponseCurve.from_csv(path)
     assert np.allclose(curve.frequencies_hz, f)
     assert np.allclose(curve.magnitudes, h)
+    # spaces around the header names
+    spaced = tmp_path / "spaced.csv"
+    text = path.read_text()
+    spaced.write_text(text.replace("freq_hz,h_mag", " freq_hz , h_mag", 1))
+    again = ResponseCurve.from_csv(spaced)
+    assert np.array_equal(again.frequencies_hz, curve.frequencies_hz)
+    assert np.array_equal(again.magnitudes, curve.magnitudes)
 
 
 def test_dynamic_g_recovers_constant_ratio():

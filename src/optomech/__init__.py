@@ -8,7 +8,6 @@ from .backaction import (
     OscillationState,
     backaction_rate,
     blue_detuned_rate,
-    linewidth_slope,
     linewidth_vs_coupling,
     oscillation_amplitude,
     threshold_power,
@@ -25,7 +24,6 @@ from .coupling import (
     numeric_g_check,
     standing_wave_period,
     standing_wave_shift,
-    thin_film_shift,
 )
 from .devices import (
     CouplingGeometry,
@@ -42,7 +40,6 @@ from .devices import (
 from .errors import (
     DivergentMass,
     GeometryMismatch,
-    GridMismatch,
     IllConditioned,
     NoResonanceInWindow,
     NonEvanescent,
@@ -54,9 +51,7 @@ from .errors import (
 from .mechanics import (
     MechanicalMode,
     ProbeProfile,
-    beta_inv,
     effective_mass,
-    gaussian_fundamental_mass_ratio,
     integrated_rms,
     mode_from_oscillator,
     mode_shape,
@@ -69,9 +64,7 @@ from .mechanics import (
 )
 from .qba import (
     ForceNoise,
-    intracavity_flux_noise,
     qba_force_psd,
-    qba_force_psd_via_flux,
     qba_thermal_ratio,
     qba_thermal_ratio_scaling,
     thermal_force_psd,
@@ -82,10 +75,8 @@ from .sensing import (
     NoiseBudget,
     ResponseCurve,
     ResponseFit,
-    dynamic_g,
     fit_response,
     g_eff_from_a1,
-    kerr_shift,
     noise_budget,
     response_coefficient,
     response_magnitude,

@@ -105,26 +105,14 @@ def threshold_power(cav: Microcavity, mode: MechanicalMode, g: float) -> float:
 
 def linewidth_vs_coupling(cav: Microcavity, mode: MechanicalMode,
                           drive: DriveCondition, g_grid) -> np.ndarray:
-    """Total linewidth against squared coupling at Delta = +kappa/2.
-
-    Returns rows (g^2 in (rad/s/m)^2, Gamma_total/2pi in Hz) for the
-    coupling rates in g_grid; the linewidth is affine in g^2 with negative
-    slope and clipped at zero above threshold.
-    """
+    """Total linewidth Gamma_total/2pi (Hz) at Delta = +kappa/2 for the
+    coupling rates in g_grid; affine in g^2 with slope
+    blue_detuned_rate(cav, mode, 1.0, drive.p_in) and clipped at zero above
+    threshold."""
     g = np.asarray(g_grid, dtype=float)
     gamma_total = np.maximum(
         mode.gamma_m + blue_detuned_rate(cav, mode, g, drive.p_in), 0.0)
-    return np.column_stack((g * g, gamma_total / TWO_PI))
-
-
-def linewidth_slope(cav: Microcavity, mode: MechanicalMode,
-                    p_in: float) -> float:
-    """d(Gamma_total)/d(g^2) at Delta = +kappa/2 (rad/s per (rad/s/m)^2)."""
-    x_zp, _ = zero_point(mode)
-    kappa = cav.kappa
-    om = mode.omega_m
-    return -(x_zp ** 2 / kappa ** 2) * (p_in / (HBAR * cav.omega0)) \
-        * 8.0 * (om / kappa) / (1.0 + 4.0 * om ** 4 / kappa ** 4)
+    return gamma_total / TWO_PI
 
 
 def oscillation_amplitude(cav: Microcavity, mode: MechanicalMode, g: float,

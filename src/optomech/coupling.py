@@ -137,14 +137,6 @@ def frequency_shift(cav: Microcavity, osc: NanoOscillator,
     return -_shift_magnitude(cav, osc, geom, geom.x0)
 
 
-def thin_film_shift(cav: Microcavity, osc: NanoOscillator,
-                    geom: CouplingGeometry) -> float:
-    """Thin-film approximation (t << 1/2alpha): thickness factor -> t."""
-    two_alpha_t = 2.0 * devices.decay_constant(cav) * osc.t
-    return (frequency_shift(cav, osc, geom)
-            * two_alpha_t / (1.0 - math.exp(-two_alpha_t)))
-
-
 def coupling_rate(cav: Microcavity, osc: NanoOscillator,
                   geom: CouplingGeometry) -> float:
     """Linear coupling rate g(x0) = 2*alpha*|dw0(x0)| (rad/s per m)."""

@@ -63,11 +63,6 @@ class Microcavity:
         """Optical mode cross-section pi*(D_mode/2)^2 (m^2)."""
         return math.pi * (self.D_mode / 2.0) ** 2
 
-    @property
-    def roundtrip_time(self) -> float:
-        """Cavity roundtrip time 2*pi*R*n_eff/c (s)."""
-        return TWO_PI * self.R * self.n_eff / C_LIGHT
-
 
 @dataclass(frozen=True)
 class NanoOscillator:

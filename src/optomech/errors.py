@@ -47,9 +47,5 @@ class ZeroPower(OptomechError):
     """Shot-noise floor undefined at zero input power."""
 
 
-class GridMismatch(OptomechError):
-    """Spectral densities on different grids or with different sidedness."""
-
-
 class NoResonanceInWindow(OptomechError):
     """Response data does not bracket the interference extremum pair."""

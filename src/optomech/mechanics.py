@@ -8,8 +8,7 @@ v0(y) (with integral of v0^2 equal to 1) is
 which for a point-like probe at the center of a symmetric mode reduces to
 m/2 and diverges for antisymmetric modes probed symmetrically. The
 whispering-gallery field along a tangential string is Gaussian with the
-transverse sampling length l_y, giving the closed-form fundamental-mode
-reduction parameterized by beta_inv = (pi*l_y/L)^2.
+transverse sampling length l_y.
 """
 
 from __future__ import annotations
@@ -70,6 +69,8 @@ class ProbeProfile:
 
     def __post_init__(self):
         require_finite(self, "l_y", "center_offset")
+        if self.shape not in ("gaussian", "delta"):
+            raise ValueError(f"unknown probe shape {self.shape!r}")
         if self.shape == "gaussian" and self.l_y <= 0:
             raise ValueError("gaussian probe requires l_y > 0")
 
@@ -112,29 +113,6 @@ def effective_mass(osc: NanoOscillator, probe: ProbeProfile,
         raise DivergentMass(
             "probe overlap vanishes (antisymmetric mode, symmetric probe)")
     return osc.physical_mass * mean_sq / overlap ** 2
-
-
-def gaussian_fundamental_mass_ratio(beta_inv: float) -> float:
-    """Closed-form m_eff/m of the fundamental with a centered Gaussian probe.
-
-    m_eff/m = (1/2) * beta_inv / (int_{-pi/2}^{pi/2} cos(u)
-              exp(-pi*beta*u^2) du)^2 with beta = 1/beta_inv; approaches
-    1/2 in the point-probe limit beta_inv -> 0.
-    """
-    if beta_inv < 0:
-        raise ValueError("require beta_inv >= 0")
-    if beta_inv == 0.0:
-        return 0.5
-    beta = 1.0 / beta_inv
-    integral = adaptive_quadrature(
-        lambda u: math.cos(u) * math.exp(-math.pi * beta * u * u),
-        -math.pi / 2.0, math.pi / 2.0)
-    return 0.5 * beta_inv / integral ** 2
-
-
-def beta_inv(osc: NanoOscillator, l_y: float) -> float:
-    """Probe-to-string length parameter (pi*l_y/L)^2."""
-    return (math.pi * l_y / osc.L) ** 2
 
 
 def susceptibility(mode: MechanicalMode, omega: float) -> complex:

@@ -10,10 +10,8 @@ critically coupled, quantum-limited drive is
     S_FF_qba[O] = 8 * (hbar*g)^2/kappa^2 * (P_in/(hbar*w0))
                   / (1 + 4*O^2/kappa^2),
 
-equivalently (hbar*g*tau_rt)^2 * S_I with the intracavity flux noise
-S_I[O] = (P_in/(hbar*w0)) * (F/pi)^2 * 2/(1 + 4*O^2/kappa^2). Together with
-the shot-noise displacement floor these saturate the Heisenberg pair
-S_xx_shot * S_FF_qba = hbar^2/2 at every frequency.
+which together with the shot-noise displacement floor saturates the
+Heisenberg pair S_xx_shot * S_FF_qba = hbar^2/2 at every frequency.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Literal
 
-from . import devices
 from .devices import Microcavity
 from .mechanics import MechanicalMode
 from .sensing import DriveCondition
@@ -50,15 +47,6 @@ def thermal_force_psd(mode: MechanicalMode, T: float) -> ForceNoise:
     return ForceNoise(2.0 * mode.m_eff * mode.gamma_m * K_B * T, "thermal")
 
 
-def intracavity_flux_noise(cav: Microcavity, drive: DriveCondition,
-                           omega: float) -> float:
-    """Intracavity photon-flux quantum noise (photons^2/s^2/Hz)."""
-    finesse = devices.finesse(cav)
-    return (drive.p_in / (HBAR * cav.omega0)
-            * (finesse / math.pi) ** 2
-            * 2.0 / (1.0 + 4.0 * omega ** 2 / cav.kappa ** 2))
-
-
 def qba_force_psd(cav: Microcavity, g: float, drive: DriveCondition,
                   omega: float) -> ForceNoise:
     """Quantum-backaction force PSD (double-sided, N^2/Hz)."""
@@ -66,15 +54,6 @@ def qba_force_psd(cav: Microcavity, g: float, drive: DriveCondition,
              * drive.p_in / (HBAR * cav.omega0)
              / (1.0 + 4.0 * omega ** 2 / cav.kappa ** 2))
     return ForceNoise(value, "quantum_backaction")
-
-
-def qba_force_psd_via_flux(cav: Microcavity, g: float, drive: DriveCondition,
-                           omega: float) -> float:
-    """Same PSD computed as (hbar*g*tau_rt)^2 * S_I; must agree with the
-    closed form."""
-    tau_rt = cav.roundtrip_time
-    return (HBAR * g * tau_rt) ** 2 \
-        * intracavity_flux_noise(cav, drive, omega)
 
 
 def qba_thermal_ratio(cav: Microcavity, mode: MechanicalMode, g: float,
@@ -110,31 +89,18 @@ _REF = {
 }
 
 
-def _ratio_closed_form(g, kappa, m_eff, Q, omega_m, p_in, wavelength, T):
+def qba_thermal_ratio_scaling(g: float, kappa: float, m_eff: float, Q: float,
+                              omega_m: float, p_in: float, wavelength: float,
+                              T: float) -> float:
+    """QBA-to-thermal ratio in the scaling parameters,
+
+    hbar*Q*g^2*P_in*lambda / (m_eff*Om*kappa^2*k_B*T*2pi*c)
+    * 4/(1 + 4*Om^2/kappa^2);
+
+    algebraically identical to :func:`qba_thermal_ratio` at the mechanical
+    resonance, and of order unity at `_REF`.
+    """
     lorentz = 4.0 / (1.0 + 4.0 * omega_m ** 2 / kappa ** 2)
     return (HBAR * Q * g ** 2 * p_in * wavelength
             / (m_eff * omega_m * kappa ** 2 * K_B * T * TWO_PI * C_LIGHT)
             * lorentz)
-
-
-def qba_thermal_ratio_scaling(g: float, kappa: float, m_eff: float, Q: float,
-                              omega_m: float, p_in: float, wavelength: float,
-                              T: float) -> float:
-    """Seven-factor scaling form of the QBA-to-thermal ratio.
-
-    Written as the product of dimensionless factors around the reference
-    set times the ratio's value there (with the cavity-filter Lorentzian
-    tracked separately); algebraically identical to
-    :func:`qba_thermal_ratio` at the mechanical resonance.
-    """
-    r = _REF
-    product = ((g / r["g"]) ** 2 * (r["kappa"] / kappa) ** 2
-               * (r["m_eff"] / m_eff) * (Q / r["Q"])
-               * (r["omega_m"] / omega_m) * (p_in / r["p_in"])
-               * (wavelength / r["wavelength"]) * (r["T"] / T))
-    ref_value = _ratio_closed_form(r["g"], r["kappa"], r["m_eff"], r["Q"],
-                                   r["omega_m"], r["p_in"], r["wavelength"],
-                                   r["T"])
-    lorentz_corr = ((1.0 + 4.0 * r["omega_m"] ** 2 / r["kappa"] ** 2)
-                    / (1.0 + 4.0 * omega_m ** 2 / kappa ** 2))
-    return product * ref_value * lorentz_corr

@@ -71,6 +71,16 @@ def _integer(section: dict, key: str, path: str, lo: int, hi: int,
     return raw
 
 
+def _data_csv(config: dict) -> str:
+    """`config["data_csv"]` as a path string; `open` would take an integer
+    or a bool as a file descriptor and close it when done."""
+    path = config["data_csv"]
+    if not isinstance(path, str):
+        raise ConfigError(f"`$.data_csv` must be a path string, "
+                          f"got {path!r:.40}")
+    return path
+
+
 def _section(config: dict, key: str) -> dict:
     value = _require(config, key, "$")
     if not isinstance(value, dict):
@@ -376,8 +386,9 @@ def _run_backaction(config: dict) -> tuple[dict, Tables]:
     res = ba.backaction_rate(cav, mode, g, drive)
     p_thres = ba.threshold_power(cav, mode, g)
     state = ba.oscillation_amplitude(cav, mode, g, drive)
-    slope = ba.linewidth_slope(cav, mode, drive.p_in)
-    # slope re-expressed against the external g^2 axis (Hz^2/nm^2)
+    # d(Gamma_total)/d(g^2) is the rate at unit g; re-expressed against
+    # the external g^2 axis (Hz^2/nm^2)
+    slope = ba.blue_detuned_rate(cav, mode, 1.0, drive.p_in)
     slope_ext = slope / TWO_PI * HZ_PER_NM ** 2
     results = {
         "gamma_ba_hz": _q(res.gamma_ba / TWO_PI, "Hz"),
@@ -398,10 +409,10 @@ def _run_backaction(config: dict) -> tuple[dict, Tables]:
             _integer(gsec, "points", path, 2, MAX_POINTS, default=25))
     else:
         g_grid = np.linspace(g / 10.0, g, 20)
-    table = ba.linewidth_vs_coupling(cav, mode, drive, g_grid)
+    gamma_hz = ba.linewidth_vs_coupling(cav, mode, drive, g_grid)
     return results, {"linewidth_vs_g2.csv": (
         ["g2_hz2_per_nm2", "gamma_total_hz"],
-        ((g_grid / HZ_PER_NM) ** 2, table[:, 1]), [])}
+        ((g_grid / HZ_PER_NM) ** 2, gamma_hz), [])}
 
 
 def _run_qba(config: dict) -> tuple[dict, Tables]:
@@ -437,7 +448,7 @@ def _synth_shift_curve(config: dict) -> coupling.ShiftCurve:
 
 def _run_fit_shift(config: dict) -> tuple[dict, Tables]:
     if "data_csv" in config:
-        curve = coupling.ShiftCurve.from_csv(config["data_csv"])
+        curve = coupling.ShiftCurve.from_csv(_data_csv(config))
     else:
         curve = _synth_shift_curve(config)
     fit = coupling.fit_exponential(curve)
@@ -457,7 +468,7 @@ def _run_fit_response(config: dict) -> tuple[dict, Tables]:
         cav = build_cavity(config)
         mode = build_mode(config, cav)
     if "data_csv" in config:
-        curve = sensing.ResponseCurve.from_csv(config["data_csv"])
+        curve = sensing.ResponseCurve.from_csv(_data_csv(config))
     else:
         g_pump, g_probe = _response_rates(config)
         grid = build_grid(config)

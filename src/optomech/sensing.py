@@ -28,8 +28,8 @@ import numpy as np
 
 from .coupling import least_squares, read_columns
 from .devices import Microcavity
-from .errors import (GridMismatch, IllConditioned, NoResonanceInWindow,
-                     ZeroPower, require_finite)
+from .errors import (IllConditioned, NoResonanceInWindow, ZeroPower,
+                     require_finite)
 from .mechanics import MechanicalMode, thermal_spectrum
 from .units import C_LIGHT, HBAR, TWO_PI, SpectralDensity
 
@@ -118,12 +118,6 @@ def shot_noise_floor(cav: Microcavity, g: float, drive: DriveCondition,
     return base
 
 
-def kerr_shift(cav: Microcavity, delta_p: float) -> float:
-    """Cavity frequency change -w0*n2/(n_eff*A_mode)*dP from an
-    intracavity power modulation dP (rad/s)."""
-    return -cav.omega0 * cav.n2 / (cav.n_eff * cav.mode_area) * delta_p
-
-
 def response_coefficient(cav: Microcavity, mode: MechanicalMode,
                          g_pump: float, g_probe: float) -> float:
     """Interference coefficient a1 relating the mechanical response to the
@@ -197,31 +191,6 @@ def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
         g_eff = g_eff_from_a1(cav, mode, a1)
     return ResponseFit(a1=a1, omega_m=omega_m, gamma_m=gamma_m, g_eff=g_eff,
                        residual_norm=float(np.linalg.norm(sol.fun)))
-
-
-def dynamic_g(s_omega: SpectralDensity, s_x: SpectralDensity
-              ) -> tuple[float, float]:
-    """Coupling rate g = sqrt(S_ww/S_xx) averaged over the resonance band.
-
-    Both spectra must share grid and sidedness. Returns (g, dispersion)
-    where dispersion is the standard deviation of the pointwise ratio over
-    the band (peak +/- one linewidth, estimated from the half-maximum of
-    S_xx).
-    """
-    if s_omega.sidedness != s_x.sidedness:
-        raise GridMismatch("sidedness differs between spectra")
-    if s_omega.frequencies.shape != s_x.frequencies.shape or \
-            not np.array_equal(s_omega.frequencies, s_x.frequencies):
-        raise GridMismatch("frequency grids differ")
-    ratio = np.sqrt(s_omega.values / s_x.values)
-    f = s_x.frequencies
-    i_peak = int(np.argmax(s_x.values))
-    above = s_x.values >= s_x.values[i_peak] / 2.0
-    fwhm = f[above][-1] - f[above][0]
-    band = np.abs(f - f[i_peak]) <= max(fwhm, f[min(i_peak + 1, f.size - 1)]
-                                        - f[max(i_peak - 1, 0)])
-    vals = ratio[band]
-    return float(np.mean(vals)), float(np.std(vals))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from optomech import (
     DriveCondition,
     backaction_rate,
     blue_detuned_rate,
-    linewidth_slope,
     linewidth_vs_coupling,
     oscillation_amplitude,
     threshold_power,
@@ -89,12 +88,13 @@ def test_linewidth_is_affine_in_g_squared():
     cav, mode, g_max = _fig4_setup()
     drive = make_drive(p_in=50e-6, detuning_hz=6e6)
     g_grid = np.linspace(0.05e6, 0.3e6, 30) * HZ_PER_NM
-    rows = linewidth_vs_coupling(cav, mode, drive, g_grid)
-    g2, gamma_hz = rows[:, 0], rows[:, 1]
+    gamma_hz = linewidth_vs_coupling(cav, mode, drive, g_grid)
+    g2 = g_grid * g_grid
     coeffs = np.polyfit(g2, gamma_hz, 1)
     fit_line = np.polyval(coeffs, g2)
     assert np.max(np.abs(fit_line - gamma_hz)) < 1e-9 * mode.gamma_m / TWO_PI
-    slope = linewidth_slope(cav, mode, drive.p_in)
+    # d(Gamma_total)/d(g^2) is the blue-detuned rate at unit g
+    slope = blue_detuned_rate(cav, mode, 1.0, drive.p_in)
     approx_rel(coeffs[0], slope / TWO_PI, 1e-9)
     approx_rel(coeffs[1], mode.gamma_m / TWO_PI, 1e-9)
     assert slope < 0
@@ -104,9 +104,9 @@ def test_linewidth_clipped_above_threshold():
     cav, mode, _ = _fig4_setup()
     drive = make_drive(p_in=300e-6, detuning_hz=6e6)
     g_grid = np.linspace(0.05e6, 2e6, 50) * HZ_PER_NM
-    rows = linewidth_vs_coupling(cav, mode, drive, g_grid)
-    assert np.all(rows[:, 1] >= 0)
-    assert rows[-1, 1] == 0.0
+    gamma_hz = linewidth_vs_coupling(cav, mode, drive, g_grid)
+    assert np.all(gamma_hz >= 0)
+    assert gamma_hz[-1] == 0.0
 
 
 def test_linewidth_table_matches_per_point_rate(rng):
@@ -121,10 +121,9 @@ def test_linewidth_table_matches_per_point_rate(rng):
         p_in = threshold_power(cav, mode, g_thres)
         drive = DriveCondition(p_in=p_in, detuning=cav.kappa / 2.0)
         g_grid = np.linspace(0.05, 2.0, 5001) * g_thres
-        rows = linewidth_vs_coupling(cav, mode, drive, g_grid)
-        assert rows.shape == (g_grid.size, 2)
-        for g, (g2, gamma_hz) in zip(g_grid.tolist(), rows.tolist()):
-            assert abs(g2 - g * g) <= np.spacing(g * g)
+        table = linewidth_vs_coupling(cav, mode, drive, g_grid)
+        assert table.shape == g_grid.shape
+        for g, gamma_hz in zip(g_grid.tolist(), table.tolist()):
             total = mode.gamma_m + blue_detuned_rate(cav, mode, g, p_in)
             if total < -1e-9 * mode.gamma_m:     # above threshold
                 assert gamma_hz == 0.0

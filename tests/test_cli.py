@@ -9,10 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optomech import scenarios
+from optomech import scenarios, sensing
 from optomech.cli import main
-from optomech.runner import (CSV_CHUNK_ROWS, ConfigError, _write_tables,
-                             run_scenario)
+from optomech.runner import (CSV_CHUNK_ROWS, HZ_PER_NM, ConfigError,
+                             _write_tables, run_scenario)
+from optomech.units import TWO_PI
 
 from conftest import approx_rel
 
@@ -194,6 +195,11 @@ def test_backaction_csv_format(tmp_path):
     with open(out / "linewidth_vs_g2.csv", newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["g2_hz2_per_nm2", "gamma_total_hz"]
+    # the g^2 column is the configured grid, squared on the external axis
+    gsec = scenarios.SCENARIOS["paper_fig4_backaction"]["backaction_g_grid"]
+    g = np.linspace(gsec["g_min_hz_per_nm"] * HZ_PER_NM,
+                    gsec["g_max_hz_per_nm"] * HZ_PER_NM, gsec["points"])
+    assert [float(r[0]) for r in rows[1:]] == ((g / HZ_PER_NM) ** 2).tolist()
     gamma = [float(r[1]) for r in rows[1:]]
     assert all(g >= 0 for g in gamma)
     # linewidth decreases with coupling on the blue side until clipped
@@ -360,6 +366,43 @@ def test_bad_csv_exits_2(command, case, tmp_path, capsys):
         assert "abc" in message
     elif case != "wrong header":
         assert "finite" in message
+
+
+def _valid_csv_text(analysis: str) -> str:
+    """A CSV that the fit of `analysis` accepts."""
+    if analysis == "fit-shift":
+        header = "x0_m,dfreq_hz"
+        x = np.linspace(0.0, 3e-7, 30)
+        y = -1e9 * np.exp(-x / 1e-7)
+    else:
+        header = "freq_hz,h_mag"
+        x = np.linspace(0.98e6, 1.02e6, 2001)
+        omega_m = TWO_PI * 1e6
+        y = sensing.response_model(TWO_PI * x, 0.01 * omega_m ** 2, omega_m,
+                                   TWO_PI * 1e3)
+    return header + "\n" + "".join(f"{a!r},{b!r}\n" for a, b in
+                                   zip(x.tolist(), y.tolist()))
+
+
+@pytest.mark.parametrize("analysis", ["fit-shift", "fit-response"])
+@pytest.mark.parametrize("value", [0, 1, 2, True])
+def test_data_csv_must_be_a_path_string(analysis, value, tmp_path):
+    # in a subprocess: open() would take the value as a file descriptor,
+    # read stdin or close the process's own stdout/stderr
+    config = tmp_path / "fit.json"
+    config.write_text(json.dumps({"schema_version": 1, "analysis": analysis,
+                                  "data_csv": value}))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "optomech.cli", "run",
+                           str(config)], input=_valid_csv_text(analysis),
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "$.data_csv" in lines[0]
 
 
 def test_get_scenario_returns_independent_copy():

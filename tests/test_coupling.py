@@ -20,7 +20,6 @@ from optomech import (
     sampling_lengths,
     standing_wave_period,
     standing_wave_shift,
-    thin_film_shift,
 )
 from optomech import coupling
 from optomech.units import TWO_PI
@@ -69,16 +68,6 @@ def test_coupling_rate_is_two_alpha_times_shift():
     alpha = decay_constant(cav)
     g = coupling_rate(cav, osc, geom)
     approx_rel(g, 2.0 * alpha * abs(frequency_shift(cav, osc, geom)), 1e-14)
-
-
-def test_thin_film_limit():
-    cav = make_cavity()
-    thin = make_string(t=1e-9)
-    geom = CouplingGeometry(0.0, "horizontal")
-    full = frequency_shift(cav, thin, geom)
-    approx = thin_film_shift(cav, thin, geom)
-    approx_rel(full, approx, 5e-3)
-    assert abs(approx) >= abs(full)
 
 
 def test_hv_ratio_is_sqrt_radius_ratio():

@@ -58,12 +58,6 @@ def test_finesse_is_fsr_over_linewidth():
     approx_rel(finesse(cav), expected, 1e-14)
 
 
-def test_roundtrip_time():
-    cav = make_cavity()
-    approx_rel(cav.roundtrip_time,
-               TWO_PI * 30e-6 * 1.44 / C_LIGHT, 1e-14)
-
-
 def test_sampling_lengths_scale_with_radii():
     cav = make_cavity()
     alpha = decay_constant(cav)

@@ -9,9 +9,7 @@ from optomech import (
     OutOfDomain,
     ProbeProfile,
     adaptive_quadrature,
-    beta_inv,
     effective_mass,
-    gaussian_fundamental_mass_ratio,
     integrated_rms,
     mode_from_oscillator,
     mode_shape,
@@ -47,7 +45,7 @@ def test_delta_probe_fundamental_is_half_mass():
 def test_narrow_gaussian_approaches_point_probe_limit():
     osc = make_string()
     probe = ProbeProfile(shape="gaussian", l_y=osc.L * 1e-3)
-    assert beta_inv(osc, probe.l_y) < 1e-4
+    assert (math.pi * probe.l_y / osc.L) ** 2 < 1e-4
     approx_rel(effective_mass(osc, probe, 1), osc.physical_mass / 2.0, 1e-4)
 
 
@@ -72,13 +70,17 @@ def test_quadrature_against_trapezoid_oracle(rng):
 
 
 def test_closed_form_ratio_matches_quadrature():
+    # closed form of a centred Gaussian probe on the fundamental:
+    # m_eff/m = (1/2) * b / (int_{-pi/2}^{pi/2} cos(u) exp(-pi*u^2/b) du)^2
+    # with b = (pi*l_y/L)^2, integrated here by a dense trapezoid rule
     osc = make_string(L=15e-6)
     l_y = 4.5e-6
     probe = ProbeProfile(shape="gaussian", l_y=l_y)
     ratio = effective_mass(osc, probe, 1) / osc.physical_mass
-    approx_rel(ratio, gaussian_fundamental_mass_ratio(beta_inv(osc, l_y)),
-               1e-9)
-    assert gaussian_fundamental_mass_ratio(0.0) == 0.5
+    b = (math.pi * l_y / osc.L) ** 2
+    u = np.linspace(-math.pi / 2.0, math.pi / 2.0, 1_000_001)
+    integral = np.trapezoid(np.cos(u) * np.exp(-math.pi * u * u / b), u)
+    approx_rel(ratio, 0.5 * b / integral ** 2, 1e-9)
 
 
 def test_effective_mass_grows_with_probe_width():
@@ -150,6 +152,14 @@ def test_non_finite_probe_and_mode_raise(value):
         ProbeProfile("gaussian", l_y=value)
     with pytest.raises(ValueError, match="finite m_eff"):
         MechanicalMode(omega_m=1.0, gamma_m=1.0, m_eff=value)
+
+
+@pytest.mark.parametrize("shape", ["Gaussian", "point", ""])
+def test_unknown_probe_shape_raises(shape):
+    # caught at construction, not later as "delta probes have no
+    # pointwise density" from effective_mass
+    with pytest.raises(ValueError, match="unknown probe shape"):
+        ProbeProfile(shape, l_y=3e-6)
 
 
 def test_thermal_spectrum_peak_closed_form():

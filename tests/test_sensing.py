@@ -5,26 +5,22 @@ import numpy as np
 import pytest
 
 from optomech import (
-    GridMismatch,
     IllConditioned,
     NoResonanceInWindow,
     ResponseCurve,
     ZeroPower,
-    dynamic_g,
     fit_response,
     g_eff_from_a1,
-    kerr_shift,
     noise_budget,
     qba_force_psd,
     response_coefficient,
     response_magnitude,
     response_model,
     shot_noise_floor,
-    thermal_spectrum,
 )
 from optomech import sensing
 from optomech.sensing import PDH_PENALTY
-from optomech.units import C_LIGHT, HBAR, TWO_PI, SpectralDensity
+from optomech.units import C_LIGHT, HBAR, TWO_PI
 
 from conftest import (
     HZ_PER_NM,
@@ -104,15 +100,6 @@ def test_heisenberg_product(rng):
         s_xx = shot_noise_floor(cav, g, drive, omega) ** 2
         s_ff = qba_force_psd(cav, g, drive, omega).value
         approx_rel(s_xx * s_ff, HBAR ** 2 / 2.0, 1e-12)
-
-
-def test_kerr_shift_sign_and_magnitude():
-    cav = make_cavity()
-    shift = kerr_shift(cav, 1e-3)
-    expected = -cav.omega0 * 3e-20 / (1.44 * cav.mode_area) * 1e-3
-    approx_rel(shift, expected, 1e-14)
-    assert shift < 0
-    assert kerr_shift(cav, -1e-3) == -shift
 
 
 def test_response_coefficient_round_trip():
@@ -208,29 +195,6 @@ def test_response_curve_csv_round_trip(tmp_path):
     again = ResponseCurve.from_csv(spaced)
     assert np.array_equal(again.frequencies_hz, curve.frequencies_hz)
     assert np.array_equal(again.magnitudes, curve.magnitudes)
-
-
-def test_dynamic_g_recovers_constant_ratio():
-    mode = make_mode()
-    grid = np.linspace(mode.omega_m / TWO_PI - 5e3,
-                       mode.omega_m / TWO_PI + 5e3, 1001)
-    s_x = thermal_spectrum(mode, 300.0, grid)
-    g_true = 2.5e6 * HZ_PER_NM
-    s_w = SpectralDensity(grid, g_true ** 2 * s_x.values, "single", "rad/s")
-    g_mean, g_std = dynamic_g(s_w, s_x)
-    approx_rel(g_mean, g_true, 1e-10)
-    assert g_std < 1e-6 * g_true
-
-
-def test_dynamic_g_grid_mismatch():
-    f = np.linspace(1e6, 2e6, 10)
-    a = SpectralDensity(f, np.ones_like(f), "single", "rad/s")
-    b = SpectralDensity(f + 1.0, np.ones_like(f), "single", "m")
-    with pytest.raises(GridMismatch):
-        dynamic_g(a, b)
-    c = SpectralDensity(f, np.ones_like(f), "double", "m")
-    with pytest.raises(GridMismatch):
-        dynamic_g(a, c)
 
 
 def test_noise_budget_composition():

@@ -63,7 +63,6 @@ from .mechanics import (
     zero_point,
 )
 from .qba import (
-    ForceNoise,
     qba_force_psd,
     qba_thermal_ratio,
     qba_thermal_ratio_scaling,

@@ -93,14 +93,12 @@ def blue_detuned_rate(cav: Microcavity, mode: MechanicalMode, g,
 
 
 def threshold_power(cav: Microcavity, mode: MechanicalMode, g: float) -> float:
-    """Parametric instability threshold power at Delta = +kappa/2 (W)."""
+    """Parametric instability threshold power at Delta = +kappa/2 (W): the
+    input power at which blue_detuned_rate cancels Gamma_m. The rate is
+    linear in power, so this is -Gamma_m over the rate at 1 W."""
     if g <= 0:
         raise ValueError("require g > 0")
-    kappa = cav.kappa
-    om = mode.omega_m
-    return (cav.omega0 / 4.0 * mode.m_eff * mode.gamma_m * om
-            * kappa ** 2 / g ** 2 * (kappa / om)
-            * (1.0 + 4.0 * om ** 4 / kappa ** 4))
+    return -mode.gamma_m / blue_detuned_rate(cav, mode, g, 1.0)
 
 
 def linewidth_vs_coupling(cav: Microcavity, mode: MechanicalMode,

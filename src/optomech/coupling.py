@@ -104,8 +104,8 @@ class ExpFit:
 
 
 def _sampled_area(cav: Microcavity, osc: NanoOscillator,
-                  geom: CouplingGeometry, alpha: float) -> float:
-    l_x, l_y = devices.sampling_lengths(cav, alpha)
+                  geom: CouplingGeometry) -> float:
+    l_x, l_y = devices.sampling_lengths(cav)
     if geom.orientation == "horizontal":
         if osc.kind != "string":
             raise GeometryMismatch("horizontal orientation requires a string")
@@ -124,7 +124,7 @@ def _shift_magnitude(cav: Microcavity, osc: NanoOscillator,
     # x0 passed separately so finite-difference stencils may evaluate the
     # analytic exponential profile slightly inside the validated range
     alpha = devices.decay_constant(cav)
-    area = _sampled_area(cav, osc, geom, alpha)
+    area = _sampled_area(cav, osc, geom)
     thickness = (1.0 - math.exp(-2.0 * alpha * osc.t)) / (2.0 * alpha)
     return (0.5 * cav.omega0 * area / devices.mode_volume(cav)
             * thickness * (osc.n_nano ** 2 - 1.0) * cav.xi ** 2

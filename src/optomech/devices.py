@@ -143,26 +143,23 @@ def finesse(cav: Microcavity) -> float:
     return C_LIGHT / (cav.n_eff * cav.R * cav.kappa)
 
 
-def sampling_lengths(cav: Microcavity, alpha: float) -> tuple[float, float]:
+def sampling_lengths(cav: Microcavity) -> tuple[float, float]:
     """Transverse sampling lengths (l_x, l_y) of the evanescent field.
 
     l_y = sqrt(pi*R/alpha) along the whispering-gallery trajectory
     (set by the major radius), l_x = sqrt(pi*r/alpha) across it (minor
-    radius).
+    radius), with alpha = decay_constant(cav).
     """
-    if alpha <= 0:
-        raise ValueError("require alpha > 0")
+    alpha = decay_constant(cav)
     l_y = math.sqrt(math.pi * cav.R / alpha)
     l_x = math.sqrt(math.pi * cav.r / alpha)
     return l_x, l_y
 
 
-def string_mode_frequency(osc: NanoOscillator, n: int | None = None) -> float:
+def string_mode_frequency(osc: NanoOscillator, n: int) -> float:
     """Stress-dominated string eigenfrequency f_n = (n/2L)*sqrt(S/rho) (Hz)."""
     if osc.kind != "string":
         raise NotAString("mode frequencies defined for string oscillators only")
-    if n is None:
-        n = osc.mode_index
     return (n / (2.0 * osc.L)) * math.sqrt(osc.stress / osc.rho)
 
 

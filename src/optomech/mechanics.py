@@ -95,11 +95,8 @@ def mode_shape(osc: NanoOscillator, n: int, y: float) -> float:
     return math.cos(arg) if n % 2 == 1 else math.sin(arg)
 
 
-def effective_mass(osc: NanoOscillator, probe: ProbeProfile,
-                   n: int | None = None) -> float:
+def effective_mass(osc: NanoOscillator, probe: ProbeProfile, n: int) -> float:
     """Probe-weighted effective mass of the n-th mode (kg)."""
-    if n is None:
-        n = osc.mode_index
     half = osc.L / 2.0
     mean_sq = 0.5  # <u_n^2> = 1/2 exactly for the sinusoidal patterns
 
@@ -137,8 +134,7 @@ def thermal_spectrum(mode: MechanicalMode, T: float,
                     * ((mode.omega_m ** 2 - omega ** 2) ** 2
                        + (omega * mode.gamma_m) ** 2))
     values = 4.0 * mode.m_eff * mode.gamma_m * K_B * T * chi_sq
-    return SpectralDensity(frequencies=f, values=values, sidedness="single",
-                           quantity_unit="m")
+    return SpectralDensity(frequencies=f, values=values, sidedness="single")
 
 
 def thermal_rms(mode: MechanicalMode, T: float) -> float:
@@ -195,10 +191,9 @@ def snr_requirement(mode: MechanicalMode, T: float) -> tuple[float, float]:
 
 
 def mode_from_oscillator(osc: NanoOscillator, probe: ProbeProfile,
-                         n: int | None = None) -> MechanicalMode:
-    """Build a MechanicalMode from string geometry and a probe profile."""
-    if n is None:
-        n = osc.mode_index
+                         n: int) -> MechanicalMode:
+    """Build the n-th MechanicalMode from string geometry and a probe
+    profile."""
     omega_m = TWO_PI * string_mode_frequency(osc, n)
     m_eff = effective_mass(osc, probe, n)
     return MechanicalMode(omega_m=omega_m, gamma_m=omega_m / osc.Q,

@@ -17,61 +17,38 @@ Heisenberg pair S_xx_shot * S_FF_qba = hbar^2/2 at every frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal
 
 from .devices import Microcavity
 from .mechanics import MechanicalMode
 from .sensing import DriveCondition
 from .units import C_LIGHT, HBAR, K_B, TWO_PI
 
-ForceSource = Literal["thermal", "quantum_backaction"]
 
-
-@dataclass(frozen=True)
-class ForceNoise:
-    """Double-sided force PSD sample (N^2/Hz) tagged with its source."""
-
-    value: float
-    source: ForceSource
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("force PSD must be >= 0")
-
-
-def thermal_force_psd(mode: MechanicalMode, T: float) -> ForceNoise:
-    """Thermal Langevin force PSD 2*m_eff*Gamma_m*k_B*T (double-sided)."""
+def thermal_force_psd(mode: MechanicalMode, T: float) -> float:
+    """Thermal Langevin force PSD 2*m_eff*Gamma_m*k_B*T (double-sided,
+    N^2/Hz)."""
     if T < 0:
         raise ValueError("require T >= 0")
-    return ForceNoise(2.0 * mode.m_eff * mode.gamma_m * K_B * T, "thermal")
+    return 2.0 * mode.m_eff * mode.gamma_m * K_B * T
 
 
 def qba_force_psd(cav: Microcavity, g: float, drive: DriveCondition,
-                  omega: float) -> ForceNoise:
+                  omega: float) -> float:
     """Quantum-backaction force PSD (double-sided, N^2/Hz)."""
-    value = (8.0 * (HBAR * g) ** 2 / cav.kappa ** 2
-             * drive.p_in / (HBAR * cav.omega0)
-             / (1.0 + 4.0 * omega ** 2 / cav.kappa ** 2))
-    return ForceNoise(value, "quantum_backaction")
+    return (8.0 * (HBAR * g) ** 2 / cav.kappa ** 2
+            * drive.p_in / (HBAR * cav.omega0)
+            / (1.0 + 4.0 * omega ** 2 / cav.kappa ** 2))
 
 
 def qba_thermal_ratio(cav: Microcavity, mode: MechanicalMode, g: float,
                       drive: DriveCondition, omega: float | None = None
                       ) -> float:
-    """Ratio of quantum-backaction to thermal force PSDs.
-
-    S_qba/S_th = hbar/(m_eff*Gamma_m*O) * (g/kappa)^2 * (hbar*O/(k_B*T))
-                 * (P_in/(hbar*w0)) * 4/(1 + 4*O^2/kappa^2),
-    evaluated at the mechanical resonance unless omega is given.
-    """
+    """Quantum-backaction over thermal force PSD at the drive temperature,
+    evaluated at the mechanical resonance unless omega is given."""
     if omega is None:
         omega = mode.omega_m
-    return (HBAR / (mode.m_eff * mode.gamma_m * omega)
-            * (g / cav.kappa) ** 2
-            * HBAR * omega / (K_B * drive.temperature)
-            * drive.p_in / (HBAR * cav.omega0)
-            * 4.0 / (1.0 + 4.0 * omega ** 2 / cav.kappa ** 2))
+    return (qba_force_psd(cav, g, drive, omega)
+            / thermal_force_psd(mode, drive.temperature))
 
 
 # reference parameterization of the scaling form:

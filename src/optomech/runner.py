@@ -149,10 +149,9 @@ def build_mode(config: dict, cav: Microcavity) -> MechanicalMode:
     if "oscillator" not in config:
         raise ConfigError("need a `mode` or `oscillator` section")
     osc = build_oscillator(config)
-    alpha = devices.decay_constant(cav)
-    _, l_y = devices.sampling_lengths(cav, alpha)
+    _, l_y = devices.sampling_lengths(cav)
     probe = ProbeProfile(shape="gaussian", l_y=l_y)
-    return mechanics.mode_from_oscillator(osc, probe)
+    return mechanics.mode_from_oscillator(osc, probe, osc.mode_index)
 
 
 def build_grid(config: dict) -> np.ndarray:
@@ -188,7 +187,7 @@ def _q(value: float, unit: str) -> dict:
 def _spectrum_table(s: SpectralDensity) -> tuple:
     return (["freq_hz", "psd", "unit", "sidedness"],
             (s.frequencies, s.values),
-            [f"{s.quantity_unit}^2/Hz", s.sidedness])
+            ["m^2/Hz", s.sidedness])
 
 
 def _write_tables(out_dir: Path, tables: Tables):
@@ -231,8 +230,7 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
     analysis = _require(config, "analysis", "$")
     if not isinstance(analysis, str) or analysis not in _HANDLERS:
         raise ConfigError(f"unknown analysis {analysis!r:.40}")
-    if "schema_version" not in config:
-        raise ConfigError("missing required key `$.schema_version`")
+    _integer(config, "schema_version", "$", 1, 1)
     # dataclass validators and library input checks raise ValueError;
     # wrong-typed config values raise TypeError, e.g. from comparisons
     try:
@@ -253,7 +251,7 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
 def _run_coupling(config: dict) -> tuple[dict, Tables]:
     cav = build_cavity(config)
     alpha = devices.decay_constant(cav)
-    l_x, l_y = devices.sampling_lengths(cav, alpha)
+    l_x, l_y = devices.sampling_lengths(cav)
     results = {
         "field_decay_length_m": _q(1.0 / alpha, "m"),
         "intensity_decay_length_m": _q(1.0 / (2.0 * alpha), "m"),
@@ -424,10 +422,10 @@ def _run_qba(config: dict) -> tuple[dict, Tables]:
     s_qba = qba.qba_force_psd(cav, g, drive, mode.omega_m)
     ratio = qba.qba_thermal_ratio(cav, mode, g, drive)
     s_xx_shot = _homodyne_shot_floor(cav, mode, g, drive) ** 2
-    product_over_hbar2 = s_xx_shot * s_qba.value / HBAR ** 2
+    product_over_hbar2 = s_xx_shot * s_qba / HBAR ** 2
     results = {
-        "s_ff_th": _q(s_th.value, "N^2/Hz"),
-        "s_ff_qba": _q(s_qba.value, "N^2/Hz"),
+        "s_ff_th": _q(s_th, "N^2/Hz"),
+        "s_ff_qba": _q(s_qba, "N^2/Hz"),
         "ratio": _q(ratio, "1"),
         "heisenberg_product_over_hbar2": _q(product_over_hbar2, "1"),
     }

@@ -122,6 +122,8 @@ def response_coefficient(cav: Microcavity, mode: MechanicalMode,
                          g_pump: float, g_probe: float) -> float:
     """Interference coefficient a1 relating the mechanical response to the
     Kerr background (rad^2/s^2)."""
+    if g_pump <= 0 or g_probe <= 0:
+        raise ValueError("require g_pump > 0 and g_probe > 0")
     return (g_pump * g_probe / cav.omega0 ** 2
             * TWO_PI * cav.R * cav.n_eff ** 2 * cav.mode_area
             / (C_LIGHT * cav.n2) / mode.m_eff)
@@ -212,12 +214,14 @@ def noise_budget(cav: Microcavity, mode: MechanicalMode, g: float,
     detector_floor is a flat amplitude spectral density in m/sqrt(Hz)
     (single-sided).
     """
+    if detector_floor < 0:
+        raise ValueError("require detector_floor >= 0")
     f = np.asarray(grid_hz, dtype=float)
     signal = thermal_spectrum(mode, drive.temperature, f)
     shot = shot_noise_floor(cav, g, drive, TWO_PI * f, sidedness="single")
     bg_vals = shot ** 2 + detector_floor ** 2
-    background = SpectralDensity(f, bg_vals, "single", "m")
-    total = SpectralDensity(f, signal.values + bg_vals, "single", "m")
+    background = SpectralDensity(f, bg_vals, "single")
+    total = SpectralDensity(f, signal.values + bg_vals, "single")
     i_res = int(np.argmin(np.abs(f - mode.omega_m / TWO_PI)))
     ratio = signal.values[i_res] / bg_vals[i_res]
     if not (math.isfinite(ratio) and ratio > 0):

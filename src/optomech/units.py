@@ -24,17 +24,16 @@ Sidedness = Literal["single", "double"]
 
 @dataclass(frozen=True)
 class SpectralDensity:
-    """PSD samples on an ordered grid of Fourier frequencies (Hz).
+    """Displacement PSD samples (m^2/Hz) on an ordered grid of Fourier
+    frequencies (Hz).
 
-    `values` carry the unit quantity_unit^2/Hz. The sidedness tag makes the
-    factor-2 convention explicit: single-sided values are twice the
-    double-sided ones on the positive-frequency axis.
+    The sidedness tag makes the factor-2 convention explicit: single-sided
+    values are twice the double-sided ones on the positive-frequency axis.
     """
 
     frequencies: np.ndarray
     values: np.ndarray
     sidedness: Sidedness
-    quantity_unit: str
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=float)
@@ -58,5 +57,4 @@ def to_sidedness(s: SpectralDensity, target: Sidedness) -> SpectralDensity:
     if s.sidedness == target:
         return s
     factor = 2.0 if target == "single" else 0.5
-    return SpectralDensity(s.frequencies, s.values * factor, target,
-                           s.quantity_unit)
+    return SpectralDensity(s.frequencies, s.values * factor, target)

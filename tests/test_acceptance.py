@@ -185,7 +185,7 @@ def test_12_heisenberg_product(rng):
         drive = make_drive(p_in=rng.uniform(1e-7, 1e-2))
         omega = TWO_PI * rng.uniform(1e5, 1e8)
         product = shot_noise_floor(cav, g, drive, omega) ** 2 \
-            * qba_force_psd(cav, g, drive, omega).value
+            * qba_force_psd(cav, g, drive, omega)
         assert abs(product - HBAR ** 2 / 2.0) <= 1e-12 * HBAR ** 2 / 2.0
 
 
@@ -265,7 +265,7 @@ def test_17_property_suites(rng):
         f = np.sort(rng.uniform(1e5, 1e8, size=8))
         f = np.unique(f)
         v = rng.uniform(1e-36, 1e-24, size=f.size)
-        s = SpectralDensity(f, v, "single", "m")
+        s = SpectralDensity(f, v, "single")
         back = to_sidedness(to_sidedness(s, "double"), "single")
         assert np.allclose(back.values, v, rtol=1e-15)
     # (b) shot-noise monotonicity in power and coupling
@@ -294,6 +294,6 @@ def test_17_property_suites(rng):
         T = rng.uniform(1.0, 500.0)
         f = rng.uniform(1e5, 1e8)
         s_xx = float(thermal_spectrum(mode, T, np.array([f])).values[0])
-        s_ff = thermal_force_psd(mode, T).value
+        s_ff = thermal_force_psd(mode, T)
         chi = susceptibility(mode, TWO_PI * f)
         approx_rel(s_xx, 2.0 * abs(chi) ** 2 * s_ff, 1e-12)

@@ -256,6 +256,10 @@ def test_run_scenario_requires_schema_version():
     config.pop("schema_version", None)
     with pytest.raises(ConfigError):
         run_scenario(config)
+    for value in (2, "banana", True, 1.0):
+        config["schema_version"] = value
+        with pytest.raises(ConfigError, match=r"`\$\.schema_version`"):
+            run_scenario(config)
 
 
 def _write_config(tmp_path, name, section, key, value):
@@ -285,6 +289,12 @@ def _one_line_error(capsys) -> str:
     ("paper_fig4_backaction", "backaction_g_grid", "points", 0),
     ("paper_fig4_backaction", "backaction_g_grid", "points", 10 ** 12),
     ("paper_si_horizontal_g", "oscillator", "mode_index", 10 ** 6),
+    ("paper_decay_length", None, "schema_version", 2),
+    ("paper_decay_length", None, "schema_version", "banana"),
+    ("paper_decay_length", None, "schema_version", True),
+    ("paper_fig3_sensitivity", None, "detector_floor_m_per_sqrt_hz",
+     -4.29e-16),
+    ("paper_response_interference", "response", "g_pump_hz_per_nm", -2e6),
 ])
 def test_invalid_value_exits_2(name, section, key, value, tmp_path, capsys):
     path = _write_config(tmp_path, name, section, key, value)
@@ -450,3 +460,19 @@ def test_tracer_patch_points_reach_the_fits(monkeypatch):
         tracer.uninstall()
     assert tracer.counters["fit.attempts"] == 1
     assert tracer.counters["coupling.fit_exponential.nfev"] > 0
+
+
+def test_bundled_results_match_benchmark_reference(monkeypatch, tmp_path):
+    # the benchmark's cold-CLI check, run in process: a drift that would
+    # fail it fails here first
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+    reference = json.loads(workloads.REFERENCE_PATH.read_text())
+    assert set(reference) == set(ALL_SCENARIOS)
+    for name in ALL_SCENARIOS:
+        out = tmp_path / name
+        out.mkdir()
+        result = run_scenario(scenarios.get_scenario(name), out)
+        workloads.compare(json.loads(json.dumps(result)), reference[name],
+                          name)

@@ -61,7 +61,7 @@ def test_finesse_is_fsr_over_linewidth():
 def test_sampling_lengths_scale_with_radii():
     cav = make_cavity()
     alpha = decay_constant(cav)
-    l_x, l_y = sampling_lengths(cav, alpha)
+    l_x, l_y = sampling_lengths(cav)
     approx_rel(l_x, math.sqrt(math.pi * 3e-6 / alpha), 1e-14)
     approx_rel(l_y, math.sqrt(math.pi * 30e-6 / alpha), 1e-14)
     assert l_y / l_x == pytest.approx(math.sqrt(10.0), rel=1e-12)

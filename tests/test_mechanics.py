@@ -95,7 +95,7 @@ def test_antisymmetric_mode_with_symmetric_probe_diverges():
     osc = make_string(mode_index=2)
     probe = ProbeProfile(shape="gaussian", l_y=3e-6)
     with pytest.raises(DivergentMass):
-        effective_mass(osc, probe)
+        effective_mass(osc, probe, 2)
     delta = ProbeProfile(shape="delta")
     with pytest.raises(DivergentMass):
         effective_mass(osc, delta, 2)
@@ -198,7 +198,7 @@ def test_resonance_grid_is_sorted_union(f_m, Q):
 
 def test_integrated_rms_rejects_double_sided():
     f = np.linspace(1e6, 2e6, 10)
-    s = SpectralDensity(f, np.ones_like(f), "double", "m")
+    s = SpectralDensity(f, np.ones_like(f), "double")
     with pytest.raises(ValueError):
         integrated_rms(s)
 
@@ -227,7 +227,7 @@ def test_snr_requirement_matches_occupancy():
 def test_mode_from_oscillator_consistency():
     osc = make_string()
     probe = ProbeProfile(shape="gaussian", l_y=4.5e-6)
-    mode = mode_from_oscillator(osc, probe)
+    mode = mode_from_oscillator(osc, probe, 1)
     approx_rel(mode.omega_m / TWO_PI,
                (1.0 / (2.0 * osc.L)) * math.sqrt(osc.stress / osc.rho),
                1e-12)

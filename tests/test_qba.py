@@ -27,16 +27,15 @@ from conftest import (
 
 def test_thermal_force_psd_direct_arithmetic():
     mode = make_mode()
-    s = thermal_force_psd(mode, 300.0)
-    assert s.source == "thermal"
-    approx_rel(s.value, 2.0 * 3.6e-15 * mode.gamma_m * K_B * 300.0, 1e-14)
+    approx_rel(thermal_force_psd(mode, 300.0),
+               2.0 * 3.6e-15 * mode.gamma_m * K_B * 300.0, 1e-14)
 
 
 def test_thermal_force_drives_brownian_spectrum(rng):
     # fluctuation-dissipation consistency: the single-sided displacement
     # PSD equals 2 * |chi|^2 * S_FF (double-sided force noise)
     mode = make_mode()
-    s_ff = thermal_force_psd(mode, 300.0).value
+    s_ff = thermal_force_psd(mode, 300.0)
     for _ in range(100):
         f = rng.uniform(1e6, 30e6)
         s_xx = float(thermal_spectrum(mode, 300.0,
@@ -63,7 +62,7 @@ def test_flux_route_matches_closed_form(rng):
         g = rng.uniform(0.1e6, 30e6) * HZ_PER_NM
         drive = make_drive(p_in=rng.uniform(1e-7, 1e-2))
         omega = TWO_PI * rng.uniform(1e5, 1e8)
-        direct = qba_force_psd(cav, g, drive, omega).value
+        direct = qba_force_psd(cav, g, drive, omega)
         via_flux = _qba_force_psd_via_flux(cav, g, drive, omega)
         approx_rel(via_flux, direct, 1e-12)
 
@@ -78,8 +77,8 @@ def test_ratio_is_psd_quotient(rng):
         drive = make_drive(p_in=rng.uniform(1e-6, 1e-3),
                            temperature=rng.uniform(4.0, 400.0))
         ratio = qba_thermal_ratio(cav, mode, g, drive)
-        quotient = qba_force_psd(cav, g, drive, mode.omega_m).value \
-            / thermal_force_psd(mode, drive.temperature).value
+        quotient = qba_force_psd(cav, g, drive, mode.omega_m) \
+            / thermal_force_psd(mode, drive.temperature)
         approx_rel(ratio, quotient, 1e-12)
 
 

@@ -98,7 +98,7 @@ def test_heisenberg_product(rng):
         drive = make_drive(p_in=rng.uniform(1e-7, 1e-2))
         omega = TWO_PI * rng.uniform(1e5, 1e8)
         s_xx = shot_noise_floor(cav, g, drive, omega) ** 2
-        s_ff = qba_force_psd(cav, g, drive, omega).value
+        s_ff = qba_force_psd(cav, g, drive, omega)
         approx_rel(s_xx * s_ff, HBAR ** 2 / 2.0, 1e-12)
 
 
@@ -109,6 +109,16 @@ def test_response_coefficient_round_trip():
     a1 = response_coefficient(cav, mode, g_pump, g_probe)
     g_eff = g_eff_from_a1(cav, mode, a1)
     approx_rel(g_eff, math.sqrt(g_pump * g_probe), 1e-12)
+
+
+@pytest.mark.parametrize("g_pump, g_probe", [
+    (-2e6, 1e6), (2e6, 0.0), (-2e6, -1e6),
+])
+def test_response_coefficient_requires_positive_rates(g_pump, g_probe):
+    # two negative rates once gave a positive a1 and a positive g_eff
+    with pytest.raises(ValueError, match="g_pump > 0 and g_probe > 0"):
+        response_coefficient(make_cavity(), make_mode(),
+                             g_pump * HZ_PER_NM, g_probe * HZ_PER_NM)
 
 
 def test_response_model_limits():
@@ -215,3 +225,14 @@ def test_noise_budget_composition():
     approx_rel(budget.imprecision,
                math.sqrt(shot_single ** 2 + floor ** 2), 1e-6)
     assert budget.snr_db > 0
+
+
+def test_noise_budget_rejects_negative_detector_floor():
+    # only the square of the floor enters the budget, so a negative one
+    # once passed as its absolute value
+    cav = make_cavity(kappa=TWO_PI * 50e6)
+    mode = make_mode(f_m=8e6, Q=4e4, m_eff=4.9e-15)
+    grid = np.linspace(7.9e6, 8.1e6, 11)
+    with pytest.raises(ValueError, match="detector_floor >= 0"):
+        noise_budget(cav, mode, 3.8e6 * HZ_PER_NM, make_drive(p_in=65e-6),
+                     grid, detector_floor=-4.29e-16)

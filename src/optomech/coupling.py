@@ -19,8 +19,8 @@ The finite-thickness factor is kept in full; the thin-film limit
 
 from __future__ import annotations
 
-import csv
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,27 +44,54 @@ def least_squares(*args, **kwargs):
     return least_squares(*args, **kwargs)
 
 
+def _parse_rows(lines, n: int) -> np.ndarray:
+    """The first n columns of comma-separated rows as an (m, n) table;
+    blank lines are skipped and `"` quotes a cell."""
+    return np.loadtxt(lines, delimiter=",", usecols=range(n), ndmin=2,
+                      comments=None, quotechar='"')
+
+
+def _first_bad_row(lines: list[str], n: int) -> int:
+    """Index of the first of `lines` that `_parse_rows` rejects, found by
+    bisection: the rows before `good` parse, those before `bad` do not."""
+    good, bad = 0, len(lines)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _parse_rows(lines[good:mid], n)
+            good = mid
+        except ValueError:
+            bad = mid
+    return good
+
+
 def read_columns(path: str | Path, names: tuple[str, ...]) -> np.ndarray:
     """The first len(names) columns of a measured-data CSV, one array row
     per column.
 
     The header must start with `names` (spaces around a name are allowed);
-    every data row needs a finite number in each of those columns.
+    every data row needs a finite number in each of those columns, and
+    further columns are ignored. Blank lines are skipped, LF, CRLF and CR
+    line endings are all read, and a cell may be quoted (`"1e-7"`). An
+    error names the data row: 1-based, header and blank lines not counted.
+    A table without data rows is returned empty, for the fits to reject.
     """
     n = len(names)
-    values: list[float] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if [c.strip() for c in next(reader, [])[:n]] != list(names):
+    with open(path, encoding="utf-8") as fh:
+        header = [c.strip().strip('"') for c in fh.readline().split(",")]
+        if header[:n] != list(names):
             raise ValueError(f"expected CSV header `{', '.join(names)}`")
-        for row in reader:
-            if len(row) < n:
-                if not row:
-                    continue
-                raise ValueError(f"line {reader.line_num}: expected {n} "
-                                 f"values, got {len(row)}")
-            values.extend(map(float, row[:n]))
-    table = np.array(values, dtype=float).reshape(-1, n)
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                table = _parse_rows(fh, n)
+        except ValueError:
+            fh.seek(0)
+            lines = [line for line in fh.read().split("\n")[1:] if line]
+            row = _first_bad_row(lines, n)
+            raise ValueError(f"data row {row + 1}: expected {n} numbers, "
+                             f"got {lines[row]!r:.60}") from None
     bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise ValueError(f"data row {bad[0] + 1}: values must be finite, "
@@ -74,24 +101,32 @@ def read_columns(path: str | Path, names: tuple[str, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ShiftCurve:
-    """Frequency-shift-vs-separation data, dw0 <= 0 (red shift)."""
+    """Frequency-shift-vs-separation data, dw0 <= 0 (red shift).
 
-    points: tuple[tuple[float, float], ...]  # (x0 m, dw0 rad/s)
+    `points` is an (n, 2) float array of (x0 m, dw0 rad/s) rows; any
+    sequence of pairs is converted.
+    """
+
+    points: np.ndarray
 
     def __post_init__(self):
-        pts = tuple((float(x), float(dw)) for x, dw in self.points)
+        pts = np.asarray(self.points, dtype=float)
+        if pts.size == 0:
+            pts = pts.reshape(0, 2)
+        if pts.ndim != 2 or pts.shape[1] != 2:
+            raise ValueError("points must be (x0, dw0) pairs")
         object.__setattr__(self, "points", pts)
-        x0s = [x for x, _ in pts]
-        if len(set(x0s)) != len(x0s):
+        x0s = np.sort(pts[:, 0])
+        if np.any(x0s[1:] == x0s[:-1]):
             raise ValueError("x0 values must be distinct")
-        if any(dw > 0 for _, dw in pts):
+        if np.any(pts[:, 1] > 0):
             raise ValueError("frequency shifts must be <= 0 (red shift)")
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ShiftCurve":
         """Read columns `x0_m, dfreq_hz` (dw0/2pi in Hz); header required."""
         x0, dfreq = read_columns(path, ("x0_m", "dfreq_hz"))
-        return cls(tuple(zip(x0.tolist(), (TWO_PI * dfreq).tolist())))
+        return cls(np.column_stack((x0, TWO_PI * dfreq)))
 
 
 @dataclass(frozen=True)
@@ -175,9 +210,8 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
     """
     if len(curve.points) < 2:
         raise IllConditioned("need at least 2 points")
-    pts = sorted(curve.points)
-    x = np.array([p[0] for p in pts])
-    y = np.array([abs(p[1]) for p in pts])
+    x, dw = curve.points[np.argsort(curve.points[:, 0])].T
+    y = np.abs(dw)
     if np.ptp(x) == 0:
         raise IllConditioned("all x0 values equal")
     if np.any(y <= 0):

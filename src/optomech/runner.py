@@ -441,7 +441,7 @@ def _synth_shift_curve(config: dict) -> coupling.ShiftCurve:
     for x0 in np.linspace(0.0, 2.5 / alpha, 30):
         g = dataclasses.replace(geom, x0=x0)
         points.append((float(x0), coupling.frequency_shift(cav, osc, g)))
-    return coupling.ShiftCurve(tuple(points))
+    return coupling.ShiftCurve(points)
 
 
 def _run_fit_shift(config: dict) -> tuple[dict, Tables]:

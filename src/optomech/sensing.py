@@ -141,6 +141,24 @@ def response_model(omega, a1: float, omega_m: float, gamma_m: float):
     return np.abs(1.0 + a1 / denom)
 
 
+def response_jacobian(omega, a1: float, omega_m: float, gamma_m: float
+                      ) -> np.ndarray:
+    """Derivatives of `response_model` with respect to (a1, Om, Gm), one
+    row per frequency.
+
+    With q = 1/D, D = Om^2 - O^2 - i*O*Gm and z = 1 + a1*q, each is
+    Re(conj(z) * dz/dp) / |z|, where dz/da1 = q, dz/dOm = -2*a1*Om*q^2 and
+    dz/dGm = i*a1*O*q^2.
+    """
+    omega = np.asarray(omega, dtype=float)
+    q = 1.0 / (omega_m ** 2 - omega ** 2 - 1j * omega * gamma_m)
+    z = 1.0 + a1 * q
+    cq = np.conj(z) / np.abs(z) * q
+    cq2 = cq * q
+    return np.array([cq.real, -2.0 * a1 * omega_m * cq2.real,
+                     -a1 * omega * cq2.imag]).T
+
+
 def response_magnitude(cav: Microcavity, mode: MechanicalMode, g_pump: float,
                        g_probe: float, omega) -> np.ndarray | float:
     """Normalized response |dw_tot/dw_Kerr| at angular frequency omega."""
@@ -154,8 +172,11 @@ def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
     """Damped least-squares fit of the interference model to a response curve.
 
     Initial Omega_m comes from the grid argmax of |H - 1|, initial Gamma_m
-    from its half-width. g_eff is recovered by inverting the a1 closed form
-    when cavity and mode context are supplied (nan otherwise).
+    from its half-width. Levenberg-Marquardt works on the parameters
+    divided by these initial values, with the analytic Jacobian of
+    `response_jacobian` scaled to match. g_eff is recovered by inverting
+    the a1 closed form when cavity and mode context are supplied (nan
+    otherwise).
     """
     f = curve.frequencies_hz
     h = curve.magnitudes
@@ -182,7 +203,10 @@ def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
         a1, om, gm = p * scales
         return response_model(omega, a1, om, gm) - h
 
-    sol = least_squares(residual, x0=np.ones(3), method="lm",
+    def jacobian(p):
+        return response_jacobian(omega, *(p * scales)) * scales
+
+    sol = least_squares(residual, x0=np.ones(3), jac=jacobian, method="lm",
                         xtol=1e-14, ftol=1e-14)
     if sol.status <= 0:
         raise IllConditioned(f"response fit did not converge: {sol.message}")

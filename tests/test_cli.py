@@ -349,12 +349,14 @@ def test_overflow_exits_3(name, key, value, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["fit-shift", "fit-response", "run"])
 @pytest.mark.parametrize("case", ["wrong header", "non-numeric cell",
-                                  "nan cell", "inf cell"])
+                                  "nan cell", "inf cell", "short row"])
 def test_bad_csv_exits_2(command, case, tmp_path, capsys):
     header = ["freq_hz", "h_mag"] if command == "fit-response" \
         else ["x0_m", "dfreq_hz"]
     if case == "wrong header":
         rows = [["x", "y"], ["0.0", "-1e9"]]
+    elif case == "short row":
+        rows = [header, ["0.0", "-1e9"], ["1e-7"]]
     else:
         bad = {"non-numeric cell": "abc", "nan cell": "nan",
                "inf cell": "-inf"}[case]
@@ -372,10 +374,32 @@ def test_bad_csv_exits_2(command, case, tmp_path, capsys):
         args = [command, str(path)]
     assert run_cli(args) == 2
     message = _one_line_error(capsys)
+    if case != "wrong header":
+        # 1-based, the header not counted
+        assert "data row 2:" in message
     if case == "non-numeric cell":
         assert "abc" in message
-    elif case != "wrong header":
+    elif case in ("nan cell", "inf cell"):
         assert "finite" in message
+
+
+@pytest.mark.parametrize("command", ["fit-shift", "fit-response"])
+@pytest.mark.parametrize("body", ["", "\n\n\r\n"])
+def test_csv_without_data_rows_exits_3(command, body, tmp_path):
+    # in a subprocess, where a parser warning would reach stderr
+    header = "freq_hz,h_mag" if command == "fit-response" \
+        else "x0_m,dfreq_hz"
+    path = tmp_path / "empty.csv"
+    path.write_bytes((header + "\n" + body).encode())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    proc = subprocess.run([sys.executable, "-m", "optomech.cli", command,
+                           str(path)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def _valid_csv_text(analysis: str) -> str:

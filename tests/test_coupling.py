@@ -22,6 +22,7 @@ from optomech import (
     standing_wave_shift,
 )
 from optomech import coupling
+from optomech.cli import main
 from optomech.units import TWO_PI
 
 from conftest import approx_rel, make_cavity, make_string, random_cavity, \
@@ -177,6 +178,15 @@ def test_shift_curve_validation():
         ShiftCurve(((0.0, 1.0),))
 
 
+def test_shift_curve_points_are_pairs():
+    curve = ShiftCurve([(1e-7, -2.0), (0.0, -1.0)])
+    assert curve.points.shape == (2, 2)
+    assert ShiftCurve(()).points.shape == (0, 2)
+    # a (2, 3) table holds six numbers, but not three (x0, dw0) pairs
+    with pytest.raises(ValueError):
+        ShiftCurve(((0.0, -1.0, -2.0), (1e-7, -3.0, -4.0)))
+
+
 def test_shift_curve_csv_round_trip(tmp_path):
     path = tmp_path / "shift.csv"
     with open(path, "w", newline="") as fh:
@@ -192,7 +202,47 @@ def test_shift_curve_csv_round_trip(tmp_path):
     spaced = tmp_path / "spaced.csv"
     text = path.read_text()
     spaced.write_text(text.replace("x0_m,dfreq_hz", "x0_m, dfreq_hz", 1))
-    assert ShiftCurve.from_csv(spaced) == curve
+    assert np.array_equal(ShiftCurve.from_csv(spaced).points, curve.points)
+
+
+def _shift_rows():
+    x = np.linspace(0.0, 400e-9, 12)
+    dfreq = -5e9 * np.exp(-x / 110e-9)
+    return x, dfreq, [f"{a!r},{b!r}" for a, b in zip(x.tolist(),
+                                                     dfreq.tolist())]
+
+
+@pytest.mark.parametrize("variant", ["crlf", "blank lines", "extra column",
+                                     "quoted cell"])
+def test_read_columns_accepts(variant, tmp_path):
+    x, dfreq, rows = _shift_rows()
+    header, newline = "x0_m,dfreq_hz", "\n"
+    if variant == "crlf":   # csv.writer's default line ending
+        newline = "\r\n"
+    elif variant == "blank lines":
+        rows = [r + "\n" for r in rows[:6]] + ["", "\n"] + rows[6:] + [""]
+    elif variant == "extra column":
+        header += ",note"
+        rows = [r + ",not a number" for r in rows]
+    else:
+        rows = [f'"{a!r}",{b!r}' for a, b in zip(x.tolist(),
+                                                  dfreq.tolist())]
+    path = tmp_path / "shift.csv"
+    path.write_bytes((newline.join([header] + rows) + newline).encode())
+    table = coupling.read_columns(path, ("x0_m", "dfreq_hz"))
+    assert np.array_equal(table, [x, dfreq])
+
+
+def test_comment_line_is_a_malformed_row(tmp_path, capsys):
+    # `#` starts no comment: the row is not two numbers, so the CLI exits 2
+    _, _, rows = _shift_rows()
+    path = tmp_path / "shift.csv"
+    path.write_text("\n".join(["x0_m,dfreq_hz", "# gap sweep"] + rows)
+                    + "\n")
+    with pytest.raises(ValueError):
+        coupling.read_columns(path, ("x0_m", "dfreq_hz"))
+    assert main(["fit-shift", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_standing_wave_period():

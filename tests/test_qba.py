@@ -68,6 +68,8 @@ def test_flux_route_matches_closed_form(rng):
 
 
 def test_ratio_is_psd_quotient(rng):
+    # the quotient of the two force PSDs as the module docstring writes
+    # them, not as the module computes them
     for _ in range(200):
         cav = make_cavity(kappa=TWO_PI * rng.uniform(1e6, 100e6))
         mode = make_mode(f_m=rng.uniform(1e6, 30e6),
@@ -76,10 +78,12 @@ def test_ratio_is_psd_quotient(rng):
         g = rng.uniform(0.5e6, 30e6) * HZ_PER_NM
         drive = make_drive(p_in=rng.uniform(1e-6, 1e-3),
                            temperature=rng.uniform(4.0, 400.0))
-        ratio = qba_thermal_ratio(cav, mode, g, drive)
-        quotient = qba_force_psd(cav, g, drive, mode.omega_m) \
-            / thermal_force_psd(mode, drive.temperature)
-        approx_rel(ratio, quotient, 1e-12)
+        s_th = 2.0 * mode.m_eff * mode.gamma_m * K_B * drive.temperature
+        s_qba = (8.0 * (HBAR * g) ** 2 / cav.kappa ** 2
+                 * drive.p_in / (HBAR * cav.omega0)
+                 / (1.0 + 4.0 * mode.omega_m ** 2 / cav.kappa ** 2))
+        approx_rel(qba_thermal_ratio(cav, mode, g, drive), s_qba / s_th,
+                   1e-12)
 
 
 def test_scaling_form_is_identical_to_direct_ratio(rng):

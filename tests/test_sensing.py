@@ -184,6 +184,53 @@ def test_unconverged_response_fit_raises(monkeypatch):
         fit_response(ResponseCurve(f, h))
 
 
+def _random_resonance(rng):
+    """(a1, Omega_m, Gamma_m) and a grid of +-30 linewidths around them."""
+    f_m = rng.uniform(1e5, 2e7)
+    q = rng.uniform(1e2, 1e5)
+    omega_m = TWO_PI * f_m
+    gamma_m = omega_m / q
+    a1 = rng.uniform(2.0, 10.0) * omega_m * gamma_m
+    f = np.linspace(f_m * (1.0 - 30.0 / q), f_m * (1.0 + 30.0 / q), 2000)
+    return np.array([a1, omega_m, gamma_m]), f
+
+
+def test_response_jacobian_matches_central_difference(rng):
+    for _ in range(20):
+        params, f = _random_resonance(rng)
+        if rng.random() < 0.5:
+            params[0] = -params[0]   # repulsive force: the dip below
+        omega = TWO_PI * f
+        jac = sensing.response_jacobian(omega, *params)
+        assert jac.shape == (f.size, 3)
+        # H varies on the scale of Gamma_m in Omega_m; Om^2 - O^2 cancels
+        # to ~Q*eps, so a smaller step loses the difference to round-off
+        steps = 1e-4 * np.array([abs(params[0]), params[2], params[2]])
+        for j in range(3):
+            dp = np.zeros(3)
+            dp[j] = steps[j]
+            fd = (response_model(omega, *(params + dp))
+                  - response_model(omega, *(params - dp))) / (2.0 * steps[j])
+            assert np.max(np.abs(jac[:, j] - fd)) \
+                <= 1e-6 * np.max(np.abs(jac[:, j]))
+
+
+def test_analytic_jacobian_fit_is_no_worse_than_finite_differences(
+        monkeypatch, rng):
+    curves = []
+    for _ in range(20):
+        params, f = _random_resonance(rng)
+        h = response_model(TWO_PI * f, *params) \
+            * (1.0 + 0.01 * rng.standard_normal(f.size))
+        curves.append(ResponseCurve(f, h))
+    analytic = [fit_response(curve).residual_norm for curve in curves]
+    least_squares = sensing.least_squares
+    monkeypatch.setattr(sensing, "least_squares",
+                        lambda *args, jac, **kw: least_squares(*args, **kw))
+    for curve, residual in zip(curves, analytic):
+        assert residual <= fit_response(curve).residual_norm
+
+
 def test_response_curve_csv_round_trip(tmp_path):
     mode = make_mode()
     f_m = mode.omega_m / TWO_PI

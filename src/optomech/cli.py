@@ -38,7 +38,9 @@ def _load_config(target: str) -> dict:
             f"no bundled scenario or file named {target!r}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    # ValueError covers bytes that are not UTF-8 and integer literals
+    # longer than Python converts; RecursionError, nesting too deep to parse
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"invalid JSON in {target}: {exc}") from exc
 
 

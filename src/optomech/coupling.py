@@ -71,13 +71,14 @@ def read_columns(path: str | Path, names: tuple[str, ...]) -> np.ndarray:
 
     The header must start with `names` (spaces around a name are allowed);
     every data row needs a finite number in each of those columns, and
-    further columns are ignored. Blank lines are skipped, LF, CRLF and CR
-    line endings are all read, and a cell may be quoted (`"1e-7"`). An
-    error names the data row: 1-based, header and blank lines not counted.
+    further columns are ignored. A leading byte-order mark and blank lines
+    are skipped, LF, CRLF and CR line endings are all read, and a cell may
+    be quoted (`"1e-7"`). An error names the data row: 1-based, header and
+    blank lines not counted.
     A table without data rows is returned empty, for the fits to reject.
     """
     n = len(names)
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         header = [c.strip().strip('"') for c in fh.readline().split(",")]
         if header[:n] != list(names):
             raise ValueError(f"expected CSV header `{', '.join(names)}`")
@@ -212,8 +213,6 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
         raise IllConditioned("need at least 2 points")
     x, dw = curve.points[np.argsort(curve.points[:, 0])].T
     y = np.abs(dw)
-    if np.ptp(x) == 0:
-        raise IllConditioned("all x0 values equal")
     if np.any(y <= 0):
         raise IllConditioned("zero-magnitude shifts cannot seed the log fit")
 

@@ -80,7 +80,6 @@ class NanoOscillator:
     stress: float
     n_nano: float
     Q: float
-    mode_index: int = 1
 
     def __post_init__(self):
         require_finite(self, "L", "w", "t", "rho", "stress", "n_nano", "Q")
@@ -91,8 +90,6 @@ class NanoOscillator:
             raise ValueError("require Q > 1")
         if self.kind not in ("string", "sheet"):
             raise ValueError(f"unknown oscillator kind {self.kind!r}")
-        if self.mode_index < 1:
-            raise ValueError("mode_index must be a positive integer")
 
     @property
     def physical_mass(self) -> float:

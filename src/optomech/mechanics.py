@@ -194,7 +194,6 @@ def mode_from_oscillator(osc: NanoOscillator, probe: ProbeProfile,
                          n: int) -> MechanicalMode:
     """Build the n-th MechanicalMode from string geometry and a probe
     profile."""
-    omega_m = TWO_PI * string_mode_frequency(osc, n)
-    m_eff = effective_mass(osc, probe, n)
-    return MechanicalMode(omega_m=omega_m, gamma_m=omega_m / osc.Q,
-                          m_eff=m_eff)
+    return MechanicalMode.from_quality_factor(
+        omega_m=TWO_PI * string_mode_frequency(osc, n), Q=osc.Q,
+        m_eff=effective_mass(osc, probe, n))

@@ -41,13 +41,10 @@ def qba_force_psd(cav: Microcavity, g: float, drive: DriveCondition,
 
 
 def qba_thermal_ratio(cav: Microcavity, mode: MechanicalMode, g: float,
-                      drive: DriveCondition, omega: float | None = None
-                      ) -> float:
-    """Quantum-backaction over thermal force PSD at the drive temperature,
-    evaluated at the mechanical resonance unless omega is given."""
-    if omega is None:
-        omega = mode.omega_m
-    return (qba_force_psd(cav, g, drive, omega)
+                      drive: DriveCondition) -> float:
+    """Quantum-backaction over thermal force PSD at the mechanical
+    resonance and the drive temperature."""
+    return (qba_force_psd(cav, g, drive, mode.omega_m)
             / thermal_force_psd(mode, drive.temperature))
 
 

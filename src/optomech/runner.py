@@ -74,7 +74,7 @@ def _integer(section: dict, key: str, path: str, lo: int, hi: int,
 def _data_csv(config: dict) -> str:
     """`config["data_csv"]` as a path string; `open` would take an integer
     or a bool as a file descriptor and close it when done."""
-    path = config["data_csv"]
+    path = _require(config, "data_csv", "$")
     if not isinstance(path, str):
         raise ConfigError(f"`$.data_csv` must be a path string, "
                           f"got {path!r:.40}")
@@ -114,8 +114,16 @@ def build_oscillator(config: dict) -> NanoOscillator:
         stress=_number(o, "stress_pa", "oscillator"),
         n_nano=_number(o, "refractive_index", "oscillator"),
         Q=_number(o, "quality_factor", "oscillator"),
-        mode_index=_integer(o, "mode_index", "oscillator", 1, 100, default=1),
     )
+
+
+def _probe(config: dict, cav: Microcavity) -> tuple[ProbeProfile, int]:
+    """The Gaussian probe that the cavity sets, and the index of the string
+    mode it reads (`oscillator.mode_index`, default 1)."""
+    n = _integer(_section(config, "oscillator"), "mode_index", "oscillator",
+                 1, 100, default=1)
+    _, l_y = devices.sampling_lengths(cav)
+    return ProbeProfile(shape="gaussian", l_y=l_y), n
 
 
 def build_geometry(config: dict) -> CouplingGeometry:
@@ -149,9 +157,8 @@ def build_mode(config: dict, cav: Microcavity) -> MechanicalMode:
     if "oscillator" not in config:
         raise ConfigError("need a `mode` or `oscillator` section")
     osc = build_oscillator(config)
-    _, l_y = devices.sampling_lengths(cav)
-    probe = ProbeProfile(shape="gaussian", l_y=l_y)
-    return mechanics.mode_from_oscillator(osc, probe, osc.mode_index)
+    probe, n = _probe(config, cav)
+    return mechanics.mode_from_oscillator(osc, probe, n)
 
 
 def build_grid(config: dict) -> np.ndarray:
@@ -162,11 +169,10 @@ def build_grid(config: dict) -> np.ndarray:
     spacing = grid.get("spacing", "linear")
     if not (0 < f_min < f_max):
         raise ConfigError("require 0 < grid.f_min_hz < grid.f_max_hz")
-    if spacing == "linear":
-        return np.linspace(f_min, f_max, points)
-    if spacing == "log":
-        return np.logspace(math.log10(f_min), math.log10(f_max), points)
-    raise ConfigError(f"unknown grid spacing {spacing!r}")
+    if spacing != "linear":
+        raise ConfigError(f"`grid.spacing` must be \"linear\", "
+                          f"got {spacing!r:.40}")
+    return np.linspace(f_min, f_max, points)
 
 
 def coupling_rate_external(config: dict, cav: Microcavity) -> float:
@@ -231,6 +237,10 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
     if not isinstance(analysis, str) or analysis not in _HANDLERS:
         raise ConfigError(f"unknown analysis {analysis!r:.40}")
     _integer(config, "schema_version", "$", 1, 1)
+    name = config.get("name", "")
+    if not isinstance(name, str):
+        raise ConfigError(f"`$.name` must be a string, "
+                          f"got {type(name).__name__}")
     # dataclass validators and library input checks raise ValueError;
     # wrong-typed config values raise TypeError, e.g. from comparisons
     try:
@@ -241,7 +251,7 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
         _write_tables(out_dir, tables)
     return {
         "schema_version": 1,
-        "scenario": config.get("name", ""),
+        "scenario": name,
         "analysis": analysis,
         "results": results,
         "artifacts": list(tables) if out_dir is not None else [],
@@ -263,6 +273,7 @@ def _run_coupling(config: dict) -> tuple[dict, Tables]:
     }
     if "oscillator" in config:
         osc = build_oscillator(config)
+        probe, n = _probe(config, cav)
         if "geometry" in config:
             geom = build_geometry(config)
             dw = coupling.frequency_shift(cav, osc, geom)
@@ -272,8 +283,7 @@ def _run_coupling(config: dict) -> tuple[dict, Tables]:
         if osc.kind == "string":
             f1 = devices.string_mode_frequency(osc, 1)
             results["string_f1_hz"] = _q(f1, "Hz")
-            probe = ProbeProfile(shape="gaussian", l_y=l_y)
-            m_eff = mechanics.effective_mass(osc, probe, osc.mode_index)
+            m_eff = mechanics.effective_mass(osc, probe, n)
             results["effective_mass_kg"] = _q(m_eff, "kg")
             results["physical_mass_kg"] = _q(osc.physical_mass, "kg")
             if "measured_f1_hz" in config:
@@ -459,20 +469,13 @@ def _run_fit_shift(config: dict) -> tuple[dict, Tables]:
 
 
 def _run_fit_response(config: dict) -> tuple[dict, Tables]:
-    """Fit a measured (`data_csv`) or modelled response curve. Without a
-    `cavity` section g_eff is undefined and left out of the results."""
+    """Fit the measured response curve in `data_csv`. Without a `cavity`
+    section g_eff is undefined and left out of the results."""
     cav = mode = None
-    if "cavity" in config or "data_csv" not in config:  # model needs both
+    if "cavity" in config:
         cav = build_cavity(config)
         mode = build_mode(config, cav)
-    if "data_csv" in config:
-        curve = sensing.ResponseCurve.from_csv(_data_csv(config))
-    else:
-        g_pump, g_probe = _response_rates(config)
-        grid = build_grid(config)
-        h = sensing.response_magnitude(cav, mode, g_pump, g_probe,
-                                       TWO_PI * grid)
-        curve = sensing.ResponseCurve(grid, h)
+    curve = sensing.ResponseCurve.from_csv(_data_csv(config))
     fit = sensing.fit_response(curve, cav, mode)
     results = {
         "a1": _q(fit.a1, "rad^2/s^2"),

@@ -42,7 +42,6 @@ def make_string(**overrides) -> NanoOscillator:
         stress=0.9e9,
         n_nano=2.05,
         Q=53000.0,
-        mode_index=1,
     )
     params.update(overrides)
     return NanoOscillator(**params)
@@ -88,7 +87,6 @@ def random_string(rng) -> NanoOscillator:
         stress=rng.uniform(0.1e9, 1.5e9),
         n_nano=rng.uniform(1.5, 2.5),
         Q=rng.uniform(1e4, 1e6),
-        mode_index=1,
     )
 
 

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optomech import scenarios, sensing
+from optomech import devices, runner, scenarios, sensing
 from optomech.cli import main
+from optomech.mechanics import ProbeProfile, effective_mass
 from optomech.runner import (CSV_CHUNK_ROWS, HZ_PER_NM, ConfigError,
                              _write_tables, run_scenario)
 from optomech.units import TWO_PI
@@ -262,6 +263,16 @@ def test_run_scenario_requires_schema_version():
             run_scenario(config)
 
 
+def test_run_scenario_requires_string_name():
+    config = scenarios.get_scenario("paper_decay_length")
+    del config["name"]
+    assert run_scenario(config)["scenario"] == ""
+    for value in (math.nan, ["a"], {"a": 1}, None, 1):
+        config["name"] = value
+        with pytest.raises(ConfigError, match=r"`\$\.name`"):
+            run_scenario(config)
+
+
 def _write_config(tmp_path, name, section, key, value):
     config = scenarios.get_scenario(name)
     (config if section is None else config[section])[key] = value
@@ -289,6 +300,11 @@ def _one_line_error(capsys) -> str:
     ("paper_fig4_backaction", "backaction_g_grid", "points", 0),
     ("paper_fig4_backaction", "backaction_g_grid", "points", 10 ** 12),
     ("paper_si_horizontal_g", "oscillator", "mode_index", 10 ** 6),
+    ("paper_si_horizontal_g", "oscillator", "mode_index", 0),
+    ("paper_fig2c_thermal", "grid", "spacing", "log"),
+    ("paper_decay_length", None, "name", math.nan),
+    ("paper_decay_length", None, "name", ["a"]),
+    ("paper_decay_length", None, "name", None),
     ("paper_decay_length", None, "schema_version", 2),
     ("paper_decay_length", None, "schema_version", "banana"),
     ("paper_decay_length", None, "schema_version", True),
@@ -300,6 +316,27 @@ def test_invalid_value_exits_2(name, section, key, value, tmp_path, capsys):
     path = _write_config(tmp_path, name, section, key, value)
     assert run_cli(["run", str(path)]) == 2
     _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("case", ["not utf-8", "5000-digit integer",
+                                  "deep nesting", "deep nesting in name"])
+def test_unreadable_config_exits_2(case, tmp_path, capsys):
+    config = scenarios.get_scenario("paper_decay_length")
+    text = json.dumps(config)
+    if case == "not utf-8":
+        data = text.replace("paper_decay_length", "caf\xe9").encode("latin-1")
+    elif case == "5000-digit integer":
+        data = text.replace('"schema_version": 1',
+                            '"schema_version": 1' + "0" * 4999).encode()
+    elif case == "deep nesting":
+        data = ("[" * 100_000 + "]" * 100_000).encode()
+    else:
+        data = text.replace('"paper_decay_length"',
+                            "[" * 5000 + "]" * 5000).encode()
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert run_cli(["run", str(path)]) == 2
+    assert "invalid JSON" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("text", ["5", "[]", '"x"'])
@@ -500,3 +537,79 @@ def test_bundled_results_match_benchmark_reference(monkeypatch, tmp_path):
         result = run_scenario(scenarios.get_scenario(name), out)
         workloads.compare(json.loads(json.dumps(result)), reference[name],
                           name)
+
+
+def test_fit_response_requires_data_csv(tmp_path, capsys):
+    # the scenario's response and grid sections feed no model curve
+    path = _write_config(tmp_path, "paper_response_interference", None,
+                         "analysis", "fit-response")
+    assert run_cli(["run", str(path)]) == 2
+    assert "`$.data_csv`" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("analysis", ["fit-shift", "fit-response"])
+def test_csv_with_byte_order_mark(analysis, tmp_path, capsys):
+    text = _valid_csv_text(analysis)
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run_cli([analysis, str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert run_cli([analysis, str(marked)]) == 0
+    assert capsys.readouterr().out == expected
+    # a malformed row is still counted from the first data row
+    header, first, *_ = text.splitlines()
+    marked.write_text("\n".join([header, first, "1e-7,abc"]) + "\n",
+                      encoding="utf-8-sig")
+    assert run_cli([analysis, str(marked)]) == 2
+    assert "data row 2:" in _one_line_error(capsys)
+
+
+def _third_mode_config(analysis: str) -> dict:
+    """The 25-um string, its mode derived with `oscillator.mode_index` 3."""
+    config = scenarios.get_scenario("paper_si_horizontal_g")
+    config["analysis"] = analysis
+    config["oscillator"]["mode_index"] = 3
+    config["drive"] = {"input_power_w": 65e-6, "temperature_k": 300.0}
+    config["grid"] = {"f_min_hz": 30e6, "f_max_hz": 35e6, "points": 11}
+    return config
+
+
+def test_mode_index_selects_the_probed_mode():
+    config = _third_mode_config("coupling")
+    osc = runner.build_oscillator(config)
+    _, l_y = devices.sampling_lengths(runner.build_cavity(config))
+    probe = ProbeProfile(shape="gaussian", l_y=l_y)
+    m_eff = effective_mass(osc, probe, 3)
+    assert m_eff != effective_mass(osc, probe, 1)
+    coupling_run = run_scenario(config)["results"]
+    spectrum_run = run_scenario(_third_mode_config("spectrum"))["results"]
+    approx_rel(spectrum_run["frequency_hz"]["value"],
+               3.0 * coupling_run["string_f1_hz"]["value"], 1e-14)
+    for results in (coupling_run, spectrum_run):
+        assert results["effective_mass_kg"]["value"] == m_eff
+
+
+@pytest.mark.parametrize("name", ["paper_fig3_sensitivity",
+                                  "paper_fig4_backaction",
+                                  "paper_eq26_unity_ratio"])
+def test_geometry_coupling_rate_matches_explicit_rate(name):
+    derived = scenarios.get_scenario(name)
+    del derived["coupling_rate_hz_per_nm"]
+    derived["oscillator"] = scenarios.get_scenario(
+        "paper_si_horizontal_g")["oscillator"]
+    derived["geometry"] = {"separation_m": 300e-9,
+                           "orientation": "horizontal"}
+    g = run_scenario(dict(derived, analysis="coupling"))[
+        "results"]["coupling_rate_hz_per_nm"]["value"]
+    explicit = dict(derived, coupling_rate_hz_per_nm=g)
+    del explicit["oscillator"], explicit["geometry"]
+    got = run_scenario(derived)["results"]
+    want = run_scenario(explicit)["results"]
+    assert got.keys() == want.keys()
+    for key, quantity in want.items():
+        if quantity["unit"] == "enum":
+            assert got[key] == quantity
+        else:
+            approx_rel(got[key]["value"], quantity["value"], 1e-12)

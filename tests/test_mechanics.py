@@ -92,7 +92,7 @@ def test_effective_mass_grows_with_probe_width():
 
 
 def test_antisymmetric_mode_with_symmetric_probe_diverges():
-    osc = make_string(mode_index=2)
+    osc = make_string()
     probe = ProbeProfile(shape="gaussian", l_y=3e-6)
     with pytest.raises(DivergentMass):
         effective_mass(osc, probe, 2)

@@ -115,13 +115,13 @@ def test_reference_set_reaches_order_unity():
     approx_rel(ratio, 0.894920619076478, 1e-10)
 
 
-def test_ratio_off_resonance_follows_cavity_filter():
+def test_qba_psd_off_resonance_follows_cavity_filter():
     cav = make_cavity()
     mode = make_mode()
     g = 5e6 * HZ_PER_NM
     drive = make_drive()
-    at_res = qba_thermal_ratio(cav, mode, g, drive)
-    shifted = qba_thermal_ratio(cav, mode, g, drive, omega=2.0 * mode.omega_m)
+    at_res = qba_force_psd(cav, g, drive, mode.omega_m)
+    shifted = qba_force_psd(cav, g, drive, 2.0 * mode.omega_m)
     assert shifted != at_res
     expected = at_res * (1.0 + 4.0 * mode.omega_m ** 2 / cav.kappa ** 2) \
         / (1.0 + 4.0 * (2.0 * mode.omega_m) ** 2 / cav.kappa ** 2)

@@ -216,9 +216,16 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
     if np.any(y <= 0):
         raise IllConditioned("zero-magnitude shifts cannot seed the log fit")
 
-    # log-domain initialization: log y = log A - x / l
-    coeffs = np.polyfit(x, np.log(y), 1)
-    slope, intercept = coeffs[0], coeffs[1]
+    # log-domain initialization: log y = log A - x / l. polyfit scales x by
+    # its norm; a norm that underflows to 0 makes LAPACK print to fd 2
+    if not np.sum(x * x) > 0:
+        raise IllConditioned("x0 values too small to seed the log fit")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", np.exceptions.RankWarning)
+            slope, intercept = np.polyfit(x, np.log(y), 1)
+    except np.linalg.LinAlgError as exc:
+        raise IllConditioned(f"log-domain seed failed: {exc}") from exc
     if slope >= 0:
         raise IllConditioned("shift magnitudes grow with distance")
     a0, l0 = math.exp(intercept), -1.0 / slope

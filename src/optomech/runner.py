@@ -34,156 +34,177 @@ class ConfigError(Exception):
     """Scenario config failed validation."""
 
 
-def _require(section: dict, key: str, path: str):
-    if key not in section:
-        raise ConfigError(f"missing required key `{path}.{key}`")
-    return section[key]
+# SCHEMA defaults for a key that must be given and one with no default
+REQUIRED, OPTIONAL = object(), object()
 
 
-def _number(section: dict, key: str, path: str, default: float | None = None
-            ) -> float:
-    """`section[key]` as a finite float; `default` when the key is absent
-    and a default is given."""
-    if key not in section and default is not None:
-        return float(default)
-    raw = _require(section, key, path)
-    try:
-        value = float(raw)
-    except (TypeError, ValueError, OverflowError):
-        value = math.nan
-    if not math.isfinite(value):
-        raise ConfigError(f"`{path}.{key}` must be a finite number, "
-                          f"got {raw!r:.40}")
-    return value
+def _numbers(*keys: str) -> dict:
+    return dict.fromkeys(keys, (float, REQUIRED))
 
 
-def _integer(section: dict, key: str, path: str, lo: int, hi: int,
-             default: int | None = None) -> int:
-    """`section[key]` as an integer in [lo, hi]; `default` when the key is
-    absent and a default is given."""
-    if key not in section and default is not None:
-        return default
-    raw = _require(section, key, path)
-    if isinstance(raw, bool) or not isinstance(raw, int) \
-            or not lo <= raw <= hi:
-        raise ConfigError(f"`{path}.{key}` must be an integer in "
-                          f"[{lo}, {hi}], got {raw!r:.40}")
-    return raw
+# The config, described once: key -> (kind, default). A kind is `float`
+# (a finite JSON number, never a bool or a string), `str`, a `range` of
+# allowed integers, a frozenset of allowed strings, or the table of a
+# nested section. Enumerations that a dataclass checks (oscillator kind,
+# orientation, readout) are plain strings here.
+SCHEMA = {
+    "schema_version": (range(1, 2), REQUIRED),
+    "analysis": (str, REQUIRED),
+    "name": (str, ""),
+    "description": (str, OPTIONAL),
+    "cavity": ({
+        **_numbers("major_radius_m", "minor_radius_m", "wavelength_m",
+                   "refractive_index", "effective_index", "kappa_hz",
+                   "mode_diameter_m", "surface_field_fraction"),
+        "kerr_coefficient_m2_per_w": (float, 3e-20)}, OPTIONAL),
+    "oscillator": ({
+        "kind": (str, REQUIRED),
+        **_numbers("length_m", "width_m", "thickness_m", "density_kg_per_m3",
+                   "stress_pa", "refractive_index", "quality_factor"),
+        "mode_index": (range(1, 101), 1)}, OPTIONAL),
+    "geometry": ({**_numbers("separation_m"), "orientation": (str, REQUIRED)},
+                 OPTIONAL),
+    "drive": ({**_numbers("input_power_w"), "detuning_hz": (float, 0.0),
+               "temperature_k": (float, 300.0), "readout": (str, "homodyne")},
+              OPTIONAL),
+    "mode": (_numbers("frequency_hz", "quality_factor", "effective_mass_kg"),
+             OPTIONAL),
+    "grid": ({**_numbers("f_min_hz", "f_max_hz"),
+              "points": (range(2, MAX_POINTS + 1), REQUIRED),
+              "spacing": (frozenset({"linear"}), "linear")}, OPTIONAL),
+    "response": (_numbers("g_pump_hz_per_nm", "g_probe_hz_per_nm"), OPTIONAL),
+    "backaction_g_grid": ({**_numbers("g_min_hz_per_nm", "g_max_hz_per_nm"),
+                           "points": (range(2, MAX_POINTS + 1), 25)},
+                          OPTIONAL),
+    "standing_wave": ({**_numbers("mean_shift_hz"),
+                       "lateral_position_m": (float, 0.0),
+                       "branch": (range(-1, 2), 1)}, OPTIONAL),
+    "coupling_rate_hz_per_nm": (float, OPTIONAL),
+    "detector_floor_m_per_sqrt_hz": (float, 0.0),
+    "measured_f1_hz": (float, OPTIONAL),
+    "data_csv": (str, OPTIONAL),
+}
 
 
-def _data_csv(config: dict) -> str:
-    """`config["data_csv"]` as a path string; `open` would take an integer
-    or a bool as a file descriptor and close it when done."""
-    path = _require(config, "data_csv", "$")
-    if not isinstance(path, str):
-        raise ConfigError(f"`$.data_csv` must be a path string, "
-                          f"got {path!r:.40}")
-    return path
+def _at(path: str, key) -> str:
+    """The JSONPath of `key` in the object at `path`."""
+    return f"{path}.{key}" if str(key).isidentifier() else f"{path}[{key!r}]"
 
 
-def _section(config: dict, key: str) -> dict:
-    value = _require(config, key, "$")
-    if not isinstance(value, dict):
-        raise ConfigError(f"`$.{key}` must be an object")
-    return value
+def _check(raw, kind, where: str):
+    """`raw`, the config value at JSONPath `where`, checked against a
+    SCHEMA kind: a plain float, int or string, or for a section a new dict
+    of checked values with the defaults filled in."""
+    if isinstance(kind, dict):
+        if not isinstance(raw, dict):
+            raise ConfigError(f"`{where}` must be an object")
+        for key in raw:
+            if key not in kind:
+                raise ConfigError(f"unknown key `{_at(where, key)}`")
+        checked = {}
+        for key, (sub, default) in kind.items():
+            if key in raw:
+                checked[key] = _check(raw[key], sub, _at(where, key))
+            elif default is REQUIRED:
+                raise ConfigError(
+                    f"missing required key `{_at(where, key)}`")
+            elif default is not OPTIONAL:
+                checked[key] = default
+        return checked
+    is_int = isinstance(raw, int) and not isinstance(raw, bool)
+    if kind is float:
+        expected = "a finite number"
+        try:    # an integer beyond the float range overflows
+            ok = (is_int or isinstance(raw, float)) and math.isfinite(raw)
+        except OverflowError:
+            ok = False
+    elif isinstance(kind, range):
+        expected = f"an integer in [{kind[0]}, {kind[-1]}]"
+        ok = is_int and raw in kind
+    else:
+        expected = "a string" if kind is str else f"one of {sorted(kind)}"
+        ok = isinstance(raw, str) and (kind is str or raw in kind)
+    if not ok:
+        raise ConfigError(f"`{where}` must be {expected}, got {raw!r:.40}")
+    return float(raw) if kind is float else raw
 
 
-def build_cavity(config: dict) -> Microcavity:
-    c = _section(config, "cavity")
+def build_cavity(cfg: dict) -> Microcavity:
+    c = cfg["cavity"]
     return Microcavity(
-        R=_number(c, "major_radius_m", "cavity"),
-        r=_number(c, "minor_radius_m", "cavity"),
-        wavelength=_number(c, "wavelength_m", "cavity"),
-        n=_number(c, "refractive_index", "cavity"),
-        n_eff=_number(c, "effective_index", "cavity"),
-        kappa=TWO_PI * _number(c, "kappa_hz", "cavity"),
-        D_mode=_number(c, "mode_diameter_m", "cavity"),
-        xi=_number(c, "surface_field_fraction", "cavity"),
-        n2=_number(c, "kerr_coefficient_m2_per_w", "cavity", default=3e-20),
-    )
+        R=c["major_radius_m"], r=c["minor_radius_m"],
+        wavelength=c["wavelength_m"], n=c["refractive_index"],
+        n_eff=c["effective_index"], kappa=TWO_PI * c["kappa_hz"],
+        D_mode=c["mode_diameter_m"], xi=c["surface_field_fraction"],
+        n2=c["kerr_coefficient_m2_per_w"])
 
 
-def build_oscillator(config: dict) -> NanoOscillator:
-    o = _section(config, "oscillator")
+def build_oscillator(cfg: dict) -> NanoOscillator:
+    o = cfg["oscillator"]
     return NanoOscillator(
-        kind=_require(o, "kind", "oscillator"),
-        L=_number(o, "length_m", "oscillator"),
-        w=_number(o, "width_m", "oscillator"),
-        t=_number(o, "thickness_m", "oscillator"),
-        rho=_number(o, "density_kg_per_m3", "oscillator"),
-        stress=_number(o, "stress_pa", "oscillator"),
-        n_nano=_number(o, "refractive_index", "oscillator"),
-        Q=_number(o, "quality_factor", "oscillator"),
-    )
+        kind=o["kind"], L=o["length_m"], w=o["width_m"], t=o["thickness_m"],
+        rho=o["density_kg_per_m3"], stress=o["stress_pa"],
+        n_nano=o["refractive_index"], Q=o["quality_factor"])
 
 
-def _probe(config: dict, cav: Microcavity) -> tuple[ProbeProfile, int]:
-    """The Gaussian probe that the cavity sets, and the index of the string
-    mode it reads (`oscillator.mode_index`, default 1)."""
-    n = _integer(_section(config, "oscillator"), "mode_index", "oscillator",
-                 1, 100, default=1)
-    _, l_y = devices.sampling_lengths(cav)
-    return ProbeProfile(shape="gaussian", l_y=l_y), n
+def build_geometry(cfg: dict) -> CouplingGeometry:
+    g = cfg["geometry"]
+    return CouplingGeometry(x0=g["separation_m"], orientation=g["orientation"])
 
 
-def build_geometry(config: dict) -> CouplingGeometry:
-    gsec = _section(config, "geometry")
-    return CouplingGeometry(
-        x0=_number(gsec, "separation_m", "geometry"),
-        orientation=_require(gsec, "orientation", "geometry"),
-    )
-
-
-def build_drive(config: dict) -> DriveCondition:
-    d = _section(config, "drive")
+def build_drive(cfg: dict) -> DriveCondition:
+    d = cfg["drive"]
     return DriveCondition(
-        p_in=_number(d, "input_power_w", "drive"),
-        detuning=TWO_PI * _number(d, "detuning_hz", "drive", default=0.0),
-        temperature=_number(d, "temperature_k", "drive", default=300.0),
-        readout=d.get("readout", "homodyne"),
-    )
+        p_in=d["input_power_w"], detuning=TWO_PI * d["detuning_hz"],
+        temperature=d["temperature_k"], readout=d["readout"])
 
 
-def build_mode(config: dict, cav: Microcavity) -> MechanicalMode:
-    """Mechanical mode from an explicit `mode` section, else derived from
-    the oscillator geometry with the Gaussian probe set by the cavity."""
-    if "mode" in config:
-        m = _section(config, "mode")
+def _probe(cav: Microcavity) -> ProbeProfile:
+    """The Gaussian probe that the cavity sets."""
+    _, l_y = devices.sampling_lengths(cav)
+    return ProbeProfile(shape="gaussian", l_y=l_y)
+
+
+def build_mode(cfg: dict, cav: Microcavity,
+               osc: NanoOscillator | None = None) -> MechanicalMode:
+    """Mechanical mode from an explicit `mode` section, else the
+    `oscillator.mode_index`-th string mode of the oscillator (`osc`, when
+    the caller has built it) under the cavity's Gaussian probe."""
+    if "mode" in cfg:
+        m = cfg["mode"]
         return MechanicalMode.from_quality_factor(
-            omega_m=TWO_PI * _number(m, "frequency_hz", "mode"),
-            Q=_number(m, "quality_factor", "mode"),
-            m_eff=_number(m, "effective_mass_kg", "mode"),
-        )
-    if "oscillator" not in config:
+            omega_m=TWO_PI * m["frequency_hz"], Q=m["quality_factor"],
+            m_eff=m["effective_mass_kg"])
+    if "oscillator" not in cfg:
         raise ConfigError("need a `mode` or `oscillator` section")
-    osc = build_oscillator(config)
-    probe, n = _probe(config, cav)
-    return mechanics.mode_from_oscillator(osc, probe, n)
+    osc = osc or build_oscillator(cfg)
+    return mechanics.mode_from_oscillator(osc, _probe(cav),
+                                          cfg["oscillator"]["mode_index"])
 
 
-def build_grid(config: dict) -> np.ndarray:
-    grid = _section(config, "grid")
-    f_min = _number(grid, "f_min_hz", "grid")
-    f_max = _number(grid, "f_max_hz", "grid")
-    points = _integer(grid, "points", "grid", 2, MAX_POINTS)
-    spacing = grid.get("spacing", "linear")
-    if not (0 < f_min < f_max):
+def build_grid(cfg: dict) -> np.ndarray:
+    grid = cfg["grid"]
+    if not (0 < grid["f_min_hz"] < grid["f_max_hz"]):
         raise ConfigError("require 0 < grid.f_min_hz < grid.f_max_hz")
-    if spacing != "linear":
-        raise ConfigError(f"`grid.spacing` must be \"linear\", "
-                          f"got {spacing!r:.40}")
-    return np.linspace(f_min, f_max, points)
+    return np.linspace(grid["f_min_hz"], grid["f_max_hz"], grid["points"])
 
 
-def coupling_rate_external(config: dict, cav: Microcavity) -> float:
-    """Coupling rate in rad/s/m, from the config override or the model."""
-    if "coupling_rate_hz_per_nm" in config:
-        return _number(config, "coupling_rate_hz_per_nm", "$") * HZ_PER_NM
-    if "oscillator" in config and "geometry" in config:
-        osc = build_oscillator(config)
-        geom = build_geometry(config)
-        return coupling.coupling_rate(cav, osc, geom)
-    raise ConfigError("need `coupling_rate_hz_per_nm` or oscillator+geometry")
+def _driven(cfg: dict) -> tuple[Microcavity, MechanicalMode, DriveCondition,
+                                float]:
+    """Cavity, mode, drive and g (rad/s/m) of the sensitivity, backaction
+    and qba analyses. g is `coupling_rate_hz_per_nm`, else the model's for
+    oscillator+geometry, whose oscillator a derived mode then reuses."""
+    cav = build_cavity(cfg)
+    if "coupling_rate_hz_per_nm" in cfg:
+        mode, drive = build_mode(cfg, cav), build_drive(cfg)
+        return cav, mode, drive, cfg["coupling_rate_hz_per_nm"] * HZ_PER_NM
+    if not {"oscillator", "geometry"} <= cfg.keys():
+        raise ConfigError(
+            "need `coupling_rate_hz_per_nm` or oscillator+geometry")
+    osc = build_oscillator(cfg)
+    mode, drive = build_mode(cfg, cav, osc), build_drive(cfg)
+    return cav, mode, drive, coupling.coupling_rate(cav, osc,
+                                                    build_geometry(cfg))
 
 
 def _q(value: float, unit: str) -> dict:
@@ -233,33 +254,25 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
     result.json. CSV artifacts land in out_dir when given."""
     if not isinstance(config, dict):
         raise ConfigError("config must be a JSON object")
-    analysis = _require(config, "analysis", "$")
-    if not isinstance(analysis, str) or analysis not in _HANDLERS:
-        raise ConfigError(f"unknown analysis {analysis!r:.40}")
-    _integer(config, "schema_version", "$", 1, 1)
-    name = config.get("name", "")
-    if not isinstance(name, str):
-        raise ConfigError(f"`$.name` must be a string, "
-                          f"got {type(name).__name__}")
-    # dataclass validators and library input checks raise ValueError;
-    # wrong-typed config values raise TypeError, e.g. from comparisons
+    analysis = _check(config.get("analysis"), frozenset(_HANDLERS),
+                      "$.analysis")
+    handler, needs = _HANDLERS[analysis]
+    schema = {**SCHEMA, **{key: (SCHEMA[key][0], REQUIRED) for key in needs}}
+    cfg = _check(config, schema, "$")
+    # dataclass validators and library input checks raise ValueError
     try:
-        results, tables = _HANDLERS[analysis](config)
-    except (TypeError, ValueError) as exc:
+        results, tables = handler(cfg)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if out_dir is not None:
         _write_tables(out_dir, tables)
-    return {
-        "schema_version": 1,
-        "scenario": name,
-        "analysis": analysis,
-        "results": results,
-        "artifacts": list(tables) if out_dir is not None else [],
-    }
+    return {"schema_version": 1, "scenario": cfg["name"],
+            "analysis": analysis, "results": results,
+            "artifacts": list(tables) if out_dir is not None else []}
 
 
-def _run_coupling(config: dict) -> tuple[dict, Tables]:
-    cav = build_cavity(config)
+def _run_coupling(cfg: dict) -> tuple[dict, Tables]:
+    cav = build_cavity(cfg)
     alpha = devices.decay_constant(cav)
     l_x, l_y = devices.sampling_lengths(cav)
     results = {
@@ -271,11 +284,10 @@ def _run_coupling(config: dict) -> tuple[dict, Tables]:
         "sampling_length_ly_m": _q(l_y, "m"),
         "hv_ratio": _q(coupling.coupling_ratio_hv(cav), "1"),
     }
-    if "oscillator" in config:
-        osc = build_oscillator(config)
-        probe, n = _probe(config, cav)
-        if "geometry" in config:
-            geom = build_geometry(config)
+    if "oscillator" in cfg:
+        osc = build_oscillator(cfg)
+        if "geometry" in cfg:
+            geom = build_geometry(cfg)
             dw = coupling.frequency_shift(cav, osc, geom)
             g = coupling.coupling_rate(cav, osc, geom)
             results["frequency_shift_hz"] = _q(dw / TWO_PI, "Hz")
@@ -283,19 +295,18 @@ def _run_coupling(config: dict) -> tuple[dict, Tables]:
         if osc.kind == "string":
             f1 = devices.string_mode_frequency(osc, 1)
             results["string_f1_hz"] = _q(f1, "Hz")
-            m_eff = mechanics.effective_mass(osc, probe, n)
+            m_eff = mechanics.effective_mass(
+                osc, _probe(cav), cfg["oscillator"]["mode_index"])
             results["effective_mass_kg"] = _q(m_eff, "kg")
             results["physical_mass_kg"] = _q(osc.physical_mass, "kg")
-            if "measured_f1_hz" in config:
-                stress = devices.infer_stress(
-                    osc, _number(config, "measured_f1_hz", "$"))
+            if "measured_f1_hz" in cfg:
+                stress = devices.infer_stress(osc, cfg["measured_f1_hz"])
                 results["inferred_stress_pa"] = _q(stress, "Pa")
-    if "standing_wave" in config:
-        sw = _section(config, "standing_wave")
-        mean_shift = TWO_PI * _number(sw, "mean_shift_hz", "standing_wave")
-        y = _number(sw, "lateral_position_m", "standing_wave", default=0.0)
-        branch = _integer(sw, "branch", "standing_wave", -1, 1, default=1)
-        prof = coupling.standing_wave_shift(cav, y, mean_shift, branch)
+    if "standing_wave" in cfg:
+        sw = cfg["standing_wave"]
+        prof = coupling.standing_wave_shift(
+            cav, sw["lateral_position_m"], TWO_PI * sw["mean_shift_hz"],
+            sw["branch"])
         results["standing_wave_period_m"] = _q(
             coupling.standing_wave_period(cav), "m")
         results["standing_wave_shift_hz"] = _q(prof.shift / TWO_PI, "Hz")
@@ -306,11 +317,10 @@ def _run_coupling(config: dict) -> tuple[dict, Tables]:
     return results, {}
 
 
-def _run_spectrum(config: dict) -> tuple[dict, Tables]:
-    cav = build_cavity(config)
-    mode = build_mode(config, cav)
-    drive = build_drive(config)
-    grid = build_grid(config)
+def _run_spectrum(cfg: dict) -> tuple[dict, Tables]:
+    mode = build_mode(cfg, build_cavity(cfg))
+    drive = build_drive(cfg)
+    grid = build_grid(cfg)
     spectrum = mechanics.thermal_spectrum(mode, drive.temperature, grid)
     x_zp, s_sql = mechanics.zero_point(mode)
     amp_ratio, snr_db = mechanics.snr_requirement(mode, drive.temperature)
@@ -339,13 +349,10 @@ def _homodyne_shot_floor(cav: Microcavity, mode: MechanicalMode, g: float,
                                     sidedness="double")
 
 
-def _run_sensitivity(config: dict) -> tuple[dict, Tables]:
-    cav = build_cavity(config)
-    mode = build_mode(config, cav)
-    drive = build_drive(config)
-    g = coupling_rate_external(config, cav)
-    grid = build_grid(config)
-    floor = _number(config, "detector_floor_m_per_sqrt_hz", "$", default=0.0)
+def _run_sensitivity(cfg: dict) -> tuple[dict, Tables]:
+    cav, mode, drive, g = _driven(cfg)
+    grid = build_grid(cfg)
+    floor = cfg["detector_floor_m_per_sqrt_hz"]
     shot_double = _homodyne_shot_floor(cav, mode, g, drive)
     shot_pdh = shot_double * sensing.PDH_PENALTY
     budget = sensing.noise_budget(cav, mode, g, drive, grid, floor)
@@ -363,18 +370,12 @@ def _run_sensitivity(config: dict) -> tuple[dict, Tables]:
                      "total.csv": _spectrum_table(budget.total)}
 
 
-def _response_rates(config: dict) -> tuple[float, float]:
-    """(g_pump, g_probe) in rad/s/m from the `response` section."""
-    rsec = _section(config, "response")
-    return (_number(rsec, "g_pump_hz_per_nm", "response") * HZ_PER_NM,
-            _number(rsec, "g_probe_hz_per_nm", "response") * HZ_PER_NM)
-
-
-def _run_response(config: dict) -> tuple[dict, Tables]:
-    cav = build_cavity(config)
-    mode = build_mode(config, cav)
-    g_pump, g_probe = _response_rates(config)
-    grid = build_grid(config)
+def _run_response(cfg: dict) -> tuple[dict, Tables]:
+    cav = build_cavity(cfg)
+    mode = build_mode(cfg, cav)
+    g_pump = cfg["response"]["g_pump_hz_per_nm"] * HZ_PER_NM
+    g_probe = cfg["response"]["g_probe_hz_per_nm"] * HZ_PER_NM
+    grid = build_grid(cfg)
     a1 = sensing.response_coefficient(cav, mode, g_pump, g_probe)
     h = sensing.response_model(TWO_PI * grid, a1, mode.omega_m, mode.gamma_m)
     g_eff = math.sqrt(g_pump * g_probe)
@@ -386,11 +387,8 @@ def _run_response(config: dict) -> tuple[dict, Tables]:
     return results, {"response.csv": (["freq_hz", "h_mag"], (grid, h), [])}
 
 
-def _run_backaction(config: dict) -> tuple[dict, Tables]:
-    cav = build_cavity(config)
-    mode = build_mode(config, cav)
-    drive = build_drive(config)
-    g = coupling_rate_external(config, cav)
+def _run_backaction(cfg: dict) -> tuple[dict, Tables]:
+    cav, mode, drive, g = _driven(cfg)
     res = ba.backaction_rate(cav, mode, g, drive)
     p_thres = ba.threshold_power(cav, mode, g)
     state = ba.oscillation_amplitude(cav, mode, g, drive)
@@ -408,13 +406,11 @@ def _run_backaction(config: dict) -> tuple[dict, Tables]:
         "amplitude_m": _q(state.amplitude, "m"),
         "modulation_depth": _q(state.modulation_depth, "1"),
     }
-    if "backaction_g_grid" in config:
-        gsec = _section(config, "backaction_g_grid")
-        path = "backaction_g_grid"
-        g_grid = np.linspace(
-            _number(gsec, "g_min_hz_per_nm", path) * HZ_PER_NM,
-            _number(gsec, "g_max_hz_per_nm", path) * HZ_PER_NM,
-            _integer(gsec, "points", path, 2, MAX_POINTS, default=25))
+    if "backaction_g_grid" in cfg:
+        gsec = cfg["backaction_g_grid"]
+        g_grid = np.linspace(gsec["g_min_hz_per_nm"] * HZ_PER_NM,
+                             gsec["g_max_hz_per_nm"] * HZ_PER_NM,
+                             gsec["points"])
     else:
         g_grid = np.linspace(g / 10.0, g, 20)
     gamma_hz = ba.linewidth_vs_coupling(cav, mode, drive, g_grid)
@@ -423,11 +419,8 @@ def _run_backaction(config: dict) -> tuple[dict, Tables]:
         ((g_grid / HZ_PER_NM) ** 2, gamma_hz), [])}
 
 
-def _run_qba(config: dict) -> tuple[dict, Tables]:
-    cav = build_cavity(config)
-    mode = build_mode(config, cav)
-    drive = build_drive(config)
-    g = coupling_rate_external(config, cav)
+def _run_qba(cfg: dict) -> tuple[dict, Tables]:
+    cav, mode, drive, g = _driven(cfg)
     s_th = qba.thermal_force_psd(mode, drive.temperature)
     s_qba = qba.qba_force_psd(cav, g, drive, mode.omega_m)
     ratio = qba.qba_thermal_ratio(cav, mode, g, drive)
@@ -442,23 +435,18 @@ def _run_qba(config: dict) -> tuple[dict, Tables]:
     return results, {}
 
 
-def _synth_shift_curve(config: dict) -> coupling.ShiftCurve:
-    cav = build_cavity(config)
-    osc = build_oscillator(config)
-    geom = build_geometry(config)
-    alpha = devices.decay_constant(cav)
-    points = []
-    for x0 in np.linspace(0.0, 2.5 / alpha, 30):
-        g = dataclasses.replace(geom, x0=x0)
-        points.append((float(x0), coupling.frequency_shift(cav, osc, g)))
-    return coupling.ShiftCurve(points)
-
-
-def _run_fit_shift(config: dict) -> tuple[dict, Tables]:
-    if "data_csv" in config:
-        curve = coupling.ShiftCurve.from_csv(_data_csv(config))
+def _run_fit_shift(cfg: dict) -> tuple[dict, Tables]:
+    if "data_csv" in cfg:
+        curve = coupling.ShiftCurve.from_csv(cfg["data_csv"])
+    elif {"cavity", "oscillator", "geometry"} <= cfg.keys():
+        # the model's shift curve over 2.5 field decay lengths
+        cav, osc = build_cavity(cfg), build_oscillator(cfg)
+        geom = build_geometry(cfg)
+        x0s = np.linspace(0.0, 2.5 / devices.decay_constant(cav), 30)
+        curve = coupling.ShiftCurve([(float(x0), coupling.frequency_shift(
+            cav, osc, dataclasses.replace(geom, x0=x0))) for x0 in x0s])
     else:
-        curve = _synth_shift_curve(config)
+        raise ConfigError("need `data_csv` or cavity+oscillator+geometry")
     fit = coupling.fit_exponential(curve)
     results = {
         "amplitude_hz": _q(fit.amplitude / TWO_PI, "Hz"),
@@ -468,14 +456,14 @@ def _run_fit_shift(config: dict) -> tuple[dict, Tables]:
     return results, {}
 
 
-def _run_fit_response(config: dict) -> tuple[dict, Tables]:
+def _run_fit_response(cfg: dict) -> tuple[dict, Tables]:
     """Fit the measured response curve in `data_csv`. Without a `cavity`
     section g_eff is undefined and left out of the results."""
     cav = mode = None
-    if "cavity" in config:
-        cav = build_cavity(config)
-        mode = build_mode(config, cav)
-    curve = sensing.ResponseCurve.from_csv(_data_csv(config))
+    if "cavity" in cfg:
+        cav = build_cavity(cfg)
+        mode = build_mode(cfg, cav)
+    curve = sensing.ResponseCurve.from_csv(cfg["data_csv"])
     fit = sensing.fit_response(curve, cav, mode)
     results = {
         "a1": _q(fit.a1, "rad^2/s^2"),
@@ -488,13 +476,14 @@ def _run_fit_response(config: dict) -> tuple[dict, Tables]:
     return results, {}
 
 
+# analysis -> (handler, top-level keys it cannot run without)
 _HANDLERS = {
-    "coupling": _run_coupling,
-    "spectrum": _run_spectrum,
-    "sensitivity": _run_sensitivity,
-    "response": _run_response,
-    "backaction": _run_backaction,
-    "qba": _run_qba,
-    "fit-shift": _run_fit_shift,
-    "fit-response": _run_fit_response,
+    "coupling": (_run_coupling, ("cavity",)),
+    "spectrum": (_run_spectrum, ("cavity", "drive", "grid")),
+    "sensitivity": (_run_sensitivity, ("cavity", "drive", "grid")),
+    "response": (_run_response, ("cavity", "response", "grid")),
+    "backaction": (_run_backaction, ("cavity", "drive")),
+    "qba": (_run_qba, ("cavity", "drive")),
+    "fit-shift": (_run_fit_shift, ()),
+    "fit-response": (_run_fit_response, ("data_csv",)),
 }

@@ -71,6 +71,8 @@ class ResponseCurve:
         object.__setattr__(self, "magnitudes", h)
         if f.ndim != 1 or h.shape != f.shape:
             raise ValueError("frequency and magnitude arrays must match")
+        if np.any(f <= 0):
+            raise ValueError("response frequencies must be > 0")
         if np.any(h <= 0):
             raise ValueError("response magnitudes must be > 0")
 

@@ -613,3 +613,79 @@ def test_geometry_coupling_rate_matches_explicit_rate(name):
             assert got[key] == quantity
         else:
             approx_rel(got[key]["value"], quantity["value"], 1e-12)
+
+
+def _derived_mode_and_rate(name: str) -> dict:
+    """Scenario `name` with its mode and g derived from the 25-um string."""
+    config = scenarios.get_scenario(name)
+    del config["mode"], config["coupling_rate_hz_per_nm"]
+    config["oscillator"] = scenarios.get_scenario(
+        "paper_si_horizontal_g")["oscillator"]
+    config["geometry"] = {"separation_m": 300e-9,
+                          "orientation": "horizontal"}
+    return config
+
+
+@pytest.mark.parametrize("name", ["paper_fig3_sensitivity",
+                                  "paper_fig4_backaction",
+                                  "paper_eq26_unity_ratio"])
+def test_oscillator_built_once(name, monkeypatch):
+    calls = []
+    build = runner.build_oscillator
+    monkeypatch.setattr(runner, "build_oscillator",
+                        lambda cfg: calls.append(1) or build(cfg))
+    run_scenario(_derived_mode_and_rate(name))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name, section, key, value, path", [
+    ("paper_fig2c_thermal", "drive", "temprature_k", 4,
+     "$.drive.temprature_k"),
+    ("paper_fig2c_thermal", "drive", "temperature_k", True,
+     "$.drive.temperature_k"),
+    ("paper_fig2c_thermal", "drive", "temperature_k", "4",
+     "$.drive.temperature_k"),
+    ("paper_fig2c_thermal", "drive", "temperature_k", "1_0.6e6",
+     "$.drive.temperature_k"),
+    ("paper_eq26_unity_ratio", None, "coupling_rate_hz_per_nm", True,
+     "$.coupling_rate_hz_per_nm"),
+    ("paper_fig2c_thermal", None, "extra", {}, "$.extra"),
+    # a section that the qba analysis never reads is still checked whole
+    ("paper_eq26_unity_ratio", None, "grid", {"f_min_hz": 1.0},
+     "$.grid.f_max_hz"),
+    ("paper_decay_length", None, "description", 5, "$.description"),
+    ("paper_decay_length", "cavity", "bad\nkey", 1, "$.cavity['bad\\nkey']"),
+])
+def test_config_error_names_its_path(name, section, key, value, path,
+                                     tmp_path, capsys):
+    config = _write_config(tmp_path, name, section, key, value)
+    assert run_cli(["run", str(config)]) == 2
+    assert f"`{path}`" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("rows", [
+    ["1.3879155081318496e-227,-5e-324", "-5e-324,-5e-324"],
+    ["1e308,-1e9", "1.0000001e308,-2e9", "1.0000002e308,-3e9"],
+], ids=["x0 norm underflows", "rank-deficient seed"])
+def test_fit_shift_seed_failure_exits_3(rows, tmp_path):
+    # in a subprocess, where LAPACK messages on fd 2 and warnings would
+    # reach stderr
+    path = tmp_path / "shift.csv"
+    path.write_text("\n".join(["x0_m,dfreq_hz"] + rows) + "\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+    proc = subprocess.run([sys.executable, "-m", "optomech.cli", "fit-shift",
+                           str(path)], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: IllConditioned")
+
+
+def test_non_positive_response_frequency_exits_2(tmp_path, capsys):
+    header, *rows = _valid_csv_text("fit-response").splitlines()
+    path = tmp_path / "response.csv"
+    path.write_text("\n".join([header, "0.0,1.0"] + rows) + "\n")
+    assert run_cli(["fit-response", str(path)]) == 2
+    assert "frequencies must be > 0" in _one_line_error(capsys)

@@ -1,7 +1,8 @@
-"""Property test of the CLI boundary: a bundled scenario with one key
+"""Property tests of the CLI boundary: a bundled scenario with one key
 dropped or one value replaced by a wrong type, a non-finite, negative,
 vanishing or huge number, or a string still gets exit 0/1/2/3, a one-line
-error on stderr, and strict JSON on stdout."""
+error on stderr, and strict JSON on stdout. An unknown key, and a bool or
+a numeric string where a number belongs, exit 2 naming their path."""
 
 import contextlib
 import io
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from optomech import scenarios
 from optomech.cli import main
+from optomech.runner import SCHEMA
 
 
 def _key_paths(config: dict, prefix=()):
@@ -55,15 +57,81 @@ def test_mutated_scenarios_keep_the_cli_contract(data):
         del section[key]
     else:
         section[key] = data.draw(BAD_VALUES)
+    code, out, err = _run(config)
+    assert code in (0, 1, 2, 3)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+def _run(config: dict) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of `optomech run` on `config`."""
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["run", str(path)])
-    assert code in (0, 1, 2, 3)
-    if code == 0:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
-    else:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
+    return code, out.getvalue(), err.getvalue()
+
+
+def _json_path(keys) -> str:
+    return "$" + "".join(f".{key}" if key.isidentifier() else f"[{key!r}]"
+                         for key in keys)
+
+
+def _assert_exit_2_naming(config: dict, keys):
+    code, out, err = _run(config)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"`{_json_path(keys)}`" in lines[0]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_unknown_key_exits_2_naming_its_path(data):
+    config = scenarios.get_scenario(
+        data.draw(st.sampled_from(sorted(scenarios.SCENARIOS))))
+    sections = [()] + [(key,) for key, value in config.items()
+                       if isinstance(value, dict)]
+    parents = data.draw(st.sampled_from(sections))
+    section, table = config, SCHEMA
+    for parent in parents:
+        section, table = section[parent], table[parent][0]
+    key = data.draw(st.text(max_size=12).filter(lambda k: k not in table),
+                    label="key")
+    section[key] = data.draw(st.one_of(st.none(), st.integers(),
+                                       st.text(max_size=4),
+                                       st.dictionaries(st.text(max_size=3),
+                                                       st.integers(),
+                                                       max_size=2)))
+    _assert_exit_2_naming(config, parents + (key,))
+
+
+NOT_NUMBERS = st.one_of(
+    st.booleans(),
+    st.sampled_from(["4", "1_0", "1_0.6e6", " 5 ", "nan", "-inf", "0x10"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers().map(str),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_bool_or_numeric_string_number_exits_2_naming_its_path(data):
+    config = scenarios.get_scenario(
+        data.draw(st.sampled_from(sorted(scenarios.SCENARIOS))))
+    numbers = []
+    for keys in _key_paths(config):
+        section = config
+        for parent in keys[:-1]:
+            section = section[parent]
+        value = section[keys[-1]]
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            numbers.append((section, keys))
+    section, keys = data.draw(st.sampled_from(numbers))
+    section[keys[-1]] = data.draw(NOT_NUMBERS)
+    _assert_exit_2_naming(config, keys)

@@ -171,6 +171,15 @@ def test_unconverged_exponential_fit_raises(monkeypatch, rng):
         fit_exponential(ShiftCurve(noisy))
 
 
+def test_seed_solver_failure_is_ill_conditioned(monkeypatch):
+    def failing_polyfit(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+    monkeypatch.setattr(coupling.np, "polyfit", failing_polyfit)
+    curve = ShiftCurve(((0.0, -2.0), (1e-7, -1.0)))
+    with pytest.raises(IllConditioned, match="SVD did not converge"):
+        fit_exponential(curve)
+
+
 def test_shift_curve_validation():
     with pytest.raises(ValueError):
         ShiftCurve(((0.0, -1.0), (0.0, -2.0)))

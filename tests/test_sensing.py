@@ -170,6 +170,14 @@ def test_fit_response_requires_bracketed_resonance():
         fit_response(ResponseCurve(f[:5], h[:5]))
 
 
+@pytest.mark.parametrize("first", [0.0, -2.2e-16, -1e6])
+def test_response_curve_requires_positive_frequencies(first):
+    f = np.array([first, 1e6, 2e6])
+    with pytest.raises(ValueError, match="frequencies must be > 0"):
+        ResponseCurve(f, np.ones(3))
+    ResponseCurve(np.array([5e-324, 1e6, 2e6]), np.ones(3))
+
+
 def test_unconverged_response_fit_raises(monkeypatch):
     least_squares = sensing.least_squares
     monkeypatch.setattr(sensing, "least_squares", lambda *args, **kw:

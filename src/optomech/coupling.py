@@ -35,9 +35,9 @@ from .units import TWO_PI
 def least_squares(*args, **kwargs):
     """scipy.optimize.least_squares, imported on the first call.
 
-    scipy.optimize takes most of a cold `import optomech` and only the two
-    fits use it, so the import is deferred to here. `fit_exponential` and
-    `sensing.fit_response` call this through their modules' global
+    scipy.optimize takes most of a cold `import optomech` and only
+    `fit_exponential` uses it, so the import is deferred to here.
+    `fit_exponential` calls this through the module's global
     `least_squares`, which tests and tracers may replace.
     """
     from scipy.optimize import least_squares
@@ -117,6 +117,8 @@ class ShiftCurve:
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be (x0, dw0) pairs")
         object.__setattr__(self, "points", pts)
+        if not np.isfinite(pts).all():
+            raise ValueError("shift points must be finite")
         x0s = np.sort(pts[:, 0])
         if np.any(x0s[1:] == x0s[:-1]):
             raise ValueError("x0 values must be distinct")
@@ -127,7 +129,13 @@ class ShiftCurve:
     def from_csv(cls, path: str | Path) -> "ShiftCurve":
         """Read columns `x0_m, dfreq_hz` (dw0/2pi in Hz); header required."""
         x0, dfreq = read_columns(path, ("x0_m", "dfreq_hz"))
-        return cls(np.column_stack((x0, TWO_PI * dfreq)))
+        with np.errstate(over="ignore"):
+            dw0 = TWO_PI * dfreq
+        bad = np.flatnonzero(np.isinf(dw0))
+        if bad.size:
+            raise OverflowError(f"data row {bad[0] + 1}: dfreq_hz "
+                                f"{float(dfreq[bad[0]])!r} overflows in rad/s")
+        return cls(np.column_stack((x0, dw0)))
 
 
 @dataclass(frozen=True)
@@ -228,11 +236,18 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
         raise IllConditioned(f"log-domain seed failed: {exc}") from exc
     if slope >= 0:
         raise IllConditioned("shift magnitudes grow with distance")
-    a0, l0 = math.exp(intercept), -1.0 / slope
+    try:
+        a0, l0 = math.exp(intercept), -1.0 / slope
+    except OverflowError:
+        a0 = l0 = math.inf
+    if not (math.isfinite(a0) and math.isfinite(l0)):
+        raise IllConditioned("log-domain seed is not finite")
 
     def residual(p):
         return p[0] * np.exp(-x / p[1]) - y
 
+    if not np.isfinite(residual((a0, l0))).all():
+        raise IllConditioned("residuals not finite at the log-domain seed")
     sol = least_squares(residual, x0=[a0, l0], method="lm",
                         xtol=1e-12, ftol=1e-12)
     if sol.status <= 0:

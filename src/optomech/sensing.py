@@ -26,7 +26,7 @@ from typing import Literal
 
 import numpy as np
 
-from .coupling import least_squares, read_columns
+from .coupling import read_columns
 from .devices import Microcavity
 from .errors import (IllConditioned, NoResonanceInWindow, ZeroPower,
                      require_finite)
@@ -80,8 +80,12 @@ class ResponseCurve:
     def from_csv(cls, path: str | Path) -> "ResponseCurve":
         """Read columns `freq_hz, h_mag`; header required."""
         f, h = read_columns(path, ("freq_hz", "h_mag"))
-        order = np.lexsort((h, f))
-        return cls(f[order], h[order])
+        if not np.all(f[1:] > f[:-1]):
+            # sorted by frequency, ties by magnitude; a strictly increasing
+            # column is already in that order
+            order = np.lexsort((h, f))
+            f, h = f[order], h[order]
+        return cls(f, h)
 
 
 @dataclass(frozen=True)
@@ -144,21 +148,36 @@ def response_model(omega, a1: float, omega_m: float, gamma_m: float):
 
 
 def response_jacobian(omega, a1: float, omega_m: float, gamma_m: float
-                      ) -> np.ndarray:
-    """Derivatives of `response_model` with respect to (a1, Om, Gm), one
-    row per frequency.
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """`response_model` and its derivatives with respect to (a1, Om, Gm),
+    one row per frequency, from one complex reciprocal.
 
-    With q = 1/D, D = Om^2 - O^2 - i*O*Gm and z = 1 + a1*q, each is
-    Re(conj(z) * dz/dp) / |z|, where dz/da1 = q, dz/dOm = -2*a1*Om*q^2 and
-    dz/dGm = i*a1*O*q^2.
+    With q = 1/D, D = Om^2 - O^2 - i*O*Gm and z = 1 + a1*q, H = |z| and
+    each derivative is Re(conj(z) * dz/dp) / |z|, where dz/da1 = q,
+    dz/dOm = -2*a1*Om*q^2 and dz/dGm = i*a1*O*q^2. The fits call this once
+    per step on the whole curve, so it works in place: each temporary
+    array costs about as much as the arithmetic on it.
     """
     omega = np.asarray(omega, dtype=float)
-    q = 1.0 / (omega_m ** 2 - omega ** 2 - 1j * omega * gamma_m)
-    z = 1.0 + a1 * q
-    cq = np.conj(z) / np.abs(z) * q
-    cq2 = cq * q
-    return np.array([cq.real, -2.0 * a1 * omega_m * cq2.real,
-                     -a1 * omega * cq2.imag]).T
+    q = np.empty(omega.shape, dtype=complex)
+    np.subtract(omega_m ** 2, omega ** 2, out=q.real)
+    np.multiply(omega, -gamma_m, out=q.imag)
+    np.divide(1.0, q, out=q)
+    z = a1 * q
+    z += 1.0
+    h = np.abs(z)
+    w = np.conjugate(z, out=z)
+    w *= q                       # conj(z) * q
+    scale = 1.0 / h
+    jac = np.empty((3,) + omega.shape)
+    np.multiply(w.real, scale, out=jac[0])
+    w *= q                       # conj(z) * q^2
+    scale *= -a1
+    np.multiply(w.imag, scale, out=jac[2])
+    jac[2] *= omega
+    scale *= 2.0 * omega_m
+    np.multiply(w.real, scale, out=jac[1])
+    return h, jac.T
 
 
 def response_magnitude(cav: Microcavity, mode: MechanicalMode, g_pump: float,
@@ -168,16 +187,192 @@ def response_magnitude(cav: Microcavity, mode: MechanicalMode, g_pump: float,
     return response_model(omega, a1, mode.omega_m, mode.gamma_m)
 
 
+_LM_MESSAGES = {
+    0: "the maximum number of function evaluations is exceeded",
+    1: "`gtol` termination condition is satisfied",
+    2: "`ftol` termination condition is satisfied",
+    3: "`xtol` termination condition is satisfied",
+    4: "both `ftol` and `xtol` termination conditions are satisfied",
+}
+
+
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Where `least_squares` stopped: the parameters, the residuals there,
+    the number of residual+Jacobian evaluations, and why (status <= 0: it
+    did not converge)."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+    status: int
+
+    @property
+    def message(self) -> str:
+        return _LM_MESSAGES[self.status]
+
+
+_TINY = np.finfo(float).tiny
+_XTOL = _FTOL = 1e-14
+_GTOL = 1e-8
+
+
+def _gram(jt: np.ndarray) -> np.ndarray:
+    """J^T J from the rows of jt = J^T. A dot product per pair of columns
+    is about 3x faster than a matmul for a 3-column J with 2 000-20 000
+    rows."""
+    k = len(jt)
+    a = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            a[i, j] = a[j, i] = jt[i] @ jt[j]
+    return a
+
+
+def _lm_parameter(a: np.ndarray, g: np.ndarray, diag: np.ndarray,
+                  delta: float, par: float) -> tuple[float, np.ndarray]:
+    """Moré's `lmpar` on the normal equations: the damping par >= 0 and
+    the step p solving (a + par*diag^2) p = -g, with ||diag*p|| within 10%
+    of delta, or inside it at par = 0. a = J^T J and g = J^T r."""
+    p = np.linalg.solve(a, -g)
+    dxnorm = np.linalg.norm(diag * p)
+    fp = dxnorm - delta
+    if fp <= 0.1 * delta:
+        return 0.0, p
+    # the Gauss-Newton step bounds par from below, the gradient from above
+    v = diag * diag * p / dxnorm
+    parl = fp / delta / (v @ np.linalg.solve(a, v))
+    gnorm = np.linalg.norm(g / diag)
+    paru = gnorm / delta
+    if paru == 0:
+        paru = _TINY / min(delta, 0.1)
+    par = min(max(par, parl), paru)
+    if par == 0:
+        par = gnorm / dxnorm
+    for it in range(10):
+        if par == 0:
+            par = max(_TINY, 0.001 * paru)
+        damped = a + np.diag(par * diag * diag)
+        p = np.linalg.solve(damped, -g)
+        dxnorm = np.linalg.norm(diag * p)
+        previous, fp = fp, dxnorm - delta
+        if (abs(fp) <= 0.1 * delta or it == 9
+                or (parl == 0 and fp <= previous < 0)):
+            break
+        # Newton correction to par from the slope of ||diag*p(par)||
+        v = diag * diag * p / dxnorm
+        correction = fp / delta / (v @ np.linalg.solve(damped, v))
+        if fp > 0:
+            parl = max(parl, par)
+        elif fp < 0:
+            paru = min(paru, par)
+        par = max(parl, par + correction)
+    return par, p
+
+
+def least_squares(fun_jac, x0, max_nfev: int | None = None
+                  ) -> LeastSquaresResult:
+    """Minimize ||r(x)|| by Levenberg-Marquardt with a trust region (Moré,
+    "The Levenberg-Marquardt algorithm: implementation and theory", LNM
+    630, 1978), as MINPACK's `lmder` does, on the normal equations.
+
+    `fun_jac(x)` returns the residuals r and their Jacobian (one row per
+    residual) from one evaluation. Parameters are measured in units of
+    the Jacobian's column norms, which only grow; a zero column counts as
+    1. The tests and statuses are those of `scipy.optimize.least_squares`
+    with `method="lm"`, xtol = ftol = 1e-14 and its default gtol, and
+    `max_nfev` defaults to 100 evaluations per parameter. A non-finite
+    residual or Jacobian at `x0`, or a singular J^T J, raises
+    IllConditioned.
+    """
+    x = np.array(x0, dtype=float)
+    if max_nfev is None:
+        max_nfev = 100 * x.size
+    with np.errstate(all="ignore"):
+        try:
+            return _levenberg_marquardt(fun_jac, x, max_nfev)
+        except np.linalg.LinAlgError as exc:
+            raise IllConditioned(f"singular normal equations: {exc}") \
+                from exc
+
+
+def _levenberg_marquardt(fun_jac, x, max_nfev):
+    """The iteration of `least_squares`, in the order of MINPACK's lmder."""
+    r, jac = fun_jac(x)
+    nfev, fnorm = 1, np.linalg.norm(r)
+    a, g = _gram(jac.T), jac.T @ r
+    if not (np.isfinite(fnorm) and np.isfinite(a).all()
+            and np.isfinite(g).all()):
+        raise IllConditioned("residuals or Jacobian not finite at the "
+                             "starting point")
+    colnorm = np.sqrt(np.diag(a))
+    diag = np.where(colnorm > 0, colnorm, 1.0)
+    xnorm = np.linalg.norm(diag * x)
+    delta = 100.0 * xnorm or 100.0      # the trust-region radius
+    par, first = 0.0, True
+    while True:
+        # the largest cosine between r and a column of J
+        live = colnorm > 0
+        if fnorm == 0 or not live.any() or np.max(
+                np.abs(g[live]) / colnorm[live]) / fnorm <= _GTOL:
+            return LeastSquaresResult(x, r, nfev, 1)
+        diag = np.maximum(diag, colnorm)
+        while True:
+            par, p = _lm_parameter(a, g, diag, delta, par)
+            pnorm = np.linalg.norm(diag * p)
+            if first:
+                delta = min(delta, pnorm)
+            r_new, jac_new = fun_jac(x + p)
+            nfev += 1
+            fnorm_new = np.linalg.norm(r_new)
+            actred = (1.0 - (fnorm_new / fnorm) ** 2
+                      if 0.1 * fnorm_new < fnorm else -1.0)
+            # the reduction the linear model predicts, and its slope
+            temp1 = (np.sqrt(max(p @ a @ p, 0.0)) / fnorm) ** 2
+            temp2 = par * (pnorm / fnorm) ** 2
+            prered = temp1 + 2.0 * temp2
+            dirder = -(temp1 + temp2)
+            ratio = actred / prered if prered != 0 else 0.0
+            if ratio <= 0.25:
+                temp = (0.5 if actred >= 0
+                        else 0.5 * dirder / (dirder + 0.5 * actred))
+                if 0.1 * fnorm_new >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par /= temp
+            elif par == 0 or ratio >= 0.75:
+                delta = pnorm / 0.5
+                par *= 0.5
+            accepted = ratio >= 1e-4
+            if accepted:
+                x, r, jac, fnorm = x + p, r_new, jac_new, fnorm_new
+                xnorm = np.linalg.norm(diag * x)
+                first = False
+            ftol_met = bool(abs(actred) <= _FTOL and prered <= _FTOL
+                            and ratio <= 2.0)
+            xtol_met = bool(delta <= _XTOL * xnorm)
+            if ftol_met or xtol_met:
+                return LeastSquaresResult(x, r, nfev,
+                                          1 + ftol_met + 2 * xtol_met)
+            if nfev >= max_nfev:
+                return LeastSquaresResult(x, r, nfev, 0)
+            if accepted:
+                break
+        a, g = _gram(jac.T), jac.T @ r
+        colnorm = np.sqrt(np.diag(a))
+
+
 def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
                  mode: MechanicalMode | None = None) -> ResponseFit:
     """Damped least-squares fit of the interference model to a response curve.
 
     Initial Omega_m comes from the grid argmax of |H - 1|, initial Gamma_m
-    from its half-width. Levenberg-Marquardt works on the parameters
-    divided by these initial values, with the analytic Jacobian of
-    `response_jacobian` scaled to match. g_eff is recovered by inverting
-    the a1 closed form when cavity and mode context are supplied (nan
-    otherwise).
+    from its half-width. The module's `least_squares`, a Levenberg-Marquardt
+    trust-region method (Moré, LNM 630, 1978), works on the parameters
+    divided by these initial values, taking the model and its analytic
+    Jacobian from one `response_jacobian` call per step. g_eff is
+    recovered by inverting the a1 closed form when cavity and mode context
+    are supplied (nan otherwise).
     """
     f = curve.frequencies_hz
     h = curve.magnitudes
@@ -200,15 +395,13 @@ def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
 
     scales = np.array([a1_0, omega_m0, gamma0])
 
-    def residual(p):
-        a1, om, gm = p * scales
-        return response_model(omega, a1, om, gm) - h
+    def residual_and_jacobian(p):
+        model, jac = response_jacobian(omega, *(p * scales))
+        model -= h
+        jac *= scales
+        return model, jac
 
-    def jacobian(p):
-        return response_jacobian(omega, *(p * scales)) * scales
-
-    sol = least_squares(residual, x0=np.ones(3), jac=jacobian, method="lm",
-                        xtol=1e-14, ftol=1e-14)
+    sol = least_squares(residual_and_jacobian, np.ones(3))
     if sol.status <= 0:
         raise IllConditioned(f"response fit did not converge: {sol.message}")
     a1, omega_m, gamma_m = sol.x * scales

@@ -491,6 +491,8 @@ from optomech import runner, scenarios
 for name in scenarios.SCENARIOS:
     if name != "paper_fig2a_shift_fit":
         runner.run_scenario(scenarios.get_scenario(name))
+runner.run_scenario({"schema_version": 1, "analysis": "fit-response",
+                     "data_csv": sys.argv[1]})
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print("numpy.ma" in sys.modules)
 runner.run_scenario(scenarios.get_scenario("paper_fig2a_shift_fit"))
@@ -498,29 +500,39 @@ print("scipy.optimize" in sys.modules)
 """
 
 
-def test_scipy_loads_only_for_a_fit():
+def test_scipy_loads_only_for_a_fit(tmp_path):
     # a fresh interpreter: this process has already imported scipy
+    csv_path = tmp_path / "response.csv"
+    csv_path.write_text(_valid_csv_text("fit-response"))
     src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE],
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
+                           str(csv_path)],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "False", "True"]
 
 
-def test_tracer_patch_points_reach_the_fits(monkeypatch):
+def test_tracer_patch_points_reach_the_fits(monkeypatch, tmp_path):
     # the benchmark's tracer replaces `least_squares` in both fit modules
     monkeypatch.syspath_prepend(
         str(Path(__file__).resolve().parents[1] / "perfbench"))
     import tracing
+    csv_path = tmp_path / "response.csv"
+    csv_path.write_text(_valid_csv_text("fit-response"))
     tracer = tracing.Tracer()
     tracer.install()
     try:
         run_scenario(scenarios.get_scenario("paper_fig2a_shift_fit"))
+        assert tracer.counters["fit.attempts"] == 1
+        run_scenario({"schema_version": 1, "analysis": "fit-response",
+                      "data_csv": str(csv_path)})
     finally:
         tracer.uninstall()
-    assert tracer.counters["fit.attempts"] == 1
+    assert tracer.counters["fit.attempts"] == 2
+    assert tracer.counters["fit.converged"] == 2
     assert tracer.counters["coupling.fit_exponential.nfev"] > 0
+    assert tracer.counters["sensing.fit_response.nfev"] > 0
 
 
 def test_bundled_results_match_benchmark_reference(monkeypatch, tmp_path):
@@ -681,6 +693,33 @@ def test_fit_shift_seed_failure_exits_3(rows, tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: IllConditioned")
+
+
+def _response_rows(frequencies, peak=2.0):
+    h = [1.0] * len(frequencies)
+    h[5], h[7] = peak, 0.5
+    return [f"{f!r},{v!r}" for f, v in zip(frequencies, h)]
+
+
+@pytest.mark.parametrize("command, rows", [
+    ("fit-response", _response_rows([1e6 + 1e3 * k for k in range(12)],
+                                    peak=1e308)),
+    ("fit-response", _response_rows([1e306 * (1 + 1e-3 * k)
+                                     for k in range(12)])),
+    ("fit-response", _response_rows([(k + 1) * 5e-324 for k in range(12)])),
+    ("fit-shift", ["-1,-1e300", "0,-1e-300"]),
+    ("fit-shift", ["1.9622275697030137e+122,-1e+308",
+                   "8.6328476033567825e-165,-8.029408701200428e+149"]),
+], ids=["h peak 1e308", "frequencies near 1e306", "frequencies near 5e-324",
+        "seed residual overflows", "dfreq_hz overflows in rad/s"])
+def test_numerical_fit_failure_exits_3(command, rows, tmp_path, capsys):
+    # non-finite values at the fit's starting point, not bad input
+    header = "freq_hz,h_mag" if command == "fit-response" \
+        else "x0_m,dfreq_hz"
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join([header] + rows) + "\n")
+    assert run_cli([command, str(path)]) == 3
+    _one_line_error(capsys)
 
 
 def test_non_positive_response_frequency_exits_2(tmp_path, capsys):

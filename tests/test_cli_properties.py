@@ -2,7 +2,9 @@
 dropped or one value replaced by a wrong type, a non-finite, negative,
 vanishing or huge number, or a string still gets exit 0/1/2/3, a one-line
 error on stderr, and strict JSON on stdout. An unknown key, and a bool or
-a numeric string where a number belongs, exit 2 naming their path."""
+a numeric string where a number belongs, exit 2 naming their path. A
+measured-data CSV of arbitrary finite numbers sent to `fit-shift` or
+`fit-response` keeps the same contract."""
 
 import contextlib
 import io
@@ -135,3 +137,42 @@ def test_bool_or_numeric_string_number_exits_2_naming_its_path(data):
     section, keys = data.draw(st.sampled_from(numbers))
     section[keys[-1]] = data.draw(NOT_NUMBERS)
     _assert_exit_2_naming(config, keys)
+
+
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e308, -1e308, 5e-324, -5e-324, 0.0, -0.0]),
+)
+POSITIVE = FINITE.map(abs).filter(lambda v: v > 0)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(st.data())
+def test_measured_csv_keeps_the_cli_contract(data):
+    command = data.draw(st.sampled_from(["fit-shift", "fit-response"]))
+    # positive responses and red shifts, 10 rows or more, get past the
+    # input checks to the fits
+    physical = data.draw(st.booleans(), label="physical")
+    if not physical:
+        row = st.tuples(FINITE, FINITE)
+    elif command == "fit-response":
+        row = st.tuples(POSITIVE, POSITIVE)
+    else:
+        row = st.tuples(FINITE, FINITE.map(lambda v: -abs(v)))
+    rows = data.draw(st.lists(row, min_size=10 if physical else 0,
+                              max_size=16))
+    header = "freq_hz,h_mag" if command == "fit-response" \
+        else "x0_m,dfreq_hz"
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(header + "\n" + "".join(f"{a!r},{b!r}\n"
+                                                 for a, b in rows))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+    assert code in (0, 2, 3)
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")

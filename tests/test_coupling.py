@@ -185,6 +185,9 @@ def test_shift_curve_validation():
         ShiftCurve(((0.0, -1.0), (0.0, -2.0)))
     with pytest.raises(ValueError):
         ShiftCurve(((0.0, 1.0),))
+    for bad in ((0.0, -math.inf), (math.nan, -1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            ShiftCurve(((1e-7, -1.0), bad))
 
 
 def test_shift_curve_points_are_pairs():

@@ -209,8 +209,10 @@ def test_response_jacobian_matches_central_difference(rng):
         if rng.random() < 0.5:
             params[0] = -params[0]   # repulsive force: the dip below
         omega = TWO_PI * f
-        jac = sensing.response_jacobian(omega, *params)
+        model, jac = sensing.response_jacobian(omega, *params)
         assert jac.shape == (f.size, 3)
+        assert np.allclose(model, response_model(omega, *params),
+                           rtol=1e-13, atol=0.0)
         # H varies on the scale of Gamma_m in Omega_m; Om^2 - O^2 cancels
         # to ~Q*eps, so a smaller step loses the difference to round-off
         steps = 1e-4 * np.array([abs(params[0]), params[2], params[2]])
@@ -223,20 +225,71 @@ def test_response_jacobian_matches_central_difference(rng):
                 <= 1e-6 * np.max(np.abs(jac[:, j]))
 
 
-def test_analytic_jacobian_fit_is_no_worse_than_finite_differences(
-        monkeypatch, rng):
-    curves = []
+def test_fit_matches_scipy_levenberg_marquardt(monkeypatch, rng):
+    # scipy's MINPACK `lmder`, the algorithm `least_squares` reimplements,
+    # run on the same scaled problem from the same start; x_scale="jac" is
+    # lmder's column-norm scaling, the default only from scipy 1.16
+    from scipy.optimize import least_squares as scipy_least_squares
+    calls = []
+    least_squares = sensing.least_squares
+
+    def recorded(fun_jac, x0, **kw):
+        sol = least_squares(fun_jac, x0, **kw)
+        calls.append((fun_jac, x0, sol))
+        return sol
+
+    monkeypatch.setattr(sensing, "least_squares", recorded)
     for _ in range(20):
         params, f = _random_resonance(rng)
         h = response_model(TWO_PI * f, *params) \
             * (1.0 + 0.01 * rng.standard_normal(f.size))
-        curves.append(ResponseCurve(f, h))
-    analytic = [fit_response(curve).residual_norm for curve in curves]
-    least_squares = sensing.least_squares
-    monkeypatch.setattr(sensing, "least_squares",
-                        lambda *args, jac, **kw: least_squares(*args, **kw))
-    for curve, residual in zip(curves, analytic):
-        assert residual <= fit_response(curve).residual_norm
+        fit_response(ResponseCurve(f, h))
+        fun_jac, x0, sol = calls.pop()
+        oracle = scipy_least_squares(
+            lambda p: fun_jac(p)[0], x0, jac=lambda p: fun_jac(p)[1],
+            method="lm", xtol=1e-14, ftol=1e-14, x_scale="jac")
+        assert oracle.status > 0 and sol.status > 0
+        assert np.all(np.abs(sol.x - oracle.x) <= 1e-7 * np.abs(oracle.x))
+        assert np.linalg.norm(sol.fun) \
+            <= np.linalg.norm(oracle.fun) * (1.0 + 1e-12)
+
+
+def test_least_squares_solves_a_linear_problem(rng):
+    a = rng.standard_normal((40, 3))
+    b = rng.standard_normal(40)
+    sol = sensing.least_squares(lambda x: (a @ x - b, a), np.zeros(3))
+    assert sol.status > 0 and sol.nfev <= 300 and sol.message
+    assert np.allclose(sol.x, np.linalg.lstsq(a, b, rcond=None)[0],
+                       rtol=1e-12, atol=1e-14)
+    assert np.array_equal(sol.fun, a @ sol.x - b)
+
+
+@pytest.mark.parametrize("residual, jac", [
+    ([np.inf, 1.0], [[1.0, 0.0], [0.0, 1.0]]),
+    ([1.0, 2.0], [[np.nan, 0.0], [0.0, 1.0]]),
+    ([1.0, 2.0], [[1.0, 1.0], [1.0, 1.0]]),     # singular J^T J
+], ids=["residual", "jacobian", "singular"])
+def test_least_squares_numerical_failure_is_ill_conditioned(residual, jac):
+    residual, jac = np.array(residual), np.array(jac)
+    with pytest.raises(IllConditioned):
+        sensing.least_squares(lambda x: (residual + jac @ x, jac),
+                              np.zeros(2))
+
+
+@pytest.mark.parametrize("f, h", [
+    ([3.0, 1.0, 2.0, 1.0, 3.0, 2.0], [0.5, 2.0, 1.0, 0.7, 0.4, 1.0]),
+    ([1.0, 2.0, 2.0, 3.0], [1.0, 0.9, 0.5, 1.0]),
+], ids=["unsorted", "tie"])
+def test_response_curve_csv_sorts_by_frequency_then_magnitude(f, h,
+                                                              tmp_path):
+    f, h = 1e6 * np.array(f), np.array(h)
+    path = tmp_path / "response.csv"
+    path.write_text("freq_hz,h_mag\n" + "".join(
+        f"{a!r},{b!r}\n" for a, b in zip(f.tolist(), h.tolist())))
+    curve = ResponseCurve.from_csv(path)
+    order = np.lexsort((h, f))
+    assert np.array_equal(curve.frequencies_hz, f[order])
+    assert np.array_equal(curve.magnitudes, h[order])
 
 
 def test_response_curve_csv_round_trip(tmp_path):

@@ -225,9 +225,14 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
         raise IllConditioned("zero-magnitude shifts cannot seed the log fit")
 
     # log-domain initialization: log y = log A - x / l. polyfit scales x by
-    # its norm; a norm that underflows to 0 makes LAPACK print to fd 2
-    if not np.sum(x * x) > 0:
+    # its norm; a norm that underflows to 0 makes LAPACK print to fd 2, one
+    # that overflows makes the slope 0
+    with np.errstate(over="ignore"):
+        norm2 = np.sum(x * x)
+    if not norm2 > 0:
         raise IllConditioned("x0 values too small to seed the log fit")
+    if not norm2 < math.inf:
+        raise IllConditioned("x0 values too large to seed the log fit")
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", np.exceptions.RankWarning)

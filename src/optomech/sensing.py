@@ -140,11 +140,21 @@ def g_eff_from_a1(cav: Microcavity, mode: MechanicalMode, a1: float) -> float:
     return math.sqrt(a1 / response_coefficient(cav, mode, 1.0, 1.0))
 
 
+def _denominator(omega, omega_m: float, gamma_m: float) -> np.ndarray:
+    """D = Om^2 - O^2 - i*O*Gm as a new complex array, built in place."""
+    omega = np.asarray(omega, dtype=float)
+    d = np.empty(omega.shape, dtype=complex)
+    np.subtract(omega_m ** 2, omega ** 2, out=d.real)
+    np.multiply(omega, -gamma_m, out=d.imag)
+    return d
+
+
 def response_model(omega, a1: float, omega_m: float, gamma_m: float):
     """H[O] = |1 + a1/(Om^2 - O^2 - i*O*Gm)|."""
-    omega = np.asarray(omega, dtype=float)
-    denom = omega_m ** 2 - omega ** 2 - 1j * omega * gamma_m
-    return np.abs(1.0 + a1 / denom)
+    z = _denominator(omega, omega_m, gamma_m)
+    np.divide(a1, z, out=z)
+    z += 1.0
+    return np.abs(z)
 
 
 def response_jacobian(omega, a1: float, omega_m: float, gamma_m: float
@@ -159,9 +169,7 @@ def response_jacobian(omega, a1: float, omega_m: float, gamma_m: float
     array costs about as much as the arithmetic on it.
     """
     omega = np.asarray(omega, dtype=float)
-    q = np.empty(omega.shape, dtype=complex)
-    np.subtract(omega_m ** 2, omega ** 2, out=q.real)
-    np.multiply(omega, -gamma_m, out=q.imag)
+    q = _denominator(omega, omega_m, gamma_m)
     np.divide(1.0, q, out=q)
     z = a1 * q
     z += 1.0
@@ -192,7 +200,6 @@ _LM_MESSAGES = {
     1: "`gtol` termination condition is satisfied",
     2: "`ftol` termination condition is satisfied",
     3: "`xtol` termination condition is satisfied",
-    4: "both `ftol` and `xtol` termination conditions are satisfied",
 }
 
 
@@ -212,7 +219,6 @@ class LeastSquaresResult:
         return _LM_MESSAGES[self.status]
 
 
-_TINY = np.finfo(float).tiny
 _XTOL = _FTOL = 1e-14
 _GTOL = 1e-8
 
@@ -229,137 +235,68 @@ def _gram(jt: np.ndarray) -> np.ndarray:
     return a
 
 
-def _lm_parameter(a: np.ndarray, g: np.ndarray, diag: np.ndarray,
-                  delta: float, par: float) -> tuple[float, np.ndarray]:
-    """Moré's `lmpar` on the normal equations: the damping par >= 0 and
-    the step p solving (a + par*diag^2) p = -g, with ||diag*p|| within 10%
-    of delta, or inside it at par = 0. a = J^T J and g = J^T r."""
-    p = np.linalg.solve(a, -g)
-    dxnorm = np.linalg.norm(diag * p)
-    fp = dxnorm - delta
-    if fp <= 0.1 * delta:
-        return 0.0, p
-    # the Gauss-Newton step bounds par from below, the gradient from above
-    v = diag * diag * p / dxnorm
-    parl = fp / delta / (v @ np.linalg.solve(a, v))
-    gnorm = np.linalg.norm(g / diag)
-    paru = gnorm / delta
-    if paru == 0:
-        paru = _TINY / min(delta, 0.1)
-    par = min(max(par, parl), paru)
-    if par == 0:
-        par = gnorm / dxnorm
-    for it in range(10):
-        if par == 0:
-            par = max(_TINY, 0.001 * paru)
-        damped = a + np.diag(par * diag * diag)
-        p = np.linalg.solve(damped, -g)
-        dxnorm = np.linalg.norm(diag * p)
-        previous, fp = fp, dxnorm - delta
-        if (abs(fp) <= 0.1 * delta or it == 9
-                or (parl == 0 and fp <= previous < 0)):
-            break
-        # Newton correction to par from the slope of ||diag*p(par)||
-        v = diag * diag * p / dxnorm
-        correction = fp / delta / (v @ np.linalg.solve(damped, v))
-        if fp > 0:
-            parl = max(parl, par)
-        elif fp < 0:
-            paru = min(paru, par)
-        par = max(parl, par + correction)
-    return par, p
-
-
 def least_squares(fun_jac, x0, max_nfev: int | None = None
                   ) -> LeastSquaresResult:
-    """Minimize ||r(x)|| by Levenberg-Marquardt with a trust region (Moré,
-    "The Levenberg-Marquardt algorithm: implementation and theory", LNM
-    630, 1978), as MINPACK's `lmder` does, on the normal equations.
+    """Minimize ||r(x)|| by Levenberg-Marquardt on the normal equations.
+
+    Each step solves Marquardt's (J^T J + mu*diag(J^T J)) p = -J^T r (SIAM
+    J. Appl. Math. 11, 431, 1963), whose damping ignores the parameters'
+    units. mu starts at 0, a Gauss-Newton step, and follows Nielsen's rule
+    (Madsen, Nielsen and Tingleff, "Methods for non-linear least squares
+    problems", DTU, 2004): a step that lowers ||r|| is taken and shrinks
+    mu by up to 3x; a rejected one grows mu by a factor that doubles with
+    each rejection in a row.
 
     `fun_jac(x)` returns the residuals r and their Jacobian (one row per
-    residual) from one evaluation. Parameters are measured in units of
-    the Jacobian's column norms, which only grow; a zero column counts as
-    1. The tests and statuses are those of `scipy.optimize.least_squares`
-    with `method="lm"`, xtol = ftol = 1e-14 and its default gtol, and
-    `max_nfev` defaults to 100 evaluations per parameter. A non-finite
-    residual or Jacobian at `x0`, or a singular J^T J, raises
-    IllConditioned.
+    residual) from one evaluation. It stops when J^T r is below 1e-8 of
+    ||r|| times each column norm (status 1), when the actual and predicted
+    reductions of ||r||^2 are both below 1e-14 of it (2), when the step is
+    below 1e-14 of ||x|| (3), or after `max_nfev` evaluations, by default
+    100 per parameter (0). A non-finite residual or Jacobian at `x0`, or
+    singular normal equations, raise IllConditioned.
     """
     x = np.array(x0, dtype=float)
     if max_nfev is None:
         max_nfev = 100 * x.size
     with np.errstate(all="ignore"):
-        try:
-            return _levenberg_marquardt(fun_jac, x, max_nfev)
-        except np.linalg.LinAlgError as exc:
-            raise IllConditioned(f"singular normal equations: {exc}") \
-                from exc
-
-
-def _levenberg_marquardt(fun_jac, x, max_nfev):
-    """The iteration of `least_squares`, in the order of MINPACK's lmder."""
-    r, jac = fun_jac(x)
-    nfev, fnorm = 1, np.linalg.norm(r)
-    a, g = _gram(jac.T), jac.T @ r
-    if not (np.isfinite(fnorm) and np.isfinite(a).all()
-            and np.isfinite(g).all()):
-        raise IllConditioned("residuals or Jacobian not finite at the "
-                             "starting point")
-    colnorm = np.sqrt(np.diag(a))
-    diag = np.where(colnorm > 0, colnorm, 1.0)
-    xnorm = np.linalg.norm(diag * x)
-    delta = 100.0 * xnorm or 100.0      # the trust-region radius
-    par, first = 0.0, True
-    while True:
-        # the largest cosine between r and a column of J
-        live = colnorm > 0
-        if fnorm == 0 or not live.any() or np.max(
-                np.abs(g[live]) / colnorm[live]) / fnorm <= _GTOL:
-            return LeastSquaresResult(x, r, nfev, 1)
-        diag = np.maximum(diag, colnorm)
+        r, jac = fun_jac(x)
+        nfev, fsq = 1, r @ r
+        a, g = _gram(jac.T), jac.T @ r
+        if not (np.isfinite(fsq) and np.isfinite(a).all()
+                and np.isfinite(g).all()):
+            raise IllConditioned("residuals or Jacobian not finite at the "
+                                 "starting point")
+        mu, nu = 0.0, 2.0
         while True:
-            par, p = _lm_parameter(a, g, diag, delta, par)
-            pnorm = np.linalg.norm(diag * p)
-            if first:
-                delta = min(delta, pnorm)
-            r_new, jac_new = fun_jac(x + p)
-            nfev += 1
-            fnorm_new = np.linalg.norm(r_new)
-            actred = (1.0 - (fnorm_new / fnorm) ** 2
-                      if 0.1 * fnorm_new < fnorm else -1.0)
-            # the reduction the linear model predicts, and its slope
-            temp1 = (np.sqrt(max(p @ a @ p, 0.0)) / fnorm) ** 2
-            temp2 = par * (pnorm / fnorm) ** 2
-            prered = temp1 + 2.0 * temp2
-            dirder = -(temp1 + temp2)
-            ratio = actred / prered if prered != 0 else 0.0
-            if ratio <= 0.25:
-                temp = (0.5 if actred >= 0
-                        else 0.5 * dirder / (dirder + 0.5 * actred))
-                if 0.1 * fnorm_new >= fnorm or temp < 0.1:
-                    temp = 0.1
-                delta = temp * min(delta, pnorm / 0.1)
-                par /= temp
-            elif par == 0 or ratio >= 0.75:
-                delta = pnorm / 0.5
-                par *= 0.5
-            accepted = ratio >= 1e-4
-            if accepted:
-                x, r, jac, fnorm = x + p, r_new, jac_new, fnorm_new
-                xnorm = np.linalg.norm(diag * x)
-                first = False
-            ftol_met = bool(abs(actred) <= _FTOL and prered <= _FTOL
-                            and ratio <= 2.0)
-            xtol_met = bool(delta <= _XTOL * xnorm)
-            if ftol_met or xtol_met:
-                return LeastSquaresResult(x, r, nfev,
-                                          1 + ftol_met + 2 * xtol_met)
+            if np.all(np.abs(g) <= _GTOL * np.sqrt(fsq * np.diag(a))):
+                return LeastSquaresResult(x, r, nfev, 1)
             if nfev >= max_nfev:
                 return LeastSquaresResult(x, r, nfev, 0)
-            if accepted:
-                break
-        a, g = _gram(jac.T), jac.T @ r
-        colnorm = np.sqrt(np.diag(a))
+            try:
+                p = np.linalg.solve(a + np.diag(mu * np.diag(a)), -g)
+            except np.linalg.LinAlgError as exc:
+                raise IllConditioned(f"singular normal equations: {exc}") \
+                    from exc
+            if np.linalg.norm(p) <= _XTOL * np.linalg.norm(x):
+                return LeastSquaresResult(x, r, nfev, 3)
+            r_new, jac_new = fun_jac(x + p)
+            nfev += 1
+            fsq_new = r_new @ r_new
+            actred = fsq - fsq_new
+            # the reduction of ||r||^2 that the linear model predicts
+            prered = p @ a @ p + 2.0 * mu * (p * p) @ np.diag(a)
+            if abs(actred) <= _FTOL * fsq and prered <= _FTOL * fsq:
+                if actred > 0:
+                    x, r = x + p, r_new
+                return LeastSquaresResult(x, r, nfev, 2)
+            if actred > 0:
+                x, r, fsq = x + p, r_new, fsq_new
+                a, g = _gram(jac_new.T), jac_new.T @ r
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * actred / prered - 1.0) ** 3)
+                nu = 2.0
+            else:
+                mu = mu * nu if mu else 1e-3
+                nu *= 2.0
 
 
 def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
@@ -367,10 +304,11 @@ def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
     """Damped least-squares fit of the interference model to a response curve.
 
     Initial Omega_m comes from the grid argmax of |H - 1|, initial Gamma_m
-    from its half-width. The module's `least_squares`, a Levenberg-Marquardt
-    trust-region method (Moré, LNM 630, 1978), works on the parameters
-    divided by these initial values, taking the model and its analytic
-    Jacobian from one `response_jacobian` call per step. g_eff is
+    from its half-width. The module's `least_squares`, Marquardt's damped
+    normal equations with Nielsen's damping update (Marquardt 1963;
+    Madsen, Nielsen and Tingleff 2004), works on the parameters divided by
+    these initial values, taking the model and its analytic Jacobian from
+    one `response_jacobian` call per step. g_eff is
     recovered by inverting the a1 closed form when cavity and mode context
     are supplied (nan otherwise).
     """

@@ -675,11 +675,14 @@ def test_config_error_names_its_path(name, section, key, value, path,
     assert f"`{path}`" in _one_line_error(capsys)
 
 
-@pytest.mark.parametrize("rows", [
-    ["1.3879155081318496e-227,-5e-324", "-5e-324,-5e-324"],
-    ["1e308,-1e9", "1.0000001e308,-2e9", "1.0000002e308,-3e9"],
-], ids=["x0 norm underflows", "rank-deficient seed"])
-def test_fit_shift_seed_failure_exits_3(rows, tmp_path):
+@pytest.mark.parametrize("rows, message", [
+    (["1.3879155081318496e-227,-5e-324", "-5e-324,-5e-324"], "too small"),
+    (["1e308,-1e9", "1.0000001e308,-2e9", "1.0000002e308,-3e9"],
+     "too large"),
+    (["1e308,-3e9", "1.0000001e308,-2e9", "1.0000002e308,-1e9"],
+     "too large"),
+], ids=["x0 norm underflows", "rank-deficient seed", "x0 norm overflows"])
+def test_fit_shift_seed_failure_exits_3(rows, message, tmp_path):
     # in a subprocess, where LAPACK messages on fd 2 and warnings would
     # reach stderr
     path = tmp_path / "shift.csv"
@@ -693,6 +696,7 @@ def test_fit_shift_seed_failure_exits_3(rows, tmp_path):
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: IllConditioned")
+    assert message in lines[0]
 
 
 def _response_rows(frequencies, peak=2.0):

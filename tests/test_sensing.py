@@ -226,9 +226,9 @@ def test_response_jacobian_matches_central_difference(rng):
 
 
 def test_fit_matches_scipy_levenberg_marquardt(monkeypatch, rng):
-    # scipy's MINPACK `lmder`, the algorithm `least_squares` reimplements,
-    # run on the same scaled problem from the same start; x_scale="jac" is
-    # lmder's column-norm scaling, the default only from scipy 1.16
+    # an independent oracle: scipy's MINPACK `lmder` on the same scaled
+    # problem from the same start; x_scale="jac" is lmder's column-norm
+    # scaling, the default only from scipy 1.16
     from scipy.optimize import least_squares as scipy_least_squares
     calls = []
     least_squares = sensing.least_squares
@@ -239,6 +239,7 @@ def test_fit_matches_scipy_levenberg_marquardt(monkeypatch, rng):
         return sol
 
     monkeypatch.setattr(sensing, "least_squares", recorded)
+    nfev = oracle_nfev = 0
     for _ in range(20):
         params, f = _random_resonance(rng)
         h = response_model(TWO_PI * f, *params) \
@@ -252,6 +253,9 @@ def test_fit_matches_scipy_levenberg_marquardt(monkeypatch, rng):
         assert np.all(np.abs(sol.x - oracle.x) <= 1e-7 * np.abs(oracle.x))
         assert np.linalg.norm(sol.fun) \
             <= np.linalg.norm(oracle.fun) * (1.0 + 1e-12)
+        nfev += sol.nfev
+        oracle_nfev += oracle.nfev
+    assert nfev <= 1.1 * oracle_nfev
 
 
 def test_least_squares_solves_a_linear_problem(rng):
@@ -262,6 +266,18 @@ def test_least_squares_solves_a_linear_problem(rng):
     assert np.allclose(sol.x, np.linalg.lstsq(a, b, rcond=None)[0],
                        rtol=1e-12, atol=1e-14)
     assert np.array_equal(sol.fun, a @ sol.x - b)
+
+
+def test_least_squares_damped_path():
+    # Rosenbrock's valley rejects the Gauss-Newton step from (-1.2, 1), so
+    # the damping has to grow and then shrink again
+    def rosenbrock(x):
+        return (np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+                np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
+
+    sol = sensing.least_squares(rosenbrock, np.array([-1.2, 1.0]))
+    assert sol.status > 0 and sol.nfev <= 200
+    assert np.all(np.abs(sol.x - 1.0) <= 1e-10)
 
 
 @pytest.mark.parametrize("residual, jac", [

@@ -15,6 +15,10 @@ negative, g > 0, and the per-photon force -hbar*g is attractive.
 The finite-thickness factor is kept in full; the thin-film limit
 (1 - exp(-2*alpha*t))/(2*alpha) -> t is only an approximation (37% off for
 110-nm strings, where 2*alpha*t = 1).
+
+The module also holds what the shift fit here and the response fit in
+`sensing` share: the measured-data CSV reader and the Levenberg-Marquardt
+solver.
 """
 
 from __future__ import annotations
@@ -30,18 +34,6 @@ from . import devices
 from .devices import CouplingGeometry, Microcavity, NanoOscillator
 from .errors import GeometryMismatch, IllConditioned
 from .units import TWO_PI
-
-
-def least_squares(*args, **kwargs):
-    """scipy.optimize.least_squares, imported on the first call.
-
-    scipy.optimize takes most of a cold `import optomech` and only
-    `fit_exponential` uses it, so the import is deferred to here.
-    `fit_exponential` calls this through the module's global
-    `least_squares`, which tests and tracers may replace.
-    """
-    from scipy.optimize import least_squares
-    return least_squares(*args, **kwargs)
 
 
 def _parse_rows(lines, n: int) -> np.ndarray:
@@ -98,6 +90,114 @@ def read_columns(path: str | Path, names: tuple[str, ...]) -> np.ndarray:
         raise ValueError(f"data row {bad[0] + 1}: values must be finite, "
                          f"got {', '.join(map(repr, table[bad[0]].tolist()))}")
     return table.T
+
+
+_LM_MESSAGES = {
+    0: "the maximum number of function evaluations is exceeded",
+    1: "`gtol` termination condition is satisfied",
+    2: "`ftol` termination condition is satisfied",
+    3: "`xtol` termination condition is satisfied",
+}
+
+
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Where `least_squares` stopped: the parameters, the residuals there,
+    the number of residual+Jacobian evaluations, and why (status <= 0: it
+    did not converge)."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+    status: int
+
+    @property
+    def message(self) -> str:
+        return _LM_MESSAGES[self.status]
+
+
+_XTOL = _FTOL = 1e-14
+_GTOL = 1e-8
+
+
+def _gram(jt: np.ndarray) -> np.ndarray:
+    """J^T J from the rows of jt = J^T. A dot product per pair of columns
+    is about 3x faster than a matmul for a 3-column J with 2 000-20 000
+    rows."""
+    k = len(jt)
+    a = np.empty((k, k))
+    for i in range(k):
+        for j in range(i, k):
+            a[i, j] = a[j, i] = jt[i] @ jt[j]
+    return a
+
+
+def least_squares(fun_jac, x0, max_nfev: int | None = None
+                  ) -> LeastSquaresResult:
+    """Minimize ||r(x)|| by Levenberg-Marquardt on the normal equations.
+
+    Each step solves Marquardt's (J^T J + mu*diag(J^T J)) p = -J^T r (SIAM
+    J. Appl. Math. 11, 431, 1963), whose damping ignores the parameters'
+    units. mu starts at 0, a Gauss-Newton step, and follows Nielsen's rule
+    (Madsen, Nielsen and Tingleff, "Methods for non-linear least squares
+    problems", DTU, 2004): a step that lowers ||r|| is taken and shrinks
+    mu by up to 3x; a rejected one grows mu by a factor that doubles with
+    each rejection in a row.
+
+    This is the one solver of the package: `fit_exponential` and
+    `sensing.fit_response` both call it, on their parameters divided by
+    the starting values. `fun_jac(x)` returns the residuals r and their
+    Jacobian (one row per residual) from one evaluation. It stops when
+    J^T r is below 1e-8 of ||r|| times each column norm (status 1), when
+    the actual and predicted reductions of ||r||^2 are both below 1e-14 of
+    it (2), when the step is below 1e-14 of ||x|| (3), or after `max_nfev`
+    evaluations, by default 100 per parameter (0). As in MINPACK, the last
+    step of a stop on 2 or 3 is taken if it lowers ||r||. A non-finite
+    residual or Jacobian at `x0`, or singular normal equations, raise
+    IllConditioned.
+    """
+    x = np.array(x0, dtype=float)
+    if max_nfev is None:
+        max_nfev = 100 * x.size
+    with np.errstate(all="ignore"):
+        r, jac = fun_jac(x)
+        nfev, fsq = 1, r @ r
+        a, g = _gram(jac.T), jac.T @ r
+        if not (np.isfinite(fsq) and np.isfinite(a).all()
+                and np.isfinite(g).all()):
+            raise IllConditioned("residuals or Jacobian not finite at the "
+                                 "starting point")
+        mu, nu = 0.0, 2.0
+        while True:
+            if np.all(np.abs(g) <= _GTOL * np.sqrt(fsq * np.diag(a))):
+                return LeastSquaresResult(x, r, nfev, 1)
+            if nfev >= max_nfev:
+                return LeastSquaresResult(x, r, nfev, 0)
+            try:
+                p = np.linalg.solve(a + np.diag(mu * np.diag(a)), -g)
+            except np.linalg.LinAlgError as exc:
+                raise IllConditioned(f"singular normal equations: {exc}") \
+                    from exc
+            small = np.linalg.norm(p) <= _XTOL * np.linalg.norm(x)
+            r_new, jac_new = fun_jac(x + p)
+            nfev += 1
+            fsq_new = r_new @ r_new
+            actred = fsq - fsq_new
+            # the reduction of ||r||^2 that the linear model predicts
+            prered = p @ a @ p + 2.0 * mu * (p * p) @ np.diag(a)
+            if small or (abs(actred) <= _FTOL * fsq
+                         and prered <= _FTOL * fsq):
+                if actred > 0:
+                    x, r = x + p, r_new
+                return LeastSquaresResult(x, r, nfev, 3 if small else 2)
+            if actred > 0:
+                x, r, fsq = x + p, r_new, fsq_new
+                a, g = _gram(jac_new.T), jac_new.T @ r
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * actred / prered - 1.0) ** 3)
+                nu = 2.0
+            else:
+                mu = mu * nu if mu else 1e-3
+                nu *= 2.0
 
 
 @dataclass(frozen=True)
@@ -214,8 +314,10 @@ def numeric_g_check(cav: Microcavity, osc: NanoOscillator,
 def fit_exponential(curve: ShiftCurve) -> ExpFit:
     """Least-squares fit of |dw0| = A*exp(-x0/l) to a shift curve.
 
-    Initialized by linear least squares in the log domain, refined by
-    damped Gauss-Newton (Levenberg-Marquardt) in the original domain.
+    Seeded by the least-squares line through (x0, log|dw0|), then refined
+    in the original domain by the module's `least_squares`, the
+    Levenberg-Marquardt that `sensing.fit_response` also uses, on the
+    parameters divided by the seed and with the analytic Jacobian.
     """
     if len(curve.points) < 2:
         raise IllConditioned("need at least 2 points")
@@ -224,45 +326,45 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
     if np.any(y <= 0):
         raise IllConditioned("zero-magnitude shifts cannot seed the log fit")
 
-    # log-domain initialization: log y = log A - x / l. polyfit scales x by
-    # its norm; a norm that underflows to 0 makes LAPACK print to fd 2, one
-    # that overflows makes the slope 0
-    with np.errstate(over="ignore"):
-        norm2 = np.sum(x * x)
-    if not norm2 > 0:
+    # log-domain seed: the line log y = log A - x/l through the centroid
+    log_y = np.log(y)
+    with np.errstate(all="ignore"):
+        xc = x - x.mean()
+        sxx = xc @ xc
+        slope = xc @ (log_y - log_y.mean()) / sxx
+        intercept = log_y.mean() - slope * x.mean()
+        scales = np.array([np.exp(intercept), -1.0 / slope])
+    if not sxx > 0:
         raise IllConditioned("x0 values too small to seed the log fit")
-    if not norm2 < math.inf:
+    if not sxx < math.inf:
         raise IllConditioned("x0 values too large to seed the log fit")
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", np.exceptions.RankWarning)
-            slope, intercept = np.polyfit(x, np.log(y), 1)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditioned(f"log-domain seed failed: {exc}") from exc
     if slope >= 0:
         raise IllConditioned("shift magnitudes grow with distance")
-    try:
-        a0, l0 = math.exp(intercept), -1.0 / slope
-    except OverflowError:
-        a0 = l0 = math.inf
-    if not (math.isfinite(a0) and math.isfinite(l0)):
+    if not np.isfinite(scales).all():
         raise IllConditioned("log-domain seed is not finite")
 
-    def residual(p):
-        return p[0] * np.exp(-x / p[1]) - y
+    # residuals in units of a power of two near max |dw0|: an exact change
+    # of scale that keeps ||r||^2 and J^T J in range for shifts far from
+    # rad/s, as MINPACK's scaled norms did
+    unit = 2.0 ** -math.frexp(y.max())[1]
 
-    if not np.isfinite(residual((a0, l0))).all():
-        raise IllConditioned("residuals not finite at the log-domain seed")
-    sol = least_squares(residual, x0=[a0, l0], method="lm",
-                        xtol=1e-12, ftol=1e-12)
+    def residual_and_jacobian(p):
+        # dr/dp = (e, A*e*x/l^2) * scales, written so that no factor
+        # leaves the range of the shifts
+        amp, ell = p * scales
+        e = np.exp(-x / ell)
+        jac = np.array((scales[0] * e, amp * e * (x / ell) / p[1])).T * unit
+        return (amp * e - y) * unit, jac
+
+    sol = least_squares(residual_and_jacobian, np.ones(2))
     if sol.status <= 0:
         raise IllConditioned(f"exponential fit did not converge: "
                              f"{sol.message}")
-    amp, ell = float(sol.x[0]), float(sol.x[1])
+    amp, ell = sol.x * scales
     if ell <= 0:
         raise IllConditioned("fitted decay length non-positive")
-    return ExpFit(amplitude=amp, decay_length=ell,
-                  residual_norm=float(np.linalg.norm(sol.fun)))
+    return ExpFit(amplitude=float(amp), decay_length=float(ell),
+                  residual_norm=float(np.linalg.norm(sol.fun) / unit))
 
 
 @dataclass(frozen=True)

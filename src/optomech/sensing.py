@@ -26,7 +26,7 @@ from typing import Literal
 
 import numpy as np
 
-from .coupling import read_columns
+from .coupling import least_squares, read_columns
 from .devices import Microcavity
 from .errors import (IllConditioned, NoResonanceInWindow, ZeroPower,
                      require_finite)
@@ -195,122 +195,17 @@ def response_magnitude(cav: Microcavity, mode: MechanicalMode, g_pump: float,
     return response_model(omega, a1, mode.omega_m, mode.gamma_m)
 
 
-_LM_MESSAGES = {
-    0: "the maximum number of function evaluations is exceeded",
-    1: "`gtol` termination condition is satisfied",
-    2: "`ftol` termination condition is satisfied",
-    3: "`xtol` termination condition is satisfied",
-}
-
-
-@dataclass(frozen=True)
-class LeastSquaresResult:
-    """Where `least_squares` stopped: the parameters, the residuals there,
-    the number of residual+Jacobian evaluations, and why (status <= 0: it
-    did not converge)."""
-
-    x: np.ndarray
-    fun: np.ndarray
-    nfev: int
-    status: int
-
-    @property
-    def message(self) -> str:
-        return _LM_MESSAGES[self.status]
-
-
-_XTOL = _FTOL = 1e-14
-_GTOL = 1e-8
-
-
-def _gram(jt: np.ndarray) -> np.ndarray:
-    """J^T J from the rows of jt = J^T. A dot product per pair of columns
-    is about 3x faster than a matmul for a 3-column J with 2 000-20 000
-    rows."""
-    k = len(jt)
-    a = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            a[i, j] = a[j, i] = jt[i] @ jt[j]
-    return a
-
-
-def least_squares(fun_jac, x0, max_nfev: int | None = None
-                  ) -> LeastSquaresResult:
-    """Minimize ||r(x)|| by Levenberg-Marquardt on the normal equations.
-
-    Each step solves Marquardt's (J^T J + mu*diag(J^T J)) p = -J^T r (SIAM
-    J. Appl. Math. 11, 431, 1963), whose damping ignores the parameters'
-    units. mu starts at 0, a Gauss-Newton step, and follows Nielsen's rule
-    (Madsen, Nielsen and Tingleff, "Methods for non-linear least squares
-    problems", DTU, 2004): a step that lowers ||r|| is taken and shrinks
-    mu by up to 3x; a rejected one grows mu by a factor that doubles with
-    each rejection in a row.
-
-    `fun_jac(x)` returns the residuals r and their Jacobian (one row per
-    residual) from one evaluation. It stops when J^T r is below 1e-8 of
-    ||r|| times each column norm (status 1), when the actual and predicted
-    reductions of ||r||^2 are both below 1e-14 of it (2), when the step is
-    below 1e-14 of ||x|| (3), or after `max_nfev` evaluations, by default
-    100 per parameter (0). A non-finite residual or Jacobian at `x0`, or
-    singular normal equations, raise IllConditioned.
-    """
-    x = np.array(x0, dtype=float)
-    if max_nfev is None:
-        max_nfev = 100 * x.size
-    with np.errstate(all="ignore"):
-        r, jac = fun_jac(x)
-        nfev, fsq = 1, r @ r
-        a, g = _gram(jac.T), jac.T @ r
-        if not (np.isfinite(fsq) and np.isfinite(a).all()
-                and np.isfinite(g).all()):
-            raise IllConditioned("residuals or Jacobian not finite at the "
-                                 "starting point")
-        mu, nu = 0.0, 2.0
-        while True:
-            if np.all(np.abs(g) <= _GTOL * np.sqrt(fsq * np.diag(a))):
-                return LeastSquaresResult(x, r, nfev, 1)
-            if nfev >= max_nfev:
-                return LeastSquaresResult(x, r, nfev, 0)
-            try:
-                p = np.linalg.solve(a + np.diag(mu * np.diag(a)), -g)
-            except np.linalg.LinAlgError as exc:
-                raise IllConditioned(f"singular normal equations: {exc}") \
-                    from exc
-            if np.linalg.norm(p) <= _XTOL * np.linalg.norm(x):
-                return LeastSquaresResult(x, r, nfev, 3)
-            r_new, jac_new = fun_jac(x + p)
-            nfev += 1
-            fsq_new = r_new @ r_new
-            actred = fsq - fsq_new
-            # the reduction of ||r||^2 that the linear model predicts
-            prered = p @ a @ p + 2.0 * mu * (p * p) @ np.diag(a)
-            if abs(actred) <= _FTOL * fsq and prered <= _FTOL * fsq:
-                if actred > 0:
-                    x, r = x + p, r_new
-                return LeastSquaresResult(x, r, nfev, 2)
-            if actred > 0:
-                x, r, fsq = x + p, r_new, fsq_new
-                a, g = _gram(jac_new.T), jac_new.T @ r
-                mu *= max(1.0 / 3.0, 1.0 - (2.0 * actred / prered - 1.0) ** 3)
-                nu = 2.0
-            else:
-                mu = mu * nu if mu else 1e-3
-                nu *= 2.0
-
-
 def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
                  mode: MechanicalMode | None = None) -> ResponseFit:
     """Damped least-squares fit of the interference model to a response curve.
 
     Initial Omega_m comes from the grid argmax of |H - 1|, initial Gamma_m
-    from its half-width. The module's `least_squares`, Marquardt's damped
-    normal equations with Nielsen's damping update (Marquardt 1963;
-    Madsen, Nielsen and Tingleff 2004), works on the parameters divided by
-    these initial values, taking the model and its analytic Jacobian from
-    one `response_jacobian` call per step. g_eff is
-    recovered by inverting the a1 closed form when cavity and mode context
-    are supplied (nan otherwise).
+    from its half-width. The module's `least_squares`, the
+    Levenberg-Marquardt of `coupling` that the shift fit also uses, works on
+    the parameters divided by these initial values, taking the model and
+    its analytic Jacobian from one `response_jacobian` call per step. g_eff
+    is recovered by inverting the a1 closed form when cavity and mode
+    context are supplied (nan otherwise).
     """
     f = curve.frequencies_hz
     h = curve.magnitudes

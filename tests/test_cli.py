@@ -485,32 +485,33 @@ def test_get_scenario_returns_independent_copy():
 
 
 _SCIPY_PROBE = """
-import sys
-import optomech, optomech.cli
-from optomech import runner, scenarios
-for name in scenarios.SCENARIOS:
-    if name != "paper_fig2a_shift_fit":
-        runner.run_scenario(scenarios.get_scenario(name))
-runner.run_scenario({"schema_version": 1, "analysis": "fit-response",
-                     "data_csv": sys.argv[1]})
+import contextlib, io, sys
+from optomech.cli import main
+from optomech.scenarios import SCENARIOS
+codes = set()
+for args in ([["run", name] for name in SCENARIOS]
+             + [["fit-shift", sys.argv[1]], ["fit-response", sys.argv[2]]]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.add(main(args))
+print(codes)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print("numpy.ma" in sys.modules)
-runner.run_scenario(scenarios.get_scenario("paper_fig2a_shift_fit"))
-print("scipy.optimize" in sys.modules)
 """
 
 
-def test_scipy_loads_only_for_a_fit(tmp_path):
-    # a fresh interpreter: this process has already imported scipy
-    csv_path = tmp_path / "response.csv"
-    csv_path.write_text(_valid_csv_text("fit-response"))
+def test_no_scipy_module_loads(tmp_path):
+    # a fresh interpreter: this process has imported scipy for the oracles;
+    # every bundled scenario runs, paper_fig2a_shift_fit among them
+    paths = [tmp_path / "shift.csv", tmp_path / "response.csv"]
+    for path, analysis in zip(paths, ("fit-shift", "fit-response")):
+        path.write_text(_valid_csv_text(analysis))
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE,
-                           str(csv_path)],
+                           *map(str, paths)],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "False", "True"]
+    assert proc.stdout.splitlines() == ["{0}", "[]", "False"]
 
 
 def test_tracer_patch_points_reach_the_fits(monkeypatch, tmp_path):

@@ -268,6 +268,19 @@ def test_least_squares_solves_a_linear_problem(rng):
     assert np.array_equal(sol.fun, a @ sol.x - b)
 
 
+def test_least_squares_takes_its_last_small_step(rng):
+    # a start a few ulp off a zero-residual minimum stops on xtol; as in
+    # MINPACK the stopping step is still taken, as it lowers ||r||
+    for _ in range(200):
+        a = rng.standard_normal((50, 3))
+        x_true = rng.standard_normal(3)
+        b = a @ x_true
+        x0 = x_true * (1.0 + 4e-15 * rng.standard_normal(3))
+        r0 = a @ x0 - b
+        sol = sensing.least_squares(lambda x: (a @ x - b, a), x0)
+        assert sol.fun @ sol.fun < 0.25 * (r0 @ r0)
+
+
 def test_least_squares_damped_path():
     # Rosenbrock's valley rejects the Gauss-Newton step from (-1.2, 1), so
     # the damping has to grow and then shrink again

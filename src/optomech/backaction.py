@@ -27,20 +27,17 @@ dip of a critically coupled cavity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
-
-import numpy as np
 
 from .devices import Microcavity
 from .mechanics import MechanicalMode, zero_point
 from .sensing import DriveCondition
-from .units import HBAR, TWO_PI
+from .units import HBAR, TWO_PI, np, record
 
 Regime = Literal["cooling", "amplification", "neutral", "above_threshold"]
 
 
-@dataclass(frozen=True)
+@record
 class BackactionResult:
     """Backaction rate and the resulting total linewidth."""
 
@@ -49,7 +46,7 @@ class BackactionResult:
     regime: Regime
 
 
-@dataclass(frozen=True)
+@record
 class OscillationState:
     """Steady oscillation above the parametric instability threshold."""
 

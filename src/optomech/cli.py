@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
-
-import numpy as np
 
 from . import scenarios
 from .errors import OptomechError
@@ -100,8 +99,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a non-finite value is reported once, as an error, not as warnings
-        with np.errstate(all="ignore"):
+        # a non-finite value is reported once, as an error, not as numpy
+        # RuntimeWarnings; unlike np.errstate, this does not import numpy
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

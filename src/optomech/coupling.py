@@ -25,15 +25,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import devices
 from .devices import CouplingGeometry, Microcavity, NanoOscillator
 from .errors import GeometryMismatch, IllConditioned
-from .units import TWO_PI
+from .units import TWO_PI, np, record
 
 
 def _parse_rows(lines, n: int) -> np.ndarray:
@@ -100,7 +97,7 @@ _LM_MESSAGES = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class LeastSquaresResult:
     """Where `least_squares` stopped: the parameters, the residuals there,
     the number of residual+Jacobian evaluations, and why (status <= 0: it
@@ -169,7 +166,10 @@ def least_squares(fun_jac, x0, max_nfev: int | None = None
                                  "starting point")
         mu, nu = 0.0, 2.0
         while True:
-            if np.all(np.abs(g) <= _GTOL * np.sqrt(fsq * np.diag(a))):
+            # two square roots: fsq * diag(a) overflows for residuals
+            # of ~1e77 and more, which would pass the test at the start
+            if np.all(np.abs(g) <= _GTOL * np.sqrt(fsq)
+                      * np.sqrt(np.diag(a))):
                 return LeastSquaresResult(x, r, nfev, 1)
             if nfev >= max_nfev:
                 return LeastSquaresResult(x, r, nfev, 0)
@@ -200,7 +200,7 @@ def least_squares(fun_jac, x0, max_nfev: int | None = None
                 nu *= 2.0
 
 
-@dataclass(frozen=True)
+@record
 class ShiftCurve:
     """Frequency-shift-vs-separation data, dw0 <= 0 (red shift).
 
@@ -238,7 +238,7 @@ class ShiftCurve:
         return cls(np.column_stack((x0, dw0)))
 
 
-@dataclass(frozen=True)
+@record
 class ExpFit:
     """Result of fitting |dw0| = amplitude * exp(-x0/decay_length)."""
 
@@ -367,7 +367,7 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
                   residual_norm=float(np.linalg.norm(sol.fun) / unit))
 
 
-@dataclass(frozen=True)
+@record
 class StandingWaveShift:
     """Local shift and derivatives of a split standing-wave mode."""
 

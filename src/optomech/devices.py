@@ -8,17 +8,16 @@ with 1/alpha = (lambda/2pi)/sqrt(n^2 - 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
 
 from .errors import NonEvanescent, NotAString, require_finite
-from .units import C_LIGHT, TWO_PI
+from .units import C_LIGHT, TWO_PI, record
 
 Orientation = Literal["horizontal", "vertical", "sheet"]
 OscillatorKind = Literal["string", "sheet"]
 
 
-@dataclass(frozen=True)
+@record
 class Microcavity:
     """Toroidal microcavity geometry and optical mode parameters.
 
@@ -64,7 +63,7 @@ class Microcavity:
         return math.pi * (self.D_mode / 2.0) ** 2
 
 
-@dataclass(frozen=True)
+@record
 class NanoOscillator:
     """Doubly clamped string or 2-D sheet oscillator.
 
@@ -97,7 +96,7 @@ class NanoOscillator:
         return self.rho * self.t * self.w * self.L
 
 
-@dataclass(frozen=True)
+@record
 class CouplingGeometry:
     """Separation and orientation of the oscillator in the near field."""
 

@@ -14,22 +14,19 @@ transverse sampling length l_y.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
-
-import numpy as np
 
 from .devices import NanoOscillator, string_mode_frequency
 from .errors import DivergentMass, OutOfDomain, require_finite
 from .quadrature import adaptive_quadrature
-from .units import HBAR, K_B, TWO_PI, SpectralDensity
+from .units import HBAR, K_B, TWO_PI, SpectralDensity, np, record
 
 ProbeShape = Literal["gaussian", "delta"]
 
 _OVERLAP_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class MechanicalMode:
     """Mechanical mode parameters: angular frequency, damping, mass."""
 
@@ -54,7 +51,7 @@ class MechanicalMode:
         return cls(omega_m=omega_m, gamma_m=omega_m / Q, m_eff=m_eff)
 
 
-@dataclass(frozen=True)
+@record
 class ProbeProfile:
     """Optical probe profile sampling the string, normalized to
     int v0(y)^2 dy = 1.

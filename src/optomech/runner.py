@@ -8,19 +8,16 @@ externally.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from contextlib import ExitStack
 from pathlib import Path
-
-import numpy as np
 
 from . import backaction as ba
 from . import coupling, devices, mechanics, qba, sensing
 from .devices import CouplingGeometry, Microcavity, NanoOscillator
 from .mechanics import MechanicalMode, ProbeProfile
 from .sensing import DriveCondition
-from .units import HBAR, TWO_PI, SpectralDensity
+from .units import HBAR, TWO_PI, SpectralDensity, np
 
 # file name -> (header, float columns, constant text fields of every row)
 Tables = dict[str, tuple[list[str], tuple, list[str]]]
@@ -45,7 +42,7 @@ def _numbers(*keys: str) -> dict:
 # The config, described once: key -> (kind, default). A kind is `float`
 # (a finite JSON number, never a bool or a string), `str`, a `range` of
 # allowed integers, a frozenset of allowed strings, or the table of a
-# nested section. Enumerations that a dataclass checks (oscillator kind,
+# nested section. Enumerations that a record checks (oscillator kind,
 # orientation, readout) are plain strings here.
 SCHEMA = {
     "schema_version": (range(1, 2), REQUIRED),
@@ -259,7 +256,7 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
     handler, needs = _HANDLERS[analysis]
     schema = {**SCHEMA, **{key: (SCHEMA[key][0], REQUIRED) for key in needs}}
     cfg = _check(config, schema, "$")
-    # dataclass validators and library input checks raise ValueError
+    # record validators and library input checks raise ValueError
     try:
         results, tables = handler(cfg)
     except ValueError as exc:
@@ -344,7 +341,8 @@ def _homodyne_shot_floor(cav: Microcavity, mode: MechanicalMode, g: float,
                          drive: DriveCondition) -> float:
     """Double-sided homodyne shot-noise floor at the mechanical resonance,
     whatever readout the drive names."""
-    homodyne = dataclasses.replace(drive, readout="homodyne")
+    homodyne = DriveCondition(drive.p_in, drive.detuning, drive.temperature,
+                              "homodyne")
     return sensing.shot_noise_floor(cav, g, homodyne, mode.omega_m,
                                     sidedness="double")
 
@@ -444,7 +442,7 @@ def _run_fit_shift(cfg: dict) -> tuple[dict, Tables]:
         geom = build_geometry(cfg)
         x0s = np.linspace(0.0, 2.5 / devices.decay_constant(cav), 30)
         curve = coupling.ShiftCurve([(float(x0), coupling.frequency_shift(
-            cav, osc, dataclasses.replace(geom, x0=x0))) for x0 in x0s])
+            cav, osc, CouplingGeometry(x0, geom.orientation))) for x0 in x0s])
     else:
         raise ConfigError("need `data_csv` or cavity+oscillator+geometry")
     fit = coupling.fit_exponential(curve)

@@ -20,25 +20,23 @@ destructive-interference dip above the mechanical resonance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Literal
-
-import numpy as np
 
 from .coupling import least_squares, read_columns
 from .devices import Microcavity
 from .errors import (IllConditioned, NoResonanceInWindow, ZeroPower,
                      require_finite)
 from .mechanics import MechanicalMode, thermal_spectrum
-from .units import C_LIGHT, HBAR, TWO_PI, SpectralDensity
+from .units import (C_LIGHT, HBAR, TWO_PI, SpectralDensity, np,
+                    record)
 
 Readout = Literal["homodyne", "pdh"]
 
 PDH_PENALTY = 1.73  # constant amplitude factor for PDH readout
 
 
-@dataclass(frozen=True)
+@record
 class DriveCondition:
     """Optical drive: input power, detuning, bath temperature, readout."""
 
@@ -57,7 +55,7 @@ class DriveCondition:
             raise ValueError(f"unknown readout {self.readout!r}")
 
 
-@dataclass(frozen=True)
+@record
 class ResponseCurve:
     """Normalized pump-probe response |dw_tot/dw_Kerr| versus frequency."""
 
@@ -88,7 +86,7 @@ class ResponseCurve:
         return cls(f, h)
 
 
-@dataclass(frozen=True)
+@record
 class ResponseFit:
     """Extracted interference-model parameters."""
 
@@ -246,7 +244,7 @@ def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
                        residual_norm=float(np.linalg.norm(sol.fun)))
 
 
-@dataclass(frozen=True)
+@record
 class NoiseBudget:
     """Thermal signal against shot-noise and detector backgrounds."""
 

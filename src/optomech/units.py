@@ -1,4 +1,5 @@
-"""Physical constants and sidedness-tagged spectral densities.
+"""Physical constants, sidedness-tagged spectral densities, and what
+every module takes from here: the lazy `np` handle and `record`.
 
 Single-sided spectral densities (defined for positive Fourier frequencies)
 carry twice the density of the double-sided convention.
@@ -7,10 +8,7 @@ carry twice the density of the double-sided convention.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal
-
-import numpy as np
 
 # CODATA 2018 values
 HBAR = 1.054571817e-34  # J s
@@ -22,7 +20,101 @@ TWO_PI = 2.0 * math.pi
 Sidedness = Literal["single", "double"]
 
 
-@dataclass(frozen=True)
+class _Numpy:
+    """numpy, imported on the first attribute read.
+
+    numpy's import is about half of a cold CLI run, and `list-scenarios`,
+    `--help` and the `coupling` analysis use no array. The first read of
+    each attribute imports numpy and caches the attribute here. An `np.`
+    read at import time (a module constant, a default argument) would
+    import numpy on every run again.
+    """
+
+    def __getattr__(self, name):
+        import numpy
+        value = getattr(numpy, name)
+        setattr(self, name, value)
+        return value
+
+
+np = _Numpy()
+
+
+def _values(obj) -> tuple:
+    return tuple(getattr(obj, name) for name in type(obj).__match_args__)
+
+
+def _init(self, *args, **kwargs):
+    cls = type(self)
+    names = cls.__match_args__
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__}() takes {len(names)} positional "
+                        f"arguments but {len(args)} were given")
+    values = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names:
+            raise TypeError(f"{cls.__name__}() got an unexpected keyword "
+                            f"argument {name!r}")
+        if name in values:
+            raise TypeError(f"{cls.__name__}() got multiple values for "
+                            f"argument {name!r}")
+        values[name] = value
+    # object.__setattr__, not self.__dict__: touching an instance's
+    # __dict__ makes CPython move its attributes into a real dict, which
+    # slows every later attribute read (effective_mass by ~20%)
+    for name in names:
+        if name in values:
+            object.__setattr__(self, name, values[name])
+        elif name in cls.__dict__:      # the default, a class attribute
+            object.__setattr__(self, name, cls.__dict__[name])
+        else:
+            raise TypeError(f"{cls.__name__}() missing required argument "
+                            f"{name!r}")
+    if hasattr(cls, "__post_init__"):
+        self.__post_init__()
+
+
+def _eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _values(self) == _values(other)
+
+
+def _hash(self):
+    return hash(_values(self))
+
+
+def _repr(self):
+    fields = ", ".join(f"{name}={value!r}" for name, value
+                       in zip(type(self).__match_args__, _values(self)))
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _frozen(self, name, *value):
+    raise AttributeError(f"cannot assign to or delete field {name!r} of a "
+                         f"{type(self).__name__}")
+
+
+def record(cls):
+    """Make `cls` a frozen record of its annotated fields, in order.
+
+    Installs shared methods in place of generated ones: `__match_args__`
+    (the field names); an `__init__` taking fields by position or keyword,
+    with class-attribute defaults, that then calls `__post_init__` if the
+    class has one; `__eq__`, `__hash__` and a `Name(field=value, ...)`
+    `__repr__` over the field values; and a `__setattr__` and
+    `__delattr__` that raise AttributeError. That is all the package used
+    of `dataclass(frozen=True)`, which `exec`s six methods per class and
+    whose import loads `inspect`: 5-7% of a cold run together.
+    """
+    cls.__match_args__ = tuple(cls.__annotations__)
+    cls.__init__, cls.__eq__, cls.__hash__ = _init, _eq, _hash
+    cls.__repr__ = _repr
+    cls.__setattr__ = cls.__delattr__ = _frozen
+    return cls
+
+
+@record
 class SpectralDensity:
     """Displacement PSD samples (m^2/Hz) on an ordered grid of Fourier
     frequencies (Hz).

@@ -514,6 +514,43 @@ def test_no_scipy_module_loads(tmp_path):
     assert proc.stdout.splitlines() == ["{0}", "[]", "False"]
 
 
+_STARTUP_PROBE = """
+import contextlib, io, sys
+def loaded():
+    return [m for m in ("numpy", "dataclasses") if m in sys.modules]
+import optomech
+print("import", loaded())
+from optomech.cli import main
+from optomech.scenarios import SCENARIOS
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["list-scenarios"]) == 0
+print("list-scenarios", loaded())
+for name, config in SCENARIOS.items():
+    if config["analysis"] == "coupling":
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", name, "--out", sys.argv[1]]) == 0
+        print(name, loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["run", "paper_fig2c_thermal", "--out", sys.argv[1]]) == 0
+print("numpy" in sys.modules)
+"""
+
+
+def test_scalar_runs_load_neither_numpy_nor_dataclasses(tmp_path):
+    # a fresh interpreter: the six `coupling` scenarios compute no array
+    coupling = [name for name, config in scenarios.SCENARIOS.items()
+                if config["analysis"] == "coupling"]
+    assert coupling
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE,
+                           str(tmp_path)], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"{step} []" for step in ["import", "list-scenarios", *coupling]
+    ] + ["True"]
+
+
 def test_tracer_patch_points_reach_the_fits(monkeypatch, tmp_path):
     # the benchmark's tracer replaces `least_squares` in both fit modules
     monkeypatch.syspath_prepend(

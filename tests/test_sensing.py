@@ -293,6 +293,18 @@ def test_least_squares_damped_path():
     assert np.all(np.abs(sol.x - 1.0) <= 1e-10)
 
 
+def test_least_squares_moves_off_huge_residuals(rng):
+    # residuals of ~1e80: ||r||^2 times a squared column norm overflows,
+    # and a gradient test on that product passed at the starting point
+    a = rng.standard_normal((40, 3))
+    b = rng.standard_normal(40)
+    sol = sensing.least_squares(lambda x: ((a @ x - b) * 1e80, a * 1e80),
+                                np.zeros(3))
+    assert sol.nfev > 1 and sol.status > 0
+    assert np.allclose(sol.x, np.linalg.lstsq(a, b, rcond=None)[0],
+                       rtol=1e-12, atol=1e-14)
+
+
 @pytest.mark.parametrize("residual, jac", [
     ([np.inf, 1.0], [[1.0, 0.0], [0.0, 1.0]]),
     ([1.0, 2.0], [[np.nan, 0.0], [0.0, 1.0]]),

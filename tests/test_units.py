@@ -1,8 +1,15 @@
+import dataclasses
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import optomech
 from optomech import SpectralDensity
 from optomech.units import to_sidedness
+
+from conftest import make_cavity, make_string
 
 
 def test_sidedness_involution_and_factor_two():
@@ -30,3 +37,133 @@ def test_spectral_density_grid_validation():
     with pytest.raises(ValueError):
         SpectralDensity(np.array([1.0, 2.0]), np.array([1.0, 1.0]),
                         "sideways")
+
+
+def _record_classes() -> dict:
+    """Every class that a module of the package defines as a record."""
+    classes = {}
+    for info in pkgutil.iter_modules(optomech.__path__):
+        module = importlib.import_module(f"optomech.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and obj.__module__ == module.__name__
+                    and "__match_args__" in vars(obj)):
+                classes[obj.__name__] = obj
+    return classes
+
+
+RECORDS = _record_classes()
+
+
+def _sample(name: str) -> dict:
+    """Valid constructor keywords; fields with defaults are left out."""
+    f = np.array([1.0, 2.0])
+    psd = SpectralDensity(f, 1e-30 * f, "single")
+    return {
+        "SpectralDensity": dict(frequencies=f, values=1e-30 * f,
+                                sidedness="single"),
+        "Microcavity": vars(make_cavity()),
+        "NanoOscillator": vars(make_string()),
+        "CouplingGeometry": dict(x0=1e-7, orientation="horizontal"),
+        "MechanicalMode": dict(omega_m=1e7, gamma_m=1e2, m_eff=1e-15),
+        "ProbeProfile": dict(shape="gaussian", l_y=1e-6),
+        "DriveCondition": dict(p_in=1e-4),
+        "ResponseCurve": dict(frequencies_hz=f, magnitudes=f),
+        "ResponseFit": dict(a1=1.0, omega_m=2.0, gamma_m=3.0, g_eff=4.0,
+                            residual_norm=5.0),
+        "ShiftCurve": dict(points=[(0.0, -2.0), (1e-7, -1.0)]),
+        "ExpFit": dict(amplitude=1.0, decay_length=2.0, residual_norm=3.0),
+        "StandingWaveShift": dict(shift=-1.0, g1=2.0, g2=3.0),
+        "LeastSquaresResult": dict(x=f, fun=f, nfev=3, status=1),
+        "NoiseBudget": dict(signal=psd, background=psd, total=psd,
+                            snr_db=1.0, imprecision=2.0),
+        "BackactionResult": dict(gamma_ba=-1.0, gamma_total=2.0,
+                                 regime="amplification"),
+        "OscillationState": dict(amplitude=0.0, modulation_depth=0.5),
+    }[name]
+
+
+# a value that __post_init__ rejects, for each record that has one
+BAD = {
+    "SpectralDensity": ("sidedness", "sideways"),
+    "Microcavity": ("xi", 2.0),
+    "NanoOscillator": ("Q", 1.0),
+    "CouplingGeometry": ("x0", -1e-9),
+    "MechanicalMode": ("m_eff", 0.0),
+    "ProbeProfile": ("l_y", -1e-6),
+    "DriveCondition": ("p_in", -1.0),
+    "ResponseCurve": ("magnitudes", [-1.0, 1.0]),
+    "ShiftCurve": ("points", [(0.0, -1.0), (1e-7, 1.0)]),
+}
+
+
+def test_records_are_found():
+    assert len(RECORDS) == 16
+    for name in RECORDS:
+        _sample(name)
+    assert set(BAD) == {name for name, cls in RECORDS.items()
+                        if hasattr(cls, "__post_init__")}
+    # the benchmark's tracer wraps these as class methods
+    for cls in (optomech.ShiftCurve, optomech.ResponseCurve):
+        assert isinstance(cls.__dict__["from_csv"], classmethod)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_contract(name):
+    cls = RECORDS[name]
+    fields = cls.__match_args__
+    assert fields == tuple(cls.__annotations__)
+    obj = cls(**_sample(name))
+    values = [getattr(obj, field) for field in fields]
+    twin = cls(*values)
+    assert twin == obj and not twin != obj
+    # what dataclass(frozen=True) wrote for the same field values
+    reference = dataclasses.make_dataclass(name, fields, frozen=True)(*values)
+    assert repr(obj) == repr(reference)
+    assert repr(obj).startswith(f"{name}({fields[0]}=")
+    assert obj != reference
+    try:
+        expected = hash(reference)
+    except TypeError:       # a field holds an array
+        with pytest.raises(TypeError):
+            hash(obj)
+    else:
+        assert hash(obj) == hash(twin) == expected
+    match obj:
+        case cls(first):
+            assert first is values[0]
+    for field in (fields[0], "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, values[0])
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    assert getattr(obj, fields[0]) is values[0]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_arguments(name):
+    cls = RECORDS[name]
+    first, *rest = cls.__match_args__
+    kwargs = _sample(name)
+    values = [getattr(cls(**kwargs), field) for field in cls.__match_args__]
+    with pytest.raises(TypeError, match="missing"):
+        cls(**{k: v for k, v in kwargs.items() if k != first})
+    with pytest.raises(TypeError, match="unexpected"):
+        cls(**kwargs, not_a_field=1.0)
+    with pytest.raises(TypeError, match="multiple values"):
+        cls(values[0], **kwargs)
+    with pytest.raises(TypeError, match="positional"):
+        cls(*values, values[0])
+
+
+@pytest.mark.parametrize("name", sorted(BAD))
+def test_record_post_init_rejects(name):
+    cls = RECORDS[name]
+    field, bad = BAD[name]
+    kwargs = {**_sample(name), field: bad}
+    with pytest.raises(ValueError):
+        cls(**kwargs)
+    valid = cls(**_sample(name))
+    values = [bad if f == field else getattr(valid, f)
+              for f in cls.__match_args__]
+    with pytest.raises(ValueError):
+        cls(*values)

@@ -99,12 +99,13 @@ _LM_MESSAGES = {
 
 @record
 class LeastSquaresResult:
-    """Where `least_squares` stopped: the parameters, the residuals there,
-    the number of residual+Jacobian evaluations, and why (status <= 0: it
-    did not converge)."""
+    """Where `least_squares` stopped: the parameters, the residuals there
+    and their sum of squares ||r||^2, the number of residual+Jacobian
+    evaluations, and why (status <= 0: it did not converge)."""
 
     x: np.ndarray
     fun: np.ndarray
+    fsq: float
     nfev: int
     status: int
 
@@ -117,16 +118,11 @@ _XTOL = _FTOL = 1e-14
 _GTOL = 1e-8
 
 
-def _gram(jt: np.ndarray) -> np.ndarray:
-    """J^T J from the rows of jt = J^T. A dot product per pair of columns
-    is about 3x faster than a matmul for a 3-column J with 2 000-20 000
-    rows."""
-    k = len(jt)
-    a = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            a[i, j] = a[j, i] = jt[i] @ jt[j]
-    return a
+def _normal_equations(fun_jac, x: np.ndarray):
+    """r(x) and [J | r]^T [J | r] = [[J^T J, J^T r], [r^T J, ||r||^2]]."""
+    r, jac = fun_jac(x)
+    m = np.column_stack((jac, r))
+    return r, m.T @ m
 
 
 def least_squares(fun_jac, x0, max_nfev: int | None = None
@@ -152,47 +148,48 @@ def least_squares(fun_jac, x0, max_nfev: int | None = None
     step of a stop on 2 or 3 is taken if it lowers ||r||. A non-finite
     residual or Jacobian at `x0`, or singular normal equations, raise
     IllConditioned.
+
+    J^T J, J^T r and ||r||^2 are the blocks of one product [J | r]^T
+    [J | r]: no 1-D BLAS dot runs over the residuals. OpenBLAS threads one
+    of more than ~10 000 elements, where it can stall for tens of ms and
+    splits its sum by the thread count, which moved the fits' last bits.
     """
     x = np.array(x0, dtype=float)
     if max_nfev is None:
         max_nfev = 100 * x.size
     with np.errstate(all="ignore"):
-        r, jac = fun_jac(x)
-        nfev, fsq = 1, r @ r
-        a, g = _gram(jac.T), jac.T @ r
-        if not (np.isfinite(fsq) and np.isfinite(a).all()
-                and np.isfinite(g).all()):
+        r, gram = _normal_equations(fun_jac, x)
+        if not np.isfinite(gram).all():
             raise IllConditioned("residuals or Jacobian not finite at the "
                                  "starting point")
-        mu, nu = 0.0, 2.0
+        nfev, mu, nu = 1, 0.0, 2.0
         while True:
+            a, g, fsq = gram[:-1, :-1], gram[:-1, -1], gram[-1, -1]
             # two square roots: fsq * diag(a) overflows for residuals
             # of ~1e77 and more, which would pass the test at the start
             if np.all(np.abs(g) <= _GTOL * np.sqrt(fsq)
                       * np.sqrt(np.diag(a))):
-                return LeastSquaresResult(x, r, nfev, 1)
+                return LeastSquaresResult(x, r, fsq, nfev, 1)
             if nfev >= max_nfev:
-                return LeastSquaresResult(x, r, nfev, 0)
+                return LeastSquaresResult(x, r, fsq, nfev, 0)
             try:
                 p = np.linalg.solve(a + np.diag(mu * np.diag(a)), -g)
             except np.linalg.LinAlgError as exc:
                 raise IllConditioned(f"singular normal equations: {exc}") \
                     from exc
             small = np.linalg.norm(p) <= _XTOL * np.linalg.norm(x)
-            r_new, jac_new = fun_jac(x + p)
+            r_new, gram_new = _normal_equations(fun_jac, x + p)
             nfev += 1
-            fsq_new = r_new @ r_new
-            actred = fsq - fsq_new
+            actred = fsq - gram_new[-1, -1]
             # the reduction of ||r||^2 that the linear model predicts
             prered = p @ a @ p + 2.0 * mu * (p * p) @ np.diag(a)
+            if actred > 0:
+                x, r, gram = x + p, r_new, gram_new
             if small or (abs(actred) <= _FTOL * fsq
                          and prered <= _FTOL * fsq):
-                if actred > 0:
-                    x, r = x + p, r_new
-                return LeastSquaresResult(x, r, nfev, 3 if small else 2)
+                return LeastSquaresResult(x, r, gram[-1, -1], nfev,
+                                          3 if small else 2)
             if actred > 0:
-                x, r, fsq = x + p, r_new, fsq_new
-                a, g = _gram(jac_new.T), jac_new.T @ r
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * actred / prered - 1.0) ** 3)
                 nu = 2.0
             else:
@@ -330,8 +327,8 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
     log_y = np.log(y)
     with np.errstate(all="ignore"):
         xc = x - x.mean()
-        sxx = xc @ xc
-        slope = xc @ (log_y - log_y.mean()) / sxx
+        sxx, sxy = np.stack((xc, log_y - log_y.mean())) @ xc
+        slope = sxy / sxx
         intercept = log_y.mean() - slope * x.mean()
         scales = np.array([np.exp(intercept), -1.0 / slope])
     if not sxx > 0:
@@ -364,7 +361,7 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
     if ell <= 0:
         raise IllConditioned("fitted decay length non-positive")
     return ExpFit(amplitude=float(amp), decay_length=float(ell),
-                  residual_norm=float(np.linalg.norm(sol.fun) / unit))
+                  residual_norm=math.sqrt(sol.fsq) / unit)
 
 
 @record

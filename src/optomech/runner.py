@@ -41,9 +41,9 @@ def _numbers(*keys: str) -> dict:
 
 # The config, described once: key -> (kind, default). A kind is `float`
 # (a finite JSON number, never a bool or a string), `str`, a `range` of
-# allowed integers, a frozenset of allowed strings, or the table of a
-# nested section. Enumerations that a record checks (oscillator kind,
-# orientation, readout) are plain strings here.
+# allowed integers, a frozenset of allowed strings or integers, or the
+# table of a nested section. Enumerations that a record checks
+# (oscillator kind, orientation, readout) are plain strings here.
 SCHEMA = {
     "schema_version": (range(1, 2), REQUIRED),
     "analysis": (str, REQUIRED),
@@ -75,7 +75,7 @@ SCHEMA = {
                           OPTIONAL),
     "standing_wave": ({**_numbers("mean_shift_hz"),
                        "lateral_position_m": (float, 0.0),
-                       "branch": (range(-1, 2), 1)}, OPTIONAL),
+                       "branch": (frozenset({-1, 1}), 1)}, OPTIONAL),
     "coupling_rate_hz_per_nm": (float, OPTIONAL),
     "detector_floor_m_per_sqrt_hz": (float, 0.0),
     "measured_f1_hz": (float, OPTIONAL),
@@ -118,9 +118,11 @@ def _check(raw, kind, where: str):
     elif isinstance(kind, range):
         expected = f"an integer in [{kind[0]}, {kind[-1]}]"
         ok = is_int and raw in kind
-    else:
-        expected = "a string" if kind is str else f"one of {sorted(kind)}"
-        ok = isinstance(raw, str) and (kind is str or raw in kind)
+    elif kind is str:
+        expected, ok = "a string", isinstance(raw, str)
+    else:   # by type first: 1.0 and True equal 1 but are no JSON integers
+        expected = f"one of {sorted(kind)}"
+        ok = type(raw) in set(map(type, kind)) and raw in kind
     if not ok:
         raise ConfigError(f"`{where}` must be {expected}, got {raw!r:.40}")
     return float(raw) if kind is float else raw

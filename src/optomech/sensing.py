@@ -241,7 +241,7 @@ def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
     if cav is not None and mode is not None and a1 > 0:
         g_eff = g_eff_from_a1(cav, mode, a1)
     return ResponseFit(a1=a1, omega_m=omega_m, gamma_m=gamma_m, g_eff=g_eff,
-                       residual_norm=float(np.linalg.norm(sol.fun)))
+                       residual_norm=math.sqrt(sol.fsq))
 
 
 @record

@@ -311,11 +311,15 @@ def _one_line_error(capsys) -> str:
     ("paper_fig3_sensitivity", None, "detector_floor_m_per_sqrt_hz",
      -4.29e-16),
     ("paper_response_interference", "response", "g_pump_hz_per_nm", -2e6),
+    ("paper_standing_wave", "standing_wave", "branch", 0),
 ])
 def test_invalid_value_exits_2(name, section, key, value, tmp_path, capsys):
     path = _write_config(tmp_path, name, section, key, value)
     assert run_cli(["run", str(path)]) == 2
-    _one_line_error(capsys)
+    message = _one_line_error(capsys)
+    if key == "branch":     # +1 or -1: the schema's message names the path
+        assert message == ("error: `$.standing_wave.branch` must be one of "
+                           f"[-1, 1], got {value}")
 
 
 @pytest.mark.parametrize("case", ["not utf-8", "5000-digit integer",
@@ -512,6 +516,44 @@ def test_no_scipy_module_loads(tmp_path):
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["{0}", "[]", "False"]
+
+
+_FIT_PROBE = """
+import sys
+from optomech.cli import main
+for path in sys.argv[1:]:
+    assert main(["fit-response", path]) == 0
+"""
+
+
+def test_fits_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # in child processes, the only place a thread count is set. Curves of
+    # over 10 000 rows: OpenBLAS threads a 1-D dot over them, and while the
+    # LM took such dots, 4 of these 6 fits moved with the thread count
+    rng = np.random.default_rng(0)
+    paths = []
+    for i in range(6):
+        points = int(rng.integers(10_500, 20_001))
+        f_m, q = rng.uniform(5e6, 15e6), rng.uniform(2e4, 8e4)
+        f = np.linspace(f_m * (1.0 - 30.0 / q), f_m * (1.0 + 30.0 / q),
+                        points)
+        omega_m = TWO_PI * f_m
+        h = sensing.response_model(TWO_PI * f, rng.uniform(2.0, 10.0)
+                                   * omega_m ** 2 / q, omega_m, omega_m / q)
+        h *= 1.0 + 0.01 * rng.standard_normal(points)
+        paths.append(tmp_path / f"response{i}.csv")
+        paths[-1].write_text("freq_hz,h_mag\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in zip(f.tolist(), h.tolist())))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    stdout = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _FIT_PROBE,
+                               *map(str, paths)], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        stdout.append(proc.stdout)
+    assert stdout[0] == stdout[1]
 
 
 _STARTUP_PROBE = """

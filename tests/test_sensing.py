@@ -192,14 +192,14 @@ def test_unconverged_response_fit_raises(monkeypatch):
         fit_response(ResponseCurve(f, h))
 
 
-def _random_resonance(rng):
+def _random_resonance(rng, points=2000):
     """(a1, Omega_m, Gamma_m) and a grid of +-30 linewidths around them."""
     f_m = rng.uniform(1e5, 2e7)
     q = rng.uniform(1e2, 1e5)
     omega_m = TWO_PI * f_m
     gamma_m = omega_m / q
     a1 = rng.uniform(2.0, 10.0) * omega_m * gamma_m
-    f = np.linspace(f_m * (1.0 - 30.0 / q), f_m * (1.0 + 30.0 / q), 2000)
+    f = np.linspace(f_m * (1.0 - 30.0 / q), f_m * (1.0 + 30.0 / q), points)
     return np.array([a1, omega_m, gamma_m]), f
 
 
@@ -225,7 +225,9 @@ def test_response_jacobian_matches_central_difference(rng):
                 <= 1e-6 * np.max(np.abs(jac[:, j]))
 
 
-def test_fit_matches_scipy_levenberg_marquardt(monkeypatch, rng):
+# 15 000 rows: long enough for OpenBLAS to thread a 1-D dot over them
+@pytest.mark.parametrize("points", [2000, 15_000])
+def test_fit_matches_scipy_levenberg_marquardt(points, monkeypatch, rng):
     # an independent oracle: scipy's MINPACK `lmder` on the same scaled
     # problem from the same start; x_scale="jac" is lmder's column-norm
     # scaling, the default only from scipy 1.16
@@ -241,7 +243,7 @@ def test_fit_matches_scipy_levenberg_marquardt(monkeypatch, rng):
     monkeypatch.setattr(sensing, "least_squares", recorded)
     nfev = oracle_nfev = 0
     for _ in range(20):
-        params, f = _random_resonance(rng)
+        params, f = _random_resonance(rng, points)
         h = response_model(TWO_PI * f, *params) \
             * (1.0 + 0.01 * rng.standard_normal(f.size))
         fit_response(ResponseCurve(f, h))

@@ -89,44 +89,30 @@ def read_columns(path: str | Path, names: tuple[str, ...]) -> np.ndarray:
     return table.T
 
 
-_LM_MESSAGES = {
-    0: "the maximum number of function evaluations is exceeded",
-    1: "`gtol` termination condition is satisfied",
-    2: "`ftol` termination condition is satisfied",
-    3: "`xtol` termination condition is satisfied",
-}
-
-
 @record
 class LeastSquaresResult:
-    """Where `least_squares` stopped: the parameters, the residuals there
-    and their sum of squares ||r||^2, the number of residual+Jacobian
-    evaluations, and why (status <= 0: it did not converge)."""
+    """Where `least_squares` stopped: the parameters, the sum of squared
+    residuals ||r||^2 there, the number of residual+Jacobian evaluations,
+    and why (status <= 0: it did not converge)."""
 
     x: np.ndarray
-    fun: np.ndarray
     fsq: float
     nfev: int
     status: int
-
-    @property
-    def message(self) -> str:
-        return _LM_MESSAGES[self.status]
 
 
 _XTOL = _FTOL = 1e-14
 _GTOL = 1e-8
 
 
-def _normal_equations(fun_jac, x: np.ndarray):
-    """r(x) and [J | r]^T [J | r] = [[J^T J, J^T r], [r^T J, ||r||^2]]."""
+def _normal_equations(fun_jac, x: np.ndarray) -> np.ndarray:
+    """[J | r]^T [J | r] = [[J^T J, J^T r], [r^T J, ||r||^2]] at x."""
     r, jac = fun_jac(x)
     m = np.column_stack((jac, r))
-    return r, m.T @ m
+    return m.T @ m
 
 
-def least_squares(fun_jac, x0, max_nfev: int | None = None
-                  ) -> LeastSquaresResult:
+def least_squares(fun_jac, x0) -> LeastSquaresResult:
     """Minimize ||r(x)|| by Levenberg-Marquardt on the normal equations.
 
     Each step solves Marquardt's (J^T J + mu*diag(J^T J)) p = -J^T r (SIAM
@@ -143,11 +129,12 @@ def least_squares(fun_jac, x0, max_nfev: int | None = None
     Jacobian (one row per residual) from one evaluation. It stops when
     J^T r is below 1e-8 of ||r|| times each column norm (status 1), when
     the actual and predicted reductions of ||r||^2 are both below 1e-14 of
-    it (2), when the step is below 1e-14 of ||x|| (3), or after `max_nfev`
-    evaluations, by default 100 per parameter (0). As in MINPACK, the last
-    step of a stop on 2 or 3 is taken if it lowers ||r||. A non-finite
-    residual or Jacobian at `x0`, or singular normal equations, raise
-    IllConditioned.
+    it (2), when the step is below 1e-14 of ||x|| (3), or after 100
+    evaluations per parameter (0). As in MINPACK, the last step of a stop
+    on 2 or 3 is taken if it lowers ||r||. The result holds the
+    parameters `x`, `fsq` = ||r(x)||^2, the evaluation count `nfev` and
+    the `status`. A non-finite residual or Jacobian at `x0`, or singular
+    normal equations, raise IllConditioned.
 
     J^T J, J^T r and ||r||^2 are the blocks of one product [J | r]^T
     [J | r]: no 1-D BLAS dot runs over the residuals. OpenBLAS threads one
@@ -155,10 +142,8 @@ def least_squares(fun_jac, x0, max_nfev: int | None = None
     splits its sum by the thread count, which moved the fits' last bits.
     """
     x = np.array(x0, dtype=float)
-    if max_nfev is None:
-        max_nfev = 100 * x.size
     with np.errstate(all="ignore"):
-        r, gram = _normal_equations(fun_jac, x)
+        gram = _normal_equations(fun_jac, x)
         if not np.isfinite(gram).all():
             raise IllConditioned("residuals or Jacobian not finite at the "
                                  "starting point")
@@ -169,25 +154,25 @@ def least_squares(fun_jac, x0, max_nfev: int | None = None
             # of ~1e77 and more, which would pass the test at the start
             if np.all(np.abs(g) <= _GTOL * np.sqrt(fsq)
                       * np.sqrt(np.diag(a))):
-                return LeastSquaresResult(x, r, fsq, nfev, 1)
-            if nfev >= max_nfev:
-                return LeastSquaresResult(x, r, fsq, nfev, 0)
+                return LeastSquaresResult(x, fsq, nfev, 1)
+            if nfev >= 100 * x.size:
+                return LeastSquaresResult(x, fsq, nfev, 0)
             try:
                 p = np.linalg.solve(a + np.diag(mu * np.diag(a)), -g)
             except np.linalg.LinAlgError as exc:
                 raise IllConditioned(f"singular normal equations: {exc}") \
                     from exc
             small = np.linalg.norm(p) <= _XTOL * np.linalg.norm(x)
-            r_new, gram_new = _normal_equations(fun_jac, x + p)
+            gram_new = _normal_equations(fun_jac, x + p)
             nfev += 1
             actred = fsq - gram_new[-1, -1]
             # the reduction of ||r||^2 that the linear model predicts
             prered = p @ a @ p + 2.0 * mu * (p * p) @ np.diag(a)
             if actred > 0:
-                x, r, gram = x + p, r_new, gram_new
+                x, gram = x + p, gram_new
             if small or (abs(actred) <= _FTOL * fsq
                          and prered <= _FTOL * fsq):
-                return LeastSquaresResult(x, r, gram[-1, -1], nfev,
+                return LeastSquaresResult(x, gram[-1, -1], nfev,
                                           3 if small else 2)
             if actred > 0:
                 mu *= max(1.0 / 3.0, 1.0 - (2.0 * actred / prered - 1.0) ** 3)
@@ -201,8 +186,8 @@ def least_squares(fun_jac, x0, max_nfev: int | None = None
 class ShiftCurve:
     """Frequency-shift-vs-separation data, dw0 <= 0 (red shift).
 
-    `points` is an (n, 2) float array of (x0 m, dw0 rad/s) rows; any
-    sequence of pairs is converted.
+    `points` is an (n, 2) float array of (x0 m, dw0 rad/s) rows, sorted by
+    x0 when built; any sequence of pairs is converted.
     """
 
     points: np.ndarray
@@ -213,12 +198,13 @@ class ShiftCurve:
             pts = pts.reshape(0, 2)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise ValueError("points must be (x0, dw0) pairs")
-        object.__setattr__(self, "points", pts)
         if not np.isfinite(pts).all():
             raise ValueError("shift points must be finite")
-        x0s = np.sort(pts[:, 0])
-        if np.any(x0s[1:] == x0s[:-1]):
-            raise ValueError("x0 values must be distinct")
+        if not np.all(pts[1:, 0] > pts[:-1, 0]):
+            pts = pts[np.argsort(pts[:, 0])]
+            if np.any(pts[1:, 0] == pts[:-1, 0]):
+                raise ValueError("x0 values must be distinct")
+        object.__setattr__(self, "points", pts)
         if np.any(pts[:, 1] > 0):
             raise ValueError("frequency shifts must be <= 0 (red shift)")
 
@@ -318,7 +304,7 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
     """
     if len(curve.points) < 2:
         raise IllConditioned("need at least 2 points")
-    x, dw = curve.points[np.argsort(curve.points[:, 0])].T
+    x, dw = curve.points.T
     y = np.abs(dw)
     if np.any(y <= 0):
         raise IllConditioned("zero-magnitude shifts cannot seed the log fit")
@@ -355,8 +341,8 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
 
     sol = least_squares(residual_and_jacobian, np.ones(2))
     if sol.status <= 0:
-        raise IllConditioned(f"exponential fit did not converge: "
-                             f"{sol.message}")
+        raise IllConditioned(f"exponential fit did not converge in "
+                             f"{sol.nfev} evaluations")
     amp, ell = sol.x * scales
     if ell <= 0:
         raise IllConditioned("fitted decay length non-positive")

@@ -33,6 +33,8 @@ class ConfigError(Exception):
 
 # SCHEMA defaults for a key that must be given and one with no default
 REQUIRED, OPTIONAL = object(), object()
+# SCHEMA kinds of finite numbers bounded below, named by what they require
+POSITIVE, NON_NEGATIVE = "a finite number > 0", "a finite number >= 0"
 
 
 def _numbers(*keys: str) -> dict:
@@ -40,7 +42,8 @@ def _numbers(*keys: str) -> dict:
 
 
 # The config, described once: key -> (kind, default). A kind is `float`
-# (a finite JSON number, never a bool or a string), `str`, a `range` of
+# (a finite JSON number, never a bool or a string), POSITIVE or
+# NON_NEGATIVE (such a number with its bound), `str`, a `range` of
 # allowed integers, a frozenset of allowed strings or integers, or the
 # table of a nested section. Enumerations that a record checks
 # (oscillator kind, orientation, readout) are plain strings here.
@@ -69,16 +72,18 @@ SCHEMA = {
     "grid": ({**_numbers("f_min_hz", "f_max_hz"),
               "points": (range(2, MAX_POINTS + 1), REQUIRED),
               "spacing": (frozenset({"linear"}), "linear")}, OPTIONAL),
-    "response": (_numbers("g_pump_hz_per_nm", "g_probe_hz_per_nm"), OPTIONAL),
-    "backaction_g_grid": ({**_numbers("g_min_hz_per_nm", "g_max_hz_per_nm"),
+    "response": ({"g_pump_hz_per_nm": (POSITIVE, REQUIRED),
+                  "g_probe_hz_per_nm": (POSITIVE, REQUIRED)}, OPTIONAL),
+    "backaction_g_grid": ({"g_min_hz_per_nm": (NON_NEGATIVE, REQUIRED),
+                           **_numbers("g_max_hz_per_nm"),
                            "points": (range(2, MAX_POINTS + 1), 25)},
                           OPTIONAL),
     "standing_wave": ({**_numbers("mean_shift_hz"),
                        "lateral_position_m": (float, 0.0),
                        "branch": (frozenset({-1, 1}), 1)}, OPTIONAL),
-    "coupling_rate_hz_per_nm": (float, OPTIONAL),
-    "detector_floor_m_per_sqrt_hz": (float, 0.0),
-    "measured_f1_hz": (float, OPTIONAL),
+    "coupling_rate_hz_per_nm": (POSITIVE, OPTIONAL),
+    "detector_floor_m_per_sqrt_hz": (NON_NEGATIVE, 0.0),
+    "measured_f1_hz": (NON_NEGATIVE, OPTIONAL),
     "data_csv": (str, OPTIONAL),
 }
 
@@ -109,12 +114,15 @@ def _check(raw, kind, where: str):
                 checked[key] = default
         return checked
     is_int = isinstance(raw, int) and not isinstance(raw, bool)
-    if kind is float:
-        expected = "a finite number"
+    number = kind in (float, POSITIVE, NON_NEGATIVE)
+    if number:
+        expected = "a finite number" if kind is float else kind
         try:    # an integer beyond the float range overflows
             ok = (is_int or isinstance(raw, float)) and math.isfinite(raw)
         except OverflowError:
             ok = False
+        if ok and kind is not float:
+            ok = raw > 0 or kind is NON_NEGATIVE and raw == 0
     elif isinstance(kind, range):
         expected = f"an integer in [{kind[0]}, {kind[-1]}]"
         ok = is_int and raw in kind
@@ -125,7 +133,7 @@ def _check(raw, kind, where: str):
         ok = type(raw) in set(map(type, kind)) and raw in kind
     if not ok:
         raise ConfigError(f"`{where}` must be {expected}, got {raw!r:.40}")
-    return float(raw) if kind is float else raw
+    return float(raw) if number else raw
 
 
 def build_cavity(cfg: dict) -> Microcavity:
@@ -184,7 +192,7 @@ def build_mode(cfg: dict, cav: Microcavity,
 def build_grid(cfg: dict) -> np.ndarray:
     grid = cfg["grid"]
     if not (0 < grid["f_min_hz"] < grid["f_max_hz"]):
-        raise ConfigError("require 0 < grid.f_min_hz < grid.f_max_hz")
+        raise ConfigError("require 0 < `$.grid.f_min_hz` < `$.grid.f_max_hz`")
     return np.linspace(grid["f_min_hz"], grid["f_max_hz"], grid["points"])
 
 
@@ -343,10 +351,8 @@ def _homodyne_shot_floor(cav: Microcavity, mode: MechanicalMode, g: float,
                          drive: DriveCondition) -> float:
     """Double-sided homodyne shot-noise floor at the mechanical resonance,
     whatever readout the drive names."""
-    homodyne = DriveCondition(drive.p_in, drive.detuning, drive.temperature,
-                              "homodyne")
-    return sensing.shot_noise_floor(cav, g, homodyne, mode.omega_m,
-                                    sidedness="double")
+    return sensing.shot_noise_floor(cav, g, DriveCondition(drive.p_in),
+                                    mode.omega_m, sidedness="double")
 
 
 def _run_sensitivity(cfg: dict) -> tuple[dict, Tables]:
@@ -389,6 +395,16 @@ def _run_response(cfg: dict) -> tuple[dict, Tables]:
 
 def _run_backaction(cfg: dict) -> tuple[dict, Tables]:
     cav, mode, drive, g = _driven(cfg)
+    if "backaction_g_grid" in cfg:
+        gsec = cfg["backaction_g_grid"]
+        if not gsec["g_min_hz_per_nm"] < gsec["g_max_hz_per_nm"]:
+            raise ConfigError("require `$.backaction_g_grid.g_min_hz_per_nm`"
+                              " < `$.backaction_g_grid.g_max_hz_per_nm`")
+        g_grid = np.linspace(gsec["g_min_hz_per_nm"] * HZ_PER_NM,
+                             gsec["g_max_hz_per_nm"] * HZ_PER_NM,
+                             gsec["points"])
+    else:
+        g_grid = np.linspace(g / 10.0, g, 20)
     res = ba.backaction_rate(cav, mode, g, drive)
     p_thres = ba.threshold_power(cav, mode, g)
     state = ba.oscillation_amplitude(cav, mode, g, drive)
@@ -406,13 +422,6 @@ def _run_backaction(cfg: dict) -> tuple[dict, Tables]:
         "amplitude_m": _q(state.amplitude, "m"),
         "modulation_depth": _q(state.modulation_depth, "1"),
     }
-    if "backaction_g_grid" in cfg:
-        gsec = cfg["backaction_g_grid"]
-        g_grid = np.linspace(gsec["g_min_hz_per_nm"] * HZ_PER_NM,
-                             gsec["g_max_hz_per_nm"] * HZ_PER_NM,
-                             gsec["points"])
-    else:
-        g_grid = np.linspace(g / 10.0, g, 20)
     gamma_hz = ba.linewidth_vs_coupling(cav, mode, drive, g_grid)
     return results, {"linewidth_vs_g2.csv": (
         ["g2_hz2_per_nm2", "gamma_total_hz"],

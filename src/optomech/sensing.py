@@ -57,7 +57,8 @@ class DriveCondition:
 
 @record
 class ResponseCurve:
-    """Normalized pump-probe response |dw_tot/dw_Kerr| versus frequency."""
+    """Normalized pump-probe response |dw_tot/dw_Kerr| versus frequency,
+    sorted by frequency and ties by magnitude when built."""
 
     frequencies_hz: np.ndarray
     magnitudes: np.ndarray
@@ -65,25 +66,23 @@ class ResponseCurve:
     def __post_init__(self):
         f = np.asarray(self.frequencies_hz, dtype=float)
         h = np.asarray(self.magnitudes, dtype=float)
-        object.__setattr__(self, "frequencies_hz", f)
-        object.__setattr__(self, "magnitudes", h)
         if f.ndim != 1 or h.shape != f.shape:
             raise ValueError("frequency and magnitude arrays must match")
         if np.any(f <= 0):
             raise ValueError("response frequencies must be > 0")
         if np.any(h <= 0):
             raise ValueError("response magnitudes must be > 0")
+        # a strictly increasing frequency column is already in that order
+        if not np.all(f[1:] > f[:-1]):
+            order = np.lexsort((h, f))
+            f, h = f[order], h[order]
+        object.__setattr__(self, "frequencies_hz", f)
+        object.__setattr__(self, "magnitudes", h)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "ResponseCurve":
         """Read columns `freq_hz, h_mag`; header required."""
-        f, h = read_columns(path, ("freq_hz", "h_mag"))
-        if not np.all(f[1:] > f[:-1]):
-            # sorted by frequency, ties by magnitude; a strictly increasing
-            # column is already in that order
-            order = np.lexsort((h, f))
-            f, h = f[order], h[order]
-        return cls(f, h)
+        return cls(*read_columns(path, ("freq_hz", "h_mag")))
 
 
 @record
@@ -234,7 +233,8 @@ def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
 
     sol = least_squares(residual_and_jacobian, np.ones(3))
     if sol.status <= 0:
-        raise IllConditioned(f"response fit did not converge: {sol.message}")
+        raise IllConditioned(f"response fit did not converge in "
+                             f"{sol.nfev} evaluations")
     a1, omega_m, gamma_m = sol.x * scales
     a1, omega_m, gamma_m = float(a1), abs(float(omega_m)), abs(float(gamma_m))
     g_eff = math.nan

@@ -207,6 +207,16 @@ def test_backaction_csv_format(tmp_path):
     assert gamma[0] > gamma[-1]
 
 
+def test_backaction_g_grid_may_start_at_zero(tmp_path, capsys):
+    config = _write_config(tmp_path, "paper_fig4_backaction",
+                           "backaction_g_grid", "g_min_hz_per_nm", 0)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(config), "--out", str(out)]) == 0
+    with open(out / "linewidth_vs_g2.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[1][0] == "0.0" and float(rows[2][0]) > 0
+
+
 def test_response_csv_format(tmp_path):
     out = tmp_path / "out"
     run_cli(["run", "paper_response_interference", "--out", str(out)])
@@ -312,11 +322,20 @@ def _one_line_error(capsys) -> str:
      -4.29e-16),
     ("paper_response_interference", "response", "g_pump_hz_per_nm", -2e6),
     ("paper_standing_wave", "standing_wave", "branch", 0),
+    ("paper_fig4_backaction", None, "coupling_rate_hz_per_nm", -1),
+    ("paper_eq26_unity_ratio", None, "coupling_rate_hz_per_nm", -1),
+    ("paper_response_interference", "response", "g_probe_hz_per_nm", 0),
+    ("paper_fig4_backaction", "backaction_g_grid", "g_min_hz_per_nm", -1e6),
+    # g_max_hz_per_nm is 1.2e6: an empty or a descending grid
+    ("paper_fig4_backaction", "backaction_g_grid", "g_min_hz_per_nm", 1.2e6),
+    ("paper_fig4_backaction", "backaction_g_grid", "g_min_hz_per_nm", 2e6),
 ])
 def test_invalid_value_exits_2(name, section, key, value, tmp_path, capsys):
     path = _write_config(tmp_path, name, section, key, value)
     assert run_cli(["run", str(path)]) == 2
     message = _one_line_error(capsys)
+    assert f"`$.{key if section is None else section + '.' + key}`" \
+        in message
     if key == "branch":     # +1 or -1: the schema's message names the path
         assert message == ("error: `$.standing_wave.branch` must be one of "
                            f"[-1, 1], got {value}")

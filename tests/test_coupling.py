@@ -176,13 +176,14 @@ def test_fit_rejects_growing_magnitudes():
 
 
 def test_unconverged_exponential_fit_raises(monkeypatch, rng):
-    least_squares = coupling.least_squares
-    monkeypatch.setattr(coupling, "least_squares", lambda *args, **kw:
-                        least_squares(*args, **dict(kw, max_nfev=1)))
+    # a solver that runs out of evaluations where it started
+    monkeypatch.setattr(coupling, "least_squares", lambda fun_jac, x0:
+                        coupling.LeastSquaresResult(x0, 1.0, 200, 0))
     x = np.linspace(0.0, 500e-9, 40)
     noisy = tuple((float(xi), -TWO_PI * 5e9 * math.exp(-xi / 110e-9)
                    * (1.0 + 0.01 * rng.standard_normal())) for xi in x)
-    with pytest.raises(IllConditioned, match="did not converge"):
+    with pytest.raises(IllConditioned,
+                       match="did not converge in 200 evaluations"):
         fit_exponential(ShiftCurve(noisy))
 
 
@@ -219,6 +220,18 @@ def test_shift_curve_validation():
     for bad in ((0.0, -math.inf), (math.nan, -1.0)):
         with pytest.raises(ValueError, match="finite"):
             ShiftCurve(((1e-7, -1.0), bad))
+
+
+def test_shift_curve_sorts_its_points(rng):
+    for _ in range(20):
+        decay = rng.uniform(80e-9, 140e-9)
+        x = np.linspace(0.0, 3.0 * decay, rng.integers(30, 2001))
+        y = TWO_PI * rng.uniform(1e6, 5e7) * np.exp(-x / decay) \
+            * (1.0 + 0.01 * rng.standard_normal(x.size))
+        points = np.column_stack((x, -y))
+        shuffled = ShiftCurve(points[rng.permutation(x.size)])
+        assert np.array_equal(shuffled.points, points)
+        assert fit_exponential(shuffled) == fit_exponential(ShiftCurve(points))
 
 
 def test_shift_curve_points_are_pairs():

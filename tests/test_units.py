@@ -73,7 +73,7 @@ def _sample(name: str) -> dict:
         "ShiftCurve": dict(points=[(0.0, -2.0), (1e-7, -1.0)]),
         "ExpFit": dict(amplitude=1.0, decay_length=2.0, residual_norm=3.0),
         "StandingWaveShift": dict(shift=-1.0, g1=2.0, g2=3.0),
-        "LeastSquaresResult": dict(x=f, fun=f, fsq=5.0, nfev=3, status=1),
+        "LeastSquaresResult": dict(x=f, fsq=5.0, nfev=3, status=1),
         "NoiseBudget": dict(signal=psd, background=psd, total=psd,
                             snr_db=1.0, imprecision=2.0),
         "BackactionResult": dict(gamma_ba=-1.0, gamma_total=2.0,

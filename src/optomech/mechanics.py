@@ -24,6 +24,7 @@ from .units import HBAR, K_B, TWO_PI, SpectralDensity, np, record
 ProbeShape = Literal["gaussian", "delta"]
 
 _OVERLAP_FLOOR = 1e-12
+_TRIG = (math.sin, math.cos)  # the string's mode pattern by parity of n
 
 
 @record
@@ -71,13 +72,6 @@ class ProbeProfile:
         if self.shape == "gaussian" and self.l_y <= 0:
             raise ValueError("gaussian probe requires l_y > 0")
 
-    def density(self, y: float) -> float:
-        """Probe intensity profile v0(y)^2 (1/m)."""
-        if self.shape == "gaussian":
-            u = y - self.center_offset
-            return math.exp(-math.pi * u * u / (self.l_y ** 2)) / self.l_y
-        raise ValueError("delta probes have no pointwise density")
-
 
 def mode_shape(osc: NanoOscillator, n: int, y: float) -> float:
     """Unit-peak mode pattern of the n-th string eigenmode.
@@ -88,21 +82,24 @@ def mode_shape(osc: NanoOscillator, n: int, y: float) -> float:
     """
     if abs(y) > osc.L / 2:
         raise OutOfDomain(f"|y| = {abs(y):g} exceeds L/2 = {osc.L / 2:g}")
-    arg = n * math.pi * y / osc.L
-    return math.cos(arg) if n % 2 == 1 else math.sin(arg)
+    return _TRIG[n % 2](n * math.pi * y / osc.L)
 
 
 def effective_mass(osc: NanoOscillator, probe: ProbeProfile, n: int) -> float:
-    """Probe-weighted effective mass of the n-th mode (kg)."""
-    half = osc.L / 2.0
+    """Probe-weighted effective mass of the n-th mode (kg). A Gaussian
+    probe's overlap integrates one closure per call: mode_shape * v0^2."""
     mean_sq = 0.5  # <u_n^2> = 1/2 exactly for the sinusoidal patterns
 
     if probe.shape == "delta":
         overlap = mode_shape(osc, n, probe.center_offset)
     else:
-        overlap = adaptive_quadrature(
-            lambda y: mode_shape(osc, n, y) * probe.density(y), -half, half)
+        trig, k, L = _TRIG[n % 2], n * math.pi, osc.L
+        c, l_y, l2 = probe.center_offset, probe.l_y, probe.l_y ** 2
 
+        def integrand(y: float) -> float:
+            u = y - c
+            return trig(k * y / L) * (math.exp(-math.pi * u * u / l2) / l_y)
+        overlap = adaptive_quadrature(integrand, -L / 2.0, L / 2.0)
     if abs(overlap) < _OVERLAP_FLOOR * math.sqrt(mean_sq):
         raise DivergentMass(
             "probe overlap vanishes (antisymmetric mode, symmetric probe)")

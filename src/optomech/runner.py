@@ -37,16 +37,16 @@ REQUIRED, OPTIONAL = object(), object()
 POSITIVE, NON_NEGATIVE = "a finite number > 0", "a finite number >= 0"
 
 
-def _numbers(*keys: str) -> dict:
-    return dict.fromkeys(keys, (float, REQUIRED))
+def _numbers(*keys: str, kind=float) -> dict:
+    return dict.fromkeys(keys, (kind, REQUIRED))
 
 
 # The config, described once: key -> (kind, default). A kind is `float`
 # (a finite JSON number, never a bool or a string), POSITIVE or
 # NON_NEGATIVE (such a number with its bound), `str`, a `range` of
 # allowed integers, a frozenset of allowed strings or integers, or the
-# table of a nested section. Enumerations that a record checks
-# (oscillator kind, orientation, readout) are plain strings here.
+# table of a nested section. Enumerations and relations that a record
+# checks (oscillator kind, readout; R > r, Q > 1) are left to it.
 SCHEMA = {
     "schema_version": (range(1, 2), REQUIRED),
     "analysis": (str, REQUIRED),
@@ -55,20 +55,21 @@ SCHEMA = {
     "cavity": ({
         **_numbers("major_radius_m", "minor_radius_m", "wavelength_m",
                    "refractive_index", "effective_index", "kappa_hz",
-                   "mode_diameter_m", "surface_field_fraction"),
+                   "mode_diameter_m", "surface_field_fraction", kind=POSITIVE),
         "kerr_coefficient_m2_per_w": (float, 3e-20)}, OPTIONAL),
     "oscillator": ({
         "kind": (str, REQUIRED),
         **_numbers("length_m", "width_m", "thickness_m", "density_kg_per_m3",
-                   "stress_pa", "refractive_index", "quality_factor"),
+                   "stress_pa", kind=POSITIVE),
+        **_numbers("refractive_index", "quality_factor"),
         "mode_index": (range(1, 101), 1)}, OPTIONAL),
     "geometry": ({**_numbers("separation_m"), "orientation": (str, REQUIRED)},
                  OPTIONAL),
     "drive": ({**_numbers("input_power_w"), "detuning_hz": (float, 0.0),
                "temperature_k": (float, 300.0), "readout": (str, "homodyne")},
               OPTIONAL),
-    "mode": (_numbers("frequency_hz", "quality_factor", "effective_mass_kg"),
-             OPTIONAL),
+    "mode": (_numbers("frequency_hz", "quality_factor", "effective_mass_kg",
+                      kind=POSITIVE), OPTIONAL),
     "grid": ({**_numbers("f_min_hz", "f_max_hz"),
               "points": (range(2, MAX_POINTS + 1), REQUIRED),
               "spacing": (frozenset({"linear"}), "linear")}, OPTIONAL),

@@ -68,6 +68,8 @@ class ResponseCurve:
         h = np.asarray(self.magnitudes, dtype=float)
         if f.ndim != 1 or h.shape != f.shape:
             raise ValueError("frequency and magnitude arrays must match")
+        if not (np.isfinite(f).all() and np.isfinite(h).all()):
+            raise ValueError("response samples must be finite")
         if np.any(f <= 0):
             raise ValueError("response frequencies must be > 0")
         if np.any(h <= 0):

@@ -329,6 +329,25 @@ def _one_line_error(capsys) -> str:
     # g_max_hz_per_nm is 1.2e6: an empty or a descending grid
     ("paper_fig4_backaction", "backaction_g_grid", "g_min_hz_per_nm", 1.2e6),
     ("paper_fig4_backaction", "backaction_g_grid", "g_min_hz_per_nm", 2e6),
+    # every physical key that its record requires > 0; relations between
+    # keys (R > r, D_mode < 2r, xi <= 1, Q > 1) stay in the records
+    ("paper_si_horizontal_g", "oscillator", "length_m", -2.5e-5),
+    ("paper_si_horizontal_g", "oscillator", "width_m", 0),
+    ("paper_si_horizontal_g", "oscillator", "thickness_m", -1.1e-7),
+    ("paper_si_horizontal_g", "oscillator", "density_kg_per_m3", 0),
+    ("paper_si_horizontal_g", "oscillator", "stress_pa", -0.9e9),
+    ("paper_decay_length", "cavity", "major_radius_m", 0),
+    ("paper_decay_length", "cavity", "wavelength_m", -1.55e-6),
+    ("paper_decay_length", "cavity", "refractive_index", 0),
+    ("paper_decay_length", "cavity", "effective_index", -1.44),
+    ("paper_decay_length", "cavity", "kappa_hz", 0),
+    ("paper_decay_length", "cavity", "minor_radius_m", -3e-6),
+    ("paper_decay_length", "cavity", "mode_diameter_m", 0),
+    ("paper_decay_length", "cavity", "surface_field_fraction", -0.4),
+    ("paper_fig2c_thermal", "mode", "frequency_hz", -1.074e7),
+    # exited 3 with "ZeroDivisionError: float division by zero"
+    ("paper_fig2c_thermal", "mode", "quality_factor", 0),
+    ("paper_fig2c_thermal", "mode", "effective_mass_kg", -3.6e-15),
 ])
 def test_invalid_value_exits_2(name, section, key, value, tmp_path, capsys):
     path = _write_config(tmp_path, name, section, key, value)
@@ -339,6 +358,31 @@ def test_invalid_value_exits_2(name, section, key, value, tmp_path, capsys):
     if key == "branch":     # +1 or -1: the schema's message names the path
         assert message == ("error: `$.standing_wave.branch` must be one of "
                            f"[-1, 1], got {value}")
+    if key == "length_m":   # was "require L > 0", a record field
+        assert message == ("error: `$.oscillator.length_m` must be a finite "
+                           "number > 0, got -2.5e-05")
+
+
+@pytest.mark.parametrize("name, section, donor, key, value", [
+    # a coupling run reads no `mode` section
+    ("paper_si_horizontal_g", "mode", "paper_fig2c_thermal",
+     "quality_factor", -5.3e4),
+    # a spectrum run with an explicit mode builds no oscillator
+    ("paper_fig2c_thermal", "oscillator", "paper_si_horizontal_g",
+     "length_m", -2.5e-5),
+])
+def test_bounds_hold_in_a_section_the_analysis_does_not_read(
+        name, section, donor, key, value, tmp_path, capsys):
+    config = scenarios.get_scenario(name)
+    config[section] = scenarios.get_scenario(donor)[section]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["run", str(path)]) == 0
+    capsys.readouterr()
+    config[section][key] = value    # exited 0 before the schema bound it
+    path.write_text(json.dumps(config))
+    assert run_cli(["run", str(path)]) == 2
+    assert f"`$.{section}.{key}`" in _one_line_error(capsys)
 
 
 @pytest.mark.parametrize("case", ["not utf-8", "5000-digit integer",

@@ -20,6 +20,7 @@ from optomech import (
     thermal_spectrum,
     zero_point,
 )
+from optomech import mechanics, runner, scenarios
 from optomech.units import HBAR, K_B, TWO_PI, SpectralDensity
 
 from conftest import approx_rel, make_mode, make_string, random_string, rng
@@ -242,3 +243,65 @@ def test_adaptive_quadrature_known_integrals():
     # sharp feature: narrow Lorentzian
     approx_rel(adaptive_quadrature(lambda x: 1e-6 / (x * x + 1e-12),
                                    -1.0, 1.0), 2.0 * math.atan(1e6), 1e-8)
+
+
+def _reference_mass(osc, probe, n):
+    """The effective mass through `mode_shape` and the probe's density,
+    one call each per integrand value, as it was computed before the
+    overlap integrand became one closure."""
+    c, l_y = probe.center_offset, probe.l_y
+
+    def integrand(y):
+        u = y - c
+        return mode_shape(osc, n, y) * (math.exp(-math.pi * u * u
+                                                 / (l_y ** 2)) / l_y)
+    overlap = adaptive_quadrature(integrand, -osc.L / 2.0, osc.L / 2.0)
+    if abs(overlap) < 1e-12 * math.sqrt(0.5):
+        raise DivergentMass("probe overlap vanishes")
+    return osc.physical_mass * 0.5 / overlap ** 2
+
+
+def _outcome(mass, *args):
+    try:
+        return mass(*args)
+    except Exception as exc:    # the type must match, not the message
+        return type(exc)
+
+
+def test_effective_mass_is_the_reference_bit_for_bit():
+    rng = np.random.default_rng(19)
+    outcomes = set()
+    for i in range(320):
+        osc = make_string(L=rng.uniform(5e-6, 100e-6))
+        n = int(rng.integers(1, 10))
+        offset = 0.0 if i % 2 == 0 else rng.uniform(-0.45, 0.45) * osc.L
+        probe = ProbeProfile(shape="gaussian",
+                             l_y=rng.uniform(0.005, 0.6) * osc.L,
+                             center_offset=offset)
+        got = _outcome(effective_mass, osc, probe, n)
+        assert got == _outcome(_reference_mass, osc, probe, n), (i, n)
+        outcomes.add(isinstance(got, float))
+    assert outcomes == {True, False}    # masses and DivergentMass both
+
+
+def _bundled_string():
+    cfg = runner._check(scenarios.get_scenario("paper_si_horizontal_g"),
+                        runner.SCHEMA, "$")
+    return (runner.build_oscillator(cfg),
+            runner._probe(runner.build_cavity(cfg)))
+
+
+@pytest.mark.parametrize("n, evals", [(1, 3345), (3, 3721), (5, 4297)])
+def test_effective_mass_integrand_count(n, evals, monkeypatch):
+    # counted as the benchmark tracer counts: one scalar call per value
+    osc, probe = _bundled_string()
+    quadrature, calls = mechanics.adaptive_quadrature, []
+
+    def counted(f, a, b):
+        def integrand(y):
+            calls.append(y)
+            return f(y)
+        return quadrature(integrand, a, b)
+    monkeypatch.setattr(mechanics, "adaptive_quadrature", counted)
+    assert effective_mass(osc, probe, n) == _reference_mass(osc, probe, n)
+    assert len(calls) == evals

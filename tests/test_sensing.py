@@ -179,6 +179,30 @@ def test_response_curve_requires_positive_frequencies(first):
     ResponseCurve(np.array([5e-324, 1e6, 2e6]), np.ones(3))
 
 
+@pytest.mark.parametrize("f, h", [
+    ([math.nan, 1e6, 2e6], [1.0, math.inf, 2.0]),
+    ([1e6, 2e6, math.inf], [1.0, 1.0, 2.0]),
+    ([1e6, 2e6, 3e6], [1.0, -math.inf, 2.0]),
+    ([1e6, 2e6, 3e6], [1.0, math.nan, 2.0]),
+])
+def test_response_curve_requires_finite_samples(f, h):
+    with pytest.raises(ValueError, match="response samples must be finite"):
+        ResponseCurve(np.array(f), np.array(h))
+
+
+def test_an_infinite_sample_is_blamed_on_the_curve_not_the_fit():
+    # the fit of the curve used to raise IllConditioned("residuals or
+    # Jacobian not finite at the starting point")
+    mode = make_mode(f_m=10.0e6, Q=1e3)
+    f = np.linspace(9.9e6, 10.1e6, 50)
+    h = response_model(TWO_PI * f, 5.0 * mode.omega_m * mode.gamma_m,
+                       mode.omega_m, mode.gamma_m)
+    approx_rel(fit_response(ResponseCurve(f, h)).omega_m, mode.omega_m, 1e-9)
+    h[17] = math.inf
+    with pytest.raises(ValueError, match="response samples must be finite"):
+        ResponseCurve(f, h)
+
+
 def test_unconverged_response_fit_raises(monkeypatch):
     # a solver that runs out of evaluations where it started
     monkeypatch.setattr(sensing, "least_squares", lambda fun_jac, x0:

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 I/O failure, 2 config/parse error, 3 domain
 error (non-evanescent geometry, divergent mass, fit failure, arithmetic
-overflow, a non-finite result, ...).
+overflow, a non-finite result, any ValueError after the config is read).
 """
 
 from __future__ import annotations
@@ -19,10 +19,7 @@ from .runner import ConfigError, run_scenario
 
 
 def _emit(payload: dict, out_dir: Path | None):
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise OptomechError(f"non-finite result: {exc}") from exc
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if out_dir is not None:
         (out_dir / "result.json").write_text(text + "\n", encoding="utf-8")
     print(text)
@@ -107,7 +104,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OptomechError, ArithmeticError) as exc:
+    except (OptomechError, ArithmeticError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

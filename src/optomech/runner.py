@@ -173,46 +173,48 @@ def _probe(cav: Microcavity) -> ProbeProfile:
     return ProbeProfile(shape="gaussian", l_y=l_y)
 
 
-def build_mode(cfg: dict, cav: Microcavity,
-               osc: NanoOscillator | None = None) -> MechanicalMode:
-    """Mechanical mode from an explicit `mode` section, else the
-    `oscillator.mode_index`-th string mode of the oscillator (`osc`, when
-    the caller has built it) under the cavity's Gaussian probe."""
-    if "mode" in cfg:
-        m = cfg["mode"]
-        return MechanicalMode.from_quality_factor(
-            omega_m=TWO_PI * m["frequency_hz"], Q=m["quality_factor"],
-            m_eff=m["effective_mass_kg"])
-    if "oscillator" not in cfg:
-        raise ConfigError("need a `mode` or `oscillator` section")
-    osc = osc or build_oscillator(cfg)
-    return mechanics.mode_from_oscillator(osc, _probe(cav),
-                                          cfg["oscillator"]["mode_index"])
+def build_mode(cfg: dict) -> MechanicalMode:
+    m = cfg["mode"]
+    return MechanicalMode.from_quality_factor(
+        omega_m=TWO_PI * m["frequency_hz"], Q=m["quality_factor"],
+        m_eff=m["effective_mass_kg"])
 
 
 def build_grid(cfg: dict) -> np.ndarray:
     grid = cfg["grid"]
     if not (0 < grid["f_min_hz"] < grid["f_max_hz"]):
         raise ConfigError("require 0 < `$.grid.f_min_hz` < `$.grid.f_max_hz`")
-    return np.linspace(grid["f_min_hz"], grid["f_max_hz"], grid["points"])
+    freqs = np.linspace(grid["f_min_hz"], grid["f_max_hz"], grid["points"])
+    if not (freqs[1:] > freqs[:-1]).all():
+        raise ConfigError("`$.grid`: the points repeat a frequency")
+    return freqs
 
 
-def _driven(cfg: dict) -> tuple[Microcavity, MechanicalMode, DriveCondition,
-                                float]:
+def _mode(cfg: dict, rec: dict) -> MechanicalMode:
+    """The explicit `mode`, else the `oscillator.mode_index`-th string mode
+    of the oscillator under the cavity's Gaussian probe."""
+    if "mode" in rec:
+        return rec["mode"]
+    if "oscillator" not in rec:
+        raise ConfigError("need `$.mode` or `$.oscillator`")
+    return mechanics.mode_from_oscillator(
+        rec["oscillator"], _probe(rec["cavity"]),
+        cfg["oscillator"]["mode_index"])
+
+
+def _driven(cfg: dict, rec: dict) -> tuple[Microcavity, MechanicalMode,
+                                           DriveCondition, float]:
     """Cavity, mode, drive and g (rad/s/m) of the sensitivity, backaction
-    and qba analyses. g is `coupling_rate_hz_per_nm`, else the model's for
-    oscillator+geometry, whose oscillator a derived mode then reuses."""
-    cav = build_cavity(cfg)
+    and qba analyses: g is `coupling_rate_hz_per_nm`, else the model's."""
+    cav = rec["cavity"]
     if "coupling_rate_hz_per_nm" in cfg:
-        mode, drive = build_mode(cfg, cav), build_drive(cfg)
-        return cav, mode, drive, cfg["coupling_rate_hz_per_nm"] * HZ_PER_NM
-    if not {"oscillator", "geometry"} <= cfg.keys():
+        g = cfg["coupling_rate_hz_per_nm"] * HZ_PER_NM
+    elif {"oscillator", "geometry"} <= rec.keys():
+        g = coupling.coupling_rate(cav, rec["oscillator"], rec["geometry"])
+    else:
         raise ConfigError(
-            "need `coupling_rate_hz_per_nm` or oscillator+geometry")
-    osc = build_oscillator(cfg)
-    mode, drive = build_mode(cfg, cav, osc), build_drive(cfg)
-    return cav, mode, drive, coupling.coupling_rate(cav, osc,
-                                                    build_geometry(cfg))
+            "need `$.coupling_rate_hz_per_nm` or `$.oscillator`+`$.geometry`")
+    return cav, _mode(cfg, rec), rec["drive"], g
 
 
 def _q(value: float, unit: str) -> dict:
@@ -267,11 +269,24 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
     handler, needs = _HANDLERS[analysis]
     schema = {**SCHEMA, **{key: (SCHEMA[key][0], REQUIRED) for key in needs}}
     cfg = _check(config, schema, "$")
-    # record validators and library input checks raise ValueError
-    try:
-        results, tables = handler(cfg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    # Every present section to its record, and a fit's data curve: the one
+    # step whose ValueError is the config's. The benchmark's tracer patches
+    # the builders and `from_csv`, so no module-level table may hold them.
+    steps = {"cavity": build_cavity, "oscillator": build_oscillator,
+             "geometry": build_geometry, "drive": build_drive,
+             "mode": build_mode, "grid": build_grid}
+    curve = {"fit-shift": coupling.ShiftCurve,
+             "fit-response": sensing.ResponseCurve}.get(analysis)
+    if curve is not None:
+        steps["data_csv"] = lambda cfg: curve.from_csv(cfg["data_csv"])
+    rec = {}
+    for key, build in steps.items():
+        if key in cfg:
+            try:
+                rec[key] = build(cfg)
+            except ValueError as exc:
+                raise ConfigError(f"`$.{key}`: {exc}") from exc
+    results, tables = handler(cfg, rec)
     if out_dir is not None:
         _write_tables(out_dir, tables)
     return {"schema_version": 1, "scenario": cfg["name"],
@@ -279,8 +294,8 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
             "artifacts": list(tables) if out_dir is not None else []}
 
 
-def _run_coupling(cfg: dict) -> tuple[dict, Tables]:
-    cav = build_cavity(cfg)
+def _run_coupling(cfg: dict, rec: dict) -> tuple[dict, Tables]:
+    cav = rec["cavity"]
     alpha = devices.decay_constant(cav)
     l_x, l_y = devices.sampling_lengths(cav)
     results = {
@@ -292,10 +307,10 @@ def _run_coupling(cfg: dict) -> tuple[dict, Tables]:
         "sampling_length_ly_m": _q(l_y, "m"),
         "hv_ratio": _q(coupling.coupling_ratio_hv(cav), "1"),
     }
-    if "oscillator" in cfg:
-        osc = build_oscillator(cfg)
-        if "geometry" in cfg:
-            geom = build_geometry(cfg)
+    if "oscillator" in rec:
+        osc = rec["oscillator"]
+        if "geometry" in rec:
+            geom = rec["geometry"]
             dw = coupling.frequency_shift(cav, osc, geom)
             g = coupling.coupling_rate(cav, osc, geom)
             results["frequency_shift_hz"] = _q(dw / TWO_PI, "Hz")
@@ -325,10 +340,8 @@ def _run_coupling(cfg: dict) -> tuple[dict, Tables]:
     return results, {}
 
 
-def _run_spectrum(cfg: dict) -> tuple[dict, Tables]:
-    mode = build_mode(cfg, build_cavity(cfg))
-    drive = build_drive(cfg)
-    grid = build_grid(cfg)
+def _run_spectrum(cfg: dict, rec: dict) -> tuple[dict, Tables]:
+    mode, drive, grid = _mode(cfg, rec), rec["drive"], rec["grid"]
     spectrum = mechanics.thermal_spectrum(mode, drive.temperature, grid)
     x_zp, s_sql = mechanics.zero_point(mode)
     amp_ratio, snr_db = mechanics.snr_requirement(mode, drive.temperature)
@@ -356,9 +369,9 @@ def _homodyne_shot_floor(cav: Microcavity, mode: MechanicalMode, g: float,
                                     mode.omega_m, sidedness="double")
 
 
-def _run_sensitivity(cfg: dict) -> tuple[dict, Tables]:
-    cav, mode, drive, g = _driven(cfg)
-    grid = build_grid(cfg)
+def _run_sensitivity(cfg: dict, rec: dict) -> tuple[dict, Tables]:
+    cav, mode, drive, g = _driven(cfg, rec)
+    grid = rec["grid"]
     floor = cfg["detector_floor_m_per_sqrt_hz"]
     shot_double = _homodyne_shot_floor(cav, mode, g, drive)
     shot_pdh = shot_double * sensing.PDH_PENALTY
@@ -377,12 +390,10 @@ def _run_sensitivity(cfg: dict) -> tuple[dict, Tables]:
                      "total.csv": _spectrum_table(budget.total)}
 
 
-def _run_response(cfg: dict) -> tuple[dict, Tables]:
-    cav = build_cavity(cfg)
-    mode = build_mode(cfg, cav)
+def _run_response(cfg: dict, rec: dict) -> tuple[dict, Tables]:
+    cav, mode, grid = rec["cavity"], _mode(cfg, rec), rec["grid"]
     g_pump = cfg["response"]["g_pump_hz_per_nm"] * HZ_PER_NM
     g_probe = cfg["response"]["g_probe_hz_per_nm"] * HZ_PER_NM
-    grid = build_grid(cfg)
     a1 = sensing.response_coefficient(cav, mode, g_pump, g_probe)
     h = sensing.response_model(TWO_PI * grid, a1, mode.omega_m, mode.gamma_m)
     g_eff = math.sqrt(g_pump * g_probe)
@@ -394,8 +405,8 @@ def _run_response(cfg: dict) -> tuple[dict, Tables]:
     return results, {"response.csv": (["freq_hz", "h_mag"], (grid, h), [])}
 
 
-def _run_backaction(cfg: dict) -> tuple[dict, Tables]:
-    cav, mode, drive, g = _driven(cfg)
+def _run_backaction(cfg: dict, rec: dict) -> tuple[dict, Tables]:
+    cav, mode, drive, g = _driven(cfg, rec)
     if "backaction_g_grid" in cfg:
         gsec = cfg["backaction_g_grid"]
         if not gsec["g_min_hz_per_nm"] < gsec["g_max_hz_per_nm"]:
@@ -429,8 +440,8 @@ def _run_backaction(cfg: dict) -> tuple[dict, Tables]:
         ((g_grid / HZ_PER_NM) ** 2, gamma_hz), [])}
 
 
-def _run_qba(cfg: dict) -> tuple[dict, Tables]:
-    cav, mode, drive, g = _driven(cfg)
+def _run_qba(cfg: dict, rec: dict) -> tuple[dict, Tables]:
+    cav, mode, drive, g = _driven(cfg, rec)
     s_th = qba.thermal_force_psd(mode, drive.temperature)
     s_qba = qba.qba_force_psd(cav, g, drive, mode.omega_m)
     ratio = qba.qba_thermal_ratio(cav, mode, g, drive)
@@ -445,18 +456,18 @@ def _run_qba(cfg: dict) -> tuple[dict, Tables]:
     return results, {}
 
 
-def _run_fit_shift(cfg: dict) -> tuple[dict, Tables]:
-    if "data_csv" in cfg:
-        curve = coupling.ShiftCurve.from_csv(cfg["data_csv"])
-    elif {"cavity", "oscillator", "geometry"} <= cfg.keys():
+def _run_fit_shift(cfg: dict, rec: dict) -> tuple[dict, Tables]:
+    if "data_csv" in rec:
+        curve = rec["data_csv"]
+    elif {"cavity", "oscillator", "geometry"} <= rec.keys():
         # the model's shift curve over 2.5 field decay lengths
-        cav, osc = build_cavity(cfg), build_oscillator(cfg)
-        geom = build_geometry(cfg)
+        cav, osc, geom = rec["cavity"], rec["oscillator"], rec["geometry"]
         x0s = np.linspace(0.0, 2.5 / devices.decay_constant(cav), 30)
         curve = coupling.ShiftCurve([(float(x0), coupling.frequency_shift(
             cav, osc, CouplingGeometry(x0, geom.orientation))) for x0 in x0s])
     else:
-        raise ConfigError("need `data_csv` or cavity+oscillator+geometry")
+        raise ConfigError("need `$.data_csv` or `$.cavity`, `$.oscillator` "
+                          "and `$.geometry`")
     fit = coupling.fit_exponential(curve)
     results = {
         "amplitude_hz": _q(fit.amplitude / TWO_PI, "Hz"),
@@ -466,15 +477,12 @@ def _run_fit_shift(cfg: dict) -> tuple[dict, Tables]:
     return results, {}
 
 
-def _run_fit_response(cfg: dict) -> tuple[dict, Tables]:
+def _run_fit_response(cfg: dict, rec: dict) -> tuple[dict, Tables]:
     """Fit the measured response curve in `data_csv`. Without a `cavity`
     section g_eff is undefined and left out of the results."""
-    cav = mode = None
-    if "cavity" in cfg:
-        cav = build_cavity(cfg)
-        mode = build_mode(cfg, cav)
-    curve = sensing.ResponseCurve.from_csv(cfg["data_csv"])
-    fit = sensing.fit_response(curve, cav, mode)
+    cav = rec.get("cavity")
+    mode = None if cav is None else _mode(cfg, rec)
+    fit = sensing.fit_response(rec["data_csv"], cav, mode)
     results = {
         "a1": _q(fit.a1, "rad^2/s^2"),
         "omega_m_hz": _q(fit.omega_m / TWO_PI, "Hz"),

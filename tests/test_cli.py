@@ -478,6 +478,7 @@ def test_bad_csv_exits_2(command, case, tmp_path, capsys):
         args = [command, str(path)]
     assert run_cli(args) == 2
     message = _one_line_error(capsys)
+    assert message.startswith("error: `$.data_csv`: ")
     if case != "wrong header":
         # 1-based, the header not counted
         assert "data row 2:" in message
@@ -781,16 +782,29 @@ def _derived_mode_and_rate(name: str) -> dict:
     return config
 
 
-@pytest.mark.parametrize("name", ["paper_fig3_sensitivity",
-                                  "paper_fig4_backaction",
-                                  "paper_eq26_unity_ratio"])
-def test_oscillator_built_once(name, monkeypatch):
-    calls = []
-    build = runner.build_oscillator
-    monkeypatch.setattr(runner, "build_oscillator",
-                        lambda cfg: calls.append(1) or build(cfg))
-    run_scenario(_derived_mode_and_rate(name))
-    assert len(calls) == 1
+DERIVED = ["paper_fig3_sensitivity", "paper_fig4_backaction",
+           "paper_eq26_unity_ratio"]
+BUILDERS = {"cavity": "build_cavity", "oscillator": "build_oscillator",
+            "geometry": "build_geometry", "drive": "build_drive",
+            "mode": "build_mode", "grid": "build_grid"}
+
+
+@pytest.mark.parametrize("name, derived", [
+    *((name, False) for name in ALL_SCENARIOS),
+    *((name, True) for name in DERIVED)],
+    ids=[*ALL_SCENARIOS, *(f"derived {name}" for name in DERIVED)])
+def test_each_section_built_once(name, derived, monkeypatch):
+    # patched as module attributes, as the benchmark's tracer patches them
+    calls = dict.fromkeys(BUILDERS, 0)
+    for section, attr in BUILDERS.items():
+        def counted(cfg, section=section, build=getattr(runner, attr)):
+            calls[section] += 1
+            return build(cfg)
+        monkeypatch.setattr(runner, attr, counted)
+    config = _derived_mode_and_rate(name) if derived \
+        else scenarios.get_scenario(name)
+    run_scenario(config)
+    assert calls == {section: int(section in config) for section in BUILDERS}
 
 
 @pytest.mark.parametrize("name, section, key, value, path", [
@@ -875,3 +889,129 @@ def test_non_positive_response_frequency_exits_2(tmp_path, capsys):
     path.write_text("\n".join([header, "0.0,1.0"] + rows) + "\n")
     assert run_cli(["fit-response", str(path)]) == 2
     assert "frequencies must be > 0" in _one_line_error(capsys)
+
+
+def _one_value_changed(analysis: str, section: str, key: str,
+                       value) -> dict:
+    """`paper_si_horizontal_g` with one value changed; a spectrum run also
+    gets a drive and a 100-point grid and derives its mode."""
+    config = scenarios.get_scenario("paper_si_horizontal_g")
+    config["analysis"] = analysis
+    config[section][key] = value
+    if analysis == "spectrum":
+        config["drive"] = {"input_power_w": 65e-6}
+        config["grid"] = {"f_min_hz": 1e6, "f_max_hz": 2e7, "points": 100}
+    return config
+
+
+@pytest.mark.parametrize("analysis", ["coupling", "spectrum"])
+@pytest.mark.parametrize("section, key, value, code", [
+    # f_m overflows to inf: a derived value, a domain error
+    ("oscillator", "density_kg_per_m3", 1e-308, 3),
+    ("oscillator", "length_m", 1e300, 3),
+    # 2*pi*kappa_hz overflows while the cavity is built from the config
+    ("cavity", "kappa_hz", 1e308, 2),
+])
+def test_one_exit_code_per_input_under_every_analysis(
+        analysis, section, key, value, code, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    config = _one_value_changed(analysis, section, key, value)
+    path.write_text(json.dumps(config))
+    assert run_cli(["run", str(path)]) == code
+    message = _one_line_error(capsys)
+    if code == 2:
+        assert message.startswith(f"error: `$.{section}`: ")
+
+
+@pytest.mark.parametrize("name, section, key, value, message", [
+    ("paper_si_horizontal_g", "cavity", "minor_radius_m", 4e-5,
+     "require R > r > 0"),
+    ("paper_si_horizontal_g", "cavity", "surface_field_fraction", 1.5,
+     "require 0 < xi <= 1"),
+    ("paper_si_horizontal_g", "cavity", "mode_diameter_m", 1e-5,
+     "require 0 < D_mode < 2r"),
+    ("paper_si_horizontal_g", "oscillator", "quality_factor", 0.5,
+     "require Q > 1"),
+    # a spectrum run with an explicit mode never reads the geometry
+    ("paper_fig2c_thermal", "geometry", "orientation", "sideways",
+     "unknown orientation 'sideways'"),
+])
+def test_record_error_names_its_section(name, section, key, value, message,
+                                        tmp_path, capsys):
+    config = scenarios.get_scenario(name)
+    config.setdefault(section, scenarios.get_scenario(
+        "paper_si_horizontal_g")[section])
+    assert run_scenario(config)
+    config[section][key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["run", str(path)]) == 2
+    assert _one_line_error(capsys) == f"error: `$.{section}`: {message}"
+
+
+@pytest.mark.parametrize("analysis", ["spectrum", "response"])
+@pytest.mark.parametrize("grid, message", [
+    ({"f_min_hz": 2e6, "f_max_hz": 1e6, "points": 11},
+     "error: require 0 < `$.grid.f_min_hz` < `$.grid.f_max_hz`"),
+    # a linspace too narrow for its points: repeated rows, not a spectrum
+    ({"f_min_hz": 1e6, "f_max_hz": 1e6 * (1 + 1e-15), "points": 1000},
+     "error: `$.grid`: the points repeat a frequency"),
+], ids=["descending", "repeated points"])
+def test_grid_that_does_not_increase_exits_2(analysis, grid, message,
+                                             tmp_path, capsys):
+    name = {"spectrum": "paper_fig2c_thermal",
+            "response": "paper_response_interference"}[analysis]
+    path = _write_config(tmp_path, name, None, "grid", grid)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 2
+    assert _one_line_error(capsys) == message
+    assert list(out.iterdir()) == []
+
+
+def test_fit_response_reports_g_eff(tmp_path, capsys):
+    # the fit of the model curve recovers g_eff = sqrt(g_pump * g_probe)
+    run_scenario(scenarios.get_scenario("paper_response_interference"),
+                 tmp_path)
+    config = scenarios.get_scenario("paper_response_interference")
+    config.update(analysis="fit-response",
+                  data_csv=str(tmp_path / "response.csv"))
+    results = run_scenario(config)["results"]
+    approx_rel(results["g_eff_hz_per_nm"]["value"], math.sqrt(2e6 * 1e6),
+               1e-6)
+    del config["cavity"]
+    assert "g_eff_hz_per_nm" not in run_scenario(config)["results"]
+
+
+def test_backaction_default_g_grid(tmp_path):
+    # without backaction_g_grid: 20 points from g/10 to g
+    config = scenarios.get_scenario("paper_fig4_backaction")
+    del config["backaction_g_grid"]
+    run_scenario(config, tmp_path)
+    with open(tmp_path / "linewidth_vs_g2.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    g2 = [float(row[0]) for row in rows]
+    g = config["coupling_rate_hz_per_nm"]
+    assert len(rows) == 20
+    approx_rel(g2[0], (g / 10) ** 2, 1e-12)
+    approx_rel(g2[-1], g ** 2, 1e-12)
+    assert all(a < b for a, b in zip(g2, g2[1:]))
+
+
+@pytest.mark.parametrize("name, drop, message", [
+    ("paper_fig4_backaction", "coupling_rate_hz_per_nm",
+     "need `$.coupling_rate_hz_per_nm` or `$.oscillator`+`$.geometry`"),
+    ("paper_fig2c_thermal", "mode", "need `$.mode` or `$.oscillator`"),
+], ids=["g", "mode"])
+def test_missing_alternative_sections_exit_2(name, drop, message, tmp_path,
+                                             capsys):
+    config = scenarios.get_scenario(name)
+    del config[drop]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run_cli(["run", str(path)]) == 2
+    assert _one_line_error(capsys) == f"error: {message}"
+
+
+def test_get_scenario_rejects_an_unknown_name():
+    with pytest.raises(KeyError, match="unknown scenario 'nope'"):
+        scenarios.get_scenario("nope")

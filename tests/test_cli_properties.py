@@ -1,10 +1,11 @@
 """Property tests of the CLI boundary: a bundled scenario with one key
 dropped or one value replaced by a wrong type, a non-finite, negative,
 vanishing or huge number, or a string still gets exit 0/1/2/3, a one-line
-error on stderr, and strict JSON on stdout. An unknown key, and a bool or
-a numeric string where a number belongs, exit 2 naming their path. A
-measured-data CSV of arbitrary finite numbers sent to `fit-shift` or
-`fit-response` keeps the same contract."""
+error on stderr that names a `$`-path on exit 2, and strict JSON on
+stdout. An unknown key, and a bool or a numeric string where a number
+belongs, exit 2 naming their path. A measured-data CSV of arbitrary
+finite numbers sent to `fit-shift` or `fit-response` keeps the same
+contract, and its exit-2 messages name `$.data_csv`."""
 
 import contextlib
 import io
@@ -66,6 +67,7 @@ def test_mutated_scenarios_keep_the_cli_contract(data):
     else:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert code != 2 or "`$" in lines[0]
 
 
 def _run(config: dict) -> tuple[int, str, str]:
@@ -176,3 +178,4 @@ def test_measured_csv_keeps_the_cli_contract(data):
     else:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert code != 2 or lines[0].startswith("error: `$.data_csv`: ")

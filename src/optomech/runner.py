@@ -124,6 +124,10 @@ def _check(raw, kind, where: str):
             ok = False
         if ok and kind is not float:
             ok = raw > 0 or kind is NON_NEGATIVE and raw == 0
+        scale = {"_hz": TWO_PI, "_nm": HZ_PER_NM}.get(where[-3:], 1.0)
+        if ok and not math.isfinite(raw * scale):
+            ok = False
+            expected += f" of magnitude <= {np.finfo(float).max / scale:.4g}"
     elif isinstance(kind, range):
         expected = f"an integer in [{kind[0]}, {kind[-1]}]"
         ok = is_int and raw in kind
@@ -180,41 +184,29 @@ def build_mode(cfg: dict) -> MechanicalMode:
         m_eff=m["effective_mass_kg"])
 
 
+def _spaced(lo, hi, points: int, floor, order: str, repeat: str) -> np.ndarray:
+    """`points` values from `lo` to `hi`, checked to rise from `floor`."""
+    rises = floor < lo < hi
+    values = np.linspace(lo, hi, points)
+    if not (rises and (values[1:] > values[:-1]).all()):
+        raise ConfigError(repeat if rises else order)
+    return values
+
+
 def build_grid(cfg: dict) -> np.ndarray:
     grid = cfg["grid"]
-    if not (0 < grid["f_min_hz"] < grid["f_max_hz"]):
-        raise ConfigError("require 0 < `$.grid.f_min_hz` < `$.grid.f_max_hz`")
-    freqs = np.linspace(grid["f_min_hz"], grid["f_max_hz"], grid["points"])
-    if not (freqs[1:] > freqs[:-1]).all():
-        raise ConfigError("`$.grid`: the points repeat a frequency")
-    return freqs
+    return _spaced(grid["f_min_hz"], grid["f_max_hz"], grid["points"], 0.0,
+                   "require 0 < `$.grid.f_min_hz` < `$.grid.f_max_hz`",
+                   "`$.grid`: the points repeat a frequency")
 
 
-def _mode(cfg: dict, rec: dict) -> MechanicalMode:
-    """The explicit `mode`, else the `oscillator.mode_index`-th string mode
-    of the oscillator under the cavity's Gaussian probe."""
-    if "mode" in rec:
-        return rec["mode"]
-    if "oscillator" not in rec:
-        raise ConfigError("need `$.mode` or `$.oscillator`")
-    return mechanics.mode_from_oscillator(
-        rec["oscillator"], _probe(rec["cavity"]),
-        cfg["oscillator"]["mode_index"])
-
-
-def _driven(cfg: dict, rec: dict) -> tuple[Microcavity, MechanicalMode,
-                                           DriveCondition, float]:
-    """Cavity, mode, drive and g (rad/s/m) of the sensitivity, backaction
-    and qba analyses: g is `coupling_rate_hz_per_nm`, else the model's."""
-    cav = rec["cavity"]
-    if "coupling_rate_hz_per_nm" in cfg:
-        g = cfg["coupling_rate_hz_per_nm"] * HZ_PER_NM
-    elif {"oscillator", "geometry"} <= rec.keys():
-        g = coupling.coupling_rate(cav, rec["oscillator"], rec["geometry"])
-    else:
-        raise ConfigError(
-            "need `$.coupling_rate_hz_per_nm` or `$.oscillator`+`$.geometry`")
-    return cav, _mode(cfg, rec), rec["drive"], g
+def build_backaction_g_grid(cfg: dict) -> np.ndarray:
+    gg = cfg["backaction_g_grid"]
+    return _spaced(gg["g_min_hz_per_nm"] * HZ_PER_NM,
+                   gg["g_max_hz_per_nm"] * HZ_PER_NM, gg["points"], -math.inf,
+                   "require `$.backaction_g_grid.g_min_hz_per_nm`"
+                   " < `$.backaction_g_grid.g_max_hz_per_nm`",
+                   "`$.backaction_g_grid`: the points repeat a coupling rate")
 
 
 def _q(value: float, unit: str) -> dict:
@@ -267,14 +259,19 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
     analysis = _check(config.get("analysis"), frozenset(_HANDLERS),
                       "$.analysis")
     handler, needs = _HANDLERS[analysis]
-    schema = {**SCHEMA, **{key: (SCHEMA[key][0], REQUIRED) for key in needs}}
-    cfg = _check(config, schema, "$")
+    cfg = _check(config, SCHEMA, "$")
+    for need in needs:
+        if (not any(cfg.keys() >= set(a.split("+")) for a in need.split("|"))
+                and (need != _MODE or "cavity" in cfg)):
+            raise ConfigError("need `$." + need.replace("+", "`+`$.")
+                              .replace("|", "` or `$.") + "`")
     # Every present section to its record, and a fit's data curve: the one
     # step whose ValueError is the config's. The benchmark's tracer patches
     # the builders and `from_csv`, so no module-level table may hold them.
     steps = {"cavity": build_cavity, "oscillator": build_oscillator,
              "geometry": build_geometry, "drive": build_drive,
-             "mode": build_mode, "grid": build_grid}
+             "mode": build_mode, "grid": build_grid,
+             "backaction_g_grid": build_backaction_g_grid}
     curve = {"fit-shift": coupling.ShiftCurve,
              "fit-response": sensing.ResponseCurve}.get(analysis)
     if curve is not None:
@@ -286,7 +283,25 @@ def run_scenario(config: dict, out_dir: Path | None = None) -> dict:
                 rec[key] = build(cfg)
             except ValueError as exc:
                 raise ConfigError(f"`$.{key}`: {exc}") from exc
+    # g in rad/s/m, then the mode, derived outside the config's step
+    if _G in needs:
+        rec["g"] = (cfg["coupling_rate_hz_per_nm"] * HZ_PER_NM
+                    if "coupling_rate_hz_per_nm" in cfg else
+                    coupling.coupling_rate(rec["cavity"], rec["oscillator"],
+                                           rec["geometry"]))
+    if _MODE in needs and "cavity" in rec and "mode" not in rec:
+        rec["mode"] = mechanics.mode_from_oscillator(
+            rec["oscillator"], _probe(rec["cavity"]),
+            cfg["oscillator"]["mode_index"])
     results, tables = handler(cfg, rec)
+    # no file is written unless every value is finite, as in result.json
+    for key, q in results.items():
+        if q["unit"] != "enum" and not math.isfinite(q["value"]):
+            raise ValueError(f"result `{key}` is {q['value']}")
+    for name, (header, columns, _) in tables.items():
+        for head, col in zip(header, columns):
+            if not np.isfinite(col).all():
+                raise ValueError(f"`{name}` column `{head}` is not finite")
     if out_dir is not None:
         _write_tables(out_dir, tables)
     return {"schema_version": 1, "scenario": cfg["name"],
@@ -341,7 +356,7 @@ def _run_coupling(cfg: dict, rec: dict) -> tuple[dict, Tables]:
 
 
 def _run_spectrum(cfg: dict, rec: dict) -> tuple[dict, Tables]:
-    mode, drive, grid = _mode(cfg, rec), rec["drive"], rec["grid"]
+    mode, drive, grid = rec["mode"], rec["drive"], rec["grid"]
     spectrum = mechanics.thermal_spectrum(mode, drive.temperature, grid)
     x_zp, s_sql = mechanics.zero_point(mode)
     amp_ratio, snr_db = mechanics.snr_requirement(mode, drive.temperature)
@@ -370,12 +385,11 @@ def _homodyne_shot_floor(cav: Microcavity, mode: MechanicalMode, g: float,
 
 
 def _run_sensitivity(cfg: dict, rec: dict) -> tuple[dict, Tables]:
-    cav, mode, drive, g = _driven(cfg, rec)
-    grid = rec["grid"]
+    cav, mode, drive, g = rec["cavity"], rec["mode"], rec["drive"], rec["g"]
     floor = cfg["detector_floor_m_per_sqrt_hz"]
     shot_double = _homodyne_shot_floor(cav, mode, g, drive)
     shot_pdh = shot_double * sensing.PDH_PENALTY
-    budget = sensing.noise_budget(cav, mode, g, drive, grid, floor)
+    budget = sensing.noise_budget(cav, mode, g, drive, rec["grid"], floor)
     x_zp, s_sql = mechanics.zero_point(mode)
     results = {
         "shot_floor_double_sided_m_per_sqrt_hz": _q(shot_double, "m/Hz^0.5"),
@@ -391,7 +405,7 @@ def _run_sensitivity(cfg: dict, rec: dict) -> tuple[dict, Tables]:
 
 
 def _run_response(cfg: dict, rec: dict) -> tuple[dict, Tables]:
-    cav, mode, grid = rec["cavity"], _mode(cfg, rec), rec["grid"]
+    cav, mode, grid = rec["cavity"], rec["mode"], rec["grid"]
     g_pump = cfg["response"]["g_pump_hz_per_nm"] * HZ_PER_NM
     g_probe = cfg["response"]["g_probe_hz_per_nm"] * HZ_PER_NM
     a1 = sensing.response_coefficient(cav, mode, g_pump, g_probe)
@@ -406,17 +420,9 @@ def _run_response(cfg: dict, rec: dict) -> tuple[dict, Tables]:
 
 
 def _run_backaction(cfg: dict, rec: dict) -> tuple[dict, Tables]:
-    cav, mode, drive, g = _driven(cfg, rec)
-    if "backaction_g_grid" in cfg:
-        gsec = cfg["backaction_g_grid"]
-        if not gsec["g_min_hz_per_nm"] < gsec["g_max_hz_per_nm"]:
-            raise ConfigError("require `$.backaction_g_grid.g_min_hz_per_nm`"
-                              " < `$.backaction_g_grid.g_max_hz_per_nm`")
-        g_grid = np.linspace(gsec["g_min_hz_per_nm"] * HZ_PER_NM,
-                             gsec["g_max_hz_per_nm"] * HZ_PER_NM,
-                             gsec["points"])
-    else:
-        g_grid = np.linspace(g / 10.0, g, 20)
+    cav, mode, drive, g = rec["cavity"], rec["mode"], rec["drive"], rec["g"]
+    g_grid = (rec["backaction_g_grid"] if "backaction_g_grid" in rec
+              else np.linspace(g / 10.0, g, 20))
     res = ba.backaction_rate(cav, mode, g, drive)
     p_thres = ba.threshold_power(cav, mode, g)
     state = ba.oscillation_amplitude(cav, mode, g, drive)
@@ -441,7 +447,7 @@ def _run_backaction(cfg: dict, rec: dict) -> tuple[dict, Tables]:
 
 
 def _run_qba(cfg: dict, rec: dict) -> tuple[dict, Tables]:
-    cav, mode, drive, g = _driven(cfg, rec)
+    cav, mode, drive, g = rec["cavity"], rec["mode"], rec["drive"], rec["g"]
     s_th = qba.thermal_force_psd(mode, drive.temperature)
     s_qba = qba.qba_force_psd(cav, g, drive, mode.omega_m)
     ratio = qba.qba_thermal_ratio(cav, mode, g, drive)
@@ -457,17 +463,13 @@ def _run_qba(cfg: dict, rec: dict) -> tuple[dict, Tables]:
 
 
 def _run_fit_shift(cfg: dict, rec: dict) -> tuple[dict, Tables]:
-    if "data_csv" in rec:
-        curve = rec["data_csv"]
-    elif {"cavity", "oscillator", "geometry"} <= rec.keys():
+    curve = rec.get("data_csv")
+    if curve is None:
         # the model's shift curve over 2.5 field decay lengths
         cav, osc, geom = rec["cavity"], rec["oscillator"], rec["geometry"]
         x0s = np.linspace(0.0, 2.5 / devices.decay_constant(cav), 30)
         curve = coupling.ShiftCurve([(float(x0), coupling.frequency_shift(
             cav, osc, CouplingGeometry(x0, geom.orientation))) for x0 in x0s])
-    else:
-        raise ConfigError("need `$.data_csv` or `$.cavity`, `$.oscillator` "
-                          "and `$.geometry`")
     fit = coupling.fit_exponential(curve)
     results = {
         "amplitude_hz": _q(fit.amplitude / TWO_PI, "Hz"),
@@ -480,9 +482,8 @@ def _run_fit_shift(cfg: dict, rec: dict) -> tuple[dict, Tables]:
 def _run_fit_response(cfg: dict, rec: dict) -> tuple[dict, Tables]:
     """Fit the measured response curve in `data_csv`. Without a `cavity`
     section g_eff is undefined and left out of the results."""
-    cav = rec.get("cavity")
-    mode = None if cav is None else _mode(cfg, rec)
-    fit = sensing.fit_response(rec["data_csv"], cav, mode)
+    fit = sensing.fit_response(rec["data_csv"], rec.get("cavity"),
+                               rec.get("mode"))
     results = {
         "a1": _q(fit.a1, "rad^2/s^2"),
         "omega_m_hz": _q(fit.omega_m / TWO_PI, "Hz"),
@@ -494,14 +495,17 @@ def _run_fit_response(cfg: dict, rec: dict) -> tuple[dict, Tables]:
     return results, {}
 
 
-# analysis -> (handler, top-level keys it cannot run without)
+# analysis -> (handler, needs): a need is top-level keys joined by "+", or
+# alternatives of them joined by "|". A mode is needed only under a cavity
+_G = "coupling_rate_hz_per_nm|oscillator+geometry"
+_MODE = "mode|oscillator"
 _HANDLERS = {
     "coupling": (_run_coupling, ("cavity",)),
-    "spectrum": (_run_spectrum, ("cavity", "drive", "grid")),
-    "sensitivity": (_run_sensitivity, ("cavity", "drive", "grid")),
-    "response": (_run_response, ("cavity", "response", "grid")),
-    "backaction": (_run_backaction, ("cavity", "drive")),
-    "qba": (_run_qba, ("cavity", "drive")),
-    "fit-shift": (_run_fit_shift, ()),
-    "fit-response": (_run_fit_response, ("data_csv",)),
+    "spectrum": (_run_spectrum, ("cavity", "drive", "grid", _MODE)),
+    "sensitivity": (_run_sensitivity, ("cavity", "drive", "grid", _G, _MODE)),
+    "response": (_run_response, ("cavity", "grid", "response", _MODE)),
+    "backaction": (_run_backaction, ("cavity", "drive", _G, _MODE)),
+    "qba": (_run_qba, ("cavity", "drive", _G, _MODE)),
+    "fit-shift": (_run_fit_shift, ("data_csv|cavity+oscillator+geometry",)),
+    "fit-response": (_run_fit_response, ("data_csv", _MODE)),
 }

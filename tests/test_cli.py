@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -291,6 +292,18 @@ def _write_config(tmp_path, name, section, key, value):
     return path
 
 
+@pytest.fixture
+def analyses_unreached(monkeypatch):
+    """Every analysis in `runner._HANDLERS` replaced by one that fails the
+    test: the input step must report the config's fault before any runs."""
+    def reached(cfg, rec):
+        pytest.fail(f"the {cfg['analysis']} analysis ran")
+
+    monkeypatch.setattr(runner, "_HANDLERS", {
+        analysis: (reached, needs)
+        for analysis, (_, needs) in runner._HANDLERS.items()})
+
+
 def _one_line_error(capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -348,6 +361,13 @@ def _one_line_error(capsys) -> str:
     # exited 3 with "ZeroDivisionError: float division by zero"
     ("paper_fig2c_thermal", "mode", "quality_factor", 0),
     ("paper_fig2c_thermal", "mode", "effective_mass_kg", -3.6e-15),
+    # a number in Hz or Hz/nm that overflows in rad/s or rad/s/m: exited 3,
+    # or 0 with a shot floor of 0.0 under sensitivity
+    ("paper_fig4_backaction", None, "coupling_rate_hz_per_nm", 1e300),
+    ("paper_fig3_sensitivity", None, "coupling_rate_hz_per_nm", 1e300),
+    ("paper_eq26_unity_ratio", None, "coupling_rate_hz_per_nm", 1e300),
+    ("paper_response_interference", "response", "g_pump_hz_per_nm", 1e300),
+    ("paper_standing_wave", "standing_wave", "mean_shift_hz", 1e308),
 ])
 def test_invalid_value_exits_2(name, section, key, value, tmp_path, capsys):
     path = _write_config(tmp_path, name, section, key, value)
@@ -361,6 +381,10 @@ def test_invalid_value_exits_2(name, section, key, value, tmp_path, capsys):
     if key == "length_m":   # was "require L > 0", a record field
         assert message == ("error: `$.oscillator.length_m` must be a finite "
                            "number > 0, got -2.5e-05")
+    if key == "mean_shift_hz":
+        assert message == ("error: `$.standing_wave.mean_shift_hz` must be a "
+                           "finite number of magnitude <= 2.861e+307, got "
+                           "1e+308")
 
 
 @pytest.mark.parametrize("name, section, donor, key, value", [
@@ -438,8 +462,6 @@ def test_numpy_warnings_stay_off_stderr(tmp_path):
 
 
 @pytest.mark.parametrize("name, key, value", [
-    # g/2pi = 1e300 Hz/nm overflows to inf in the rad/s/m conversion
-    ("paper_fig4_backaction", "coupling_rate_hz_per_nm", 1e300),
     # (2*L*f1)^2 in the stress inversion raises OverflowError
     ("paper_stress_inference", "measured_f1_hz", 1e200),
 ])
@@ -909,7 +931,7 @@ def _one_value_changed(analysis: str, section: str, key: str,
     # f_m overflows to inf: a derived value, a domain error
     ("oscillator", "density_kg_per_m3", 1e-308, 3),
     ("oscillator", "length_m", 1e300, 3),
-    # 2*pi*kappa_hz overflows while the cavity is built from the config
+    # 2*pi*kappa_hz overflows: the config's number is out of range
     ("cavity", "kappa_hz", 1e308, 2),
 ])
 def test_one_exit_code_per_input_under_every_analysis(
@@ -920,7 +942,7 @@ def test_one_exit_code_per_input_under_every_analysis(
     assert run_cli(["run", str(path)]) == code
     message = _one_line_error(capsys)
     if code == 2:
-        assert message.startswith(f"error: `$.{section}`: ")
+        assert message.startswith(f"error: `$.{section}.{key}` must be ")
 
 
 @pytest.mark.parametrize("name, section, key, value, message", [
@@ -958,7 +980,8 @@ def test_record_error_names_its_section(name, section, key, value, message,
      "error: `$.grid`: the points repeat a frequency"),
 ], ids=["descending", "repeated points"])
 def test_grid_that_does_not_increase_exits_2(analysis, grid, message,
-                                             tmp_path, capsys):
+                                             tmp_path, capsys,
+                                             analyses_unreached):
     name = {"spectrum": "paper_fig2c_thermal",
             "response": "paper_response_interference"}[analysis]
     path = _write_config(tmp_path, name, None, "grid", grid)
@@ -966,6 +989,46 @@ def test_grid_that_does_not_increase_exits_2(analysis, grid, message,
     assert run_cli(["run", str(path), "--out", str(out)]) == 2
     assert _one_line_error(capsys) == message
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("g_grid, message", [
+    ({"g_min_hz_per_nm": 2e6, "g_max_hz_per_nm": 1e6},
+     "error: require `$.backaction_g_grid.g_min_hz_per_nm` < "
+     "`$.backaction_g_grid.g_max_hz_per_nm`"),
+    # exited 0 with 1 000 rows of which 9 were distinct
+    ({"g_min_hz_per_nm": 1e6, "g_max_hz_per_nm": 1e6 * (1 + 1e-15),
+      "points": 1000},
+     "error: `$.backaction_g_grid`: the points repeat a coupling rate"),
+], ids=["descending", "repeated points"])
+def test_backaction_g_grid_that_does_not_increase_exits_2(
+        g_grid, message, tmp_path, capsys, analyses_unreached):
+    path = _write_config(tmp_path, "paper_fig4_backaction", None,
+                         "backaction_g_grid", g_grid)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 2
+    assert _one_line_error(capsys) == message
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, section, key, value, message", [
+    # g^2 overflows on the external axis: exited 0 with 24 `inf` rows
+    ("paper_fig4_backaction", "backaction_g_grid", "g_max_hz_per_nm", 1e200,
+     "`linewidth_vs_g2.csv` column `g2_hz2_per_nm2` is not finite"),
+    # exited 3 but left a thermal_spectrum.csv of `nan` rows behind
+    ("paper_fig2c_thermal", "mode", "effective_mass_kg", 1e-320,
+     "result `x_rms_integrated_m` is nan"),
+])
+def test_non_finite_output_exits_3_and_writes_nothing(
+        name, section, key, value, message, tmp_path, capsys):
+    path = _write_config(tmp_path, name, section, key, value)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 3
+    assert _one_line_error(capsys) == f"error: ValueError: {message}"
+    assert list(out.iterdir()) == []
+    # the same error without out_dir, where nothing would be written
+    with np.errstate(all="ignore"), \
+            pytest.raises(ValueError, match=re.escape(message)):
+        run_scenario(json.loads(path.read_text()))
 
 
 def test_fit_response_reports_g_eff(tmp_path, capsys):
@@ -997,19 +1060,31 @@ def test_backaction_default_g_grid(tmp_path):
     assert all(a < b for a, b in zip(g2, g2[1:]))
 
 
-@pytest.mark.parametrize("name, drop, message", [
-    ("paper_fig4_backaction", "coupling_rate_hz_per_nm",
+@pytest.mark.parametrize("name, fit, drop, message", [
+    ("paper_fig4_backaction", None, "coupling_rate_hz_per_nm",
      "need `$.coupling_rate_hz_per_nm` or `$.oscillator`+`$.geometry`"),
-    ("paper_fig2c_thermal", "mode", "need `$.mode` or `$.oscillator`"),
-], ids=["g", "mode"])
-def test_missing_alternative_sections_exit_2(name, drop, message, tmp_path,
-                                             capsys):
+    ("paper_fig2c_thermal", None, "mode", "need `$.mode` or `$.oscillator`"),
+    ("paper_fig2a_shift_fit", None, "cavity",
+     "need `$.data_csv` or `$.cavity`+`$.oscillator`+`$.geometry`"),
+    # a fit of a valid curve reads a mode under a cavity
+    ("paper_response_interference", "fit-response", "mode",
+     "need `$.mode` or `$.oscillator`"),
+], ids=["g", "mode", "fit-shift", "fit-response mode"])
+def test_missing_alternative_sections_exit_2(name, fit, drop, message,
+                                             tmp_path, capsys,
+                                             analyses_unreached):
     config = scenarios.get_scenario(name)
     del config[drop]
+    if fit is not None:
+        data = tmp_path / "data.csv"
+        data.write_text(_valid_csv_text(fit))
+        config.update(analysis=fit, data_csv=str(data))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    assert run_cli(["run", str(path)]) == 2
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 2
     assert _one_line_error(capsys) == f"error: {message}"
+    assert list(out.iterdir()) == []
 
 
 def test_get_scenario_rejects_an_unknown_name():

@@ -21,7 +21,6 @@ from .coupling import (
     coupling_ratio_hv,
     fit_exponential,
     frequency_shift,
-    numeric_g_check,
     standing_wave_period,
     standing_wave_shift,
 )
@@ -65,10 +64,8 @@ from .mechanics import (
 from .qba import (
     qba_force_psd,
     qba_thermal_ratio,
-    qba_thermal_ratio_scaling,
     thermal_force_psd,
 )
-from .quadrature import adaptive_quadrature
 from .sensing import (
     DriveCondition,
     NoiseBudget,
@@ -78,7 +75,6 @@ from .sensing import (
     g_eff_from_a1,
     noise_budget,
     response_coefficient,
-    response_magnitude,
     response_model,
     shot_noise_floor,
 )

@@ -63,6 +63,21 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _describe(exc: Exception) -> str:
+    """A domain error's message. A float overflow or division by zero gets
+    its text without the errno tuple of `**`, then the innermost package
+    function it came from: `... out of range in devices.decay_constant`."""
+    if not isinstance(exc, (OverflowError, ZeroDivisionError)):
+        return str(exc)
+    import traceback
+    where = "optomech"
+    for frame, _ in traceback.walk_tb(exc.__traceback__):
+        name = frame.f_globals.get("__name__", "")
+        if name.startswith("optomech."):
+            where = f"{name.removeprefix('optomech.')}.{frame.f_code.co_name}"
+    return f"{exc.args[-1] if exc.args else ''} in {where}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optomech",
@@ -105,7 +120,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (OptomechError, ArithmeticError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {_describe(exc)}",
+              file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

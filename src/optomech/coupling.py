@@ -248,8 +248,8 @@ def _sampled_area(cav: Microcavity, osc: NanoOscillator,
 
 def _shift_magnitude(cav: Microcavity, osc: NanoOscillator,
                      geom: CouplingGeometry, x0: float) -> float:
-    # x0 passed separately so finite-difference stencils may evaluate the
-    # analytic exponential profile slightly inside the validated range
+    # x0 passed separately: the tests' central difference of g evaluates
+    # the analytic profile at x0 +- h, which may lie past the validated range
     alpha = devices.decay_constant(cav)
     area = _sampled_area(cav, osc, geom)
     thickness = (1.0 - math.exp(-2.0 * alpha * osc.t)) / (2.0 * alpha)
@@ -274,24 +274,6 @@ def coupling_rate(cav: Microcavity, osc: NanoOscillator,
 def coupling_ratio_hv(cav: Microcavity) -> float:
     """Horizontal/vertical coupling-rate ratio sqrt(R/r)."""
     return math.sqrt(cav.R / cav.r)
-
-
-def numeric_g_check(cav: Microcavity, osc: NanoOscillator,
-                    geom: CouplingGeometry, h: float) -> float:
-    """Relative error of the closed-form g against a central difference.
-
-    h must lie in (0, 1/(10*alpha)) so the stencil stays in the
-    exponential regime.
-    """
-    alpha = devices.decay_constant(cav)
-    if not (0 < h < 1.0 / (10.0 * alpha)):
-        raise ValueError("step must lie in (0, 1/(10*alpha))")
-    x0 = geom.x0
-    lo = _shift_magnitude(cav, osc, geom, x0 - h)
-    hi = _shift_magnitude(cav, osc, geom, x0 + h)
-    g_fd = (lo - hi) / (2.0 * h)
-    g = coupling_rate(cav, osc, geom)
-    return abs(g_fd - g) / g
 
 
 def fit_exponential(curve: ShiftCurve) -> ExpFit:

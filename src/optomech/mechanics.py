@@ -49,6 +49,8 @@ class MechanicalMode:
     @classmethod
     def from_quality_factor(cls, omega_m: float, Q: float, m_eff: float
                             ) -> "MechanicalMode":
+        if not Q > 0:   # NaN fails too
+            raise ValueError(f"require Q > 0, got {Q!r}")
         return cls(omega_m=omega_m, gamma_m=omega_m / Q, m_eff=m_eff)
 
 

@@ -16,12 +16,10 @@ Heisenberg pair S_xx_shot * S_FF_qba = hbar^2/2 at every frequency.
 
 from __future__ import annotations
 
-import math
-
 from .devices import Microcavity
 from .mechanics import MechanicalMode
 from .sensing import DriveCondition
-from .units import C_LIGHT, HBAR, K_B, TWO_PI
+from .units import HBAR, K_B
 
 
 def thermal_force_psd(mode: MechanicalMode, T: float) -> float:
@@ -43,38 +41,12 @@ def qba_force_psd(cav: Microcavity, g: float, drive: DriveCondition,
 def qba_thermal_ratio(cav: Microcavity, mode: MechanicalMode, g: float,
                       drive: DriveCondition) -> float:
     """Quantum-backaction over thermal force PSD at the mechanical
-    resonance and the drive temperature."""
+    resonance and the drive temperature; with omega0 = 2*pi*c/lambda,
+
+        hbar*Q*g^2*P_in*lambda / (m_eff*Om*kappa^2*k_B*T*2pi*c)
+        * 4/(1 + 4*Om^2/kappa^2),
+
+    of order unity for the reference set of `paper_eq26_unity_ratio`."""
     return (qba_force_psd(cav, g, drive, mode.omega_m)
             / thermal_force_psd(mode, drive.temperature))
 
-
-# reference parameterization of the scaling form:
-# g/2pi = 20 MHz/nm, kappa/2pi = 4 MHz, m_eff = 15 pg, Q = 1e6,
-# Omega_m/2pi = 1 MHz, P = 100 uW, lambda = 780 nm, T = 300 K
-_REF = {
-    "g": 2.0 * math.pi * 20e6 / 1e-9,
-    "kappa": 2.0 * math.pi * 4e6,
-    "m_eff": 15e-15,
-    "Q": 1e6,
-    "omega_m": 2.0 * math.pi * 1e6,
-    "p_in": 100e-6,
-    "wavelength": 780e-9,
-    "T": 300.0,
-}
-
-
-def qba_thermal_ratio_scaling(g: float, kappa: float, m_eff: float, Q: float,
-                              omega_m: float, p_in: float, wavelength: float,
-                              T: float) -> float:
-    """QBA-to-thermal ratio in the scaling parameters,
-
-    hbar*Q*g^2*P_in*lambda / (m_eff*Om*kappa^2*k_B*T*2pi*c)
-    * 4/(1 + 4*Om^2/kappa^2);
-
-    algebraically identical to :func:`qba_thermal_ratio` at the mechanical
-    resonance, and of order unity at `_REF`.
-    """
-    lorentz = 4.0 / (1.0 + 4.0 * omega_m ** 2 / kappa ** 2)
-    return (HBAR * Q * g ** 2 * p_in * wavelength
-            / (m_eff * omega_m * kappa ** 2 * K_B * T * TWO_PI * C_LIGHT)
-            * lorentz)

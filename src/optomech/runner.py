@@ -388,7 +388,8 @@ def _run_sensitivity(cfg: dict, rec: dict) -> tuple[dict, Tables]:
     cav, mode, drive, g = rec["cavity"], rec["mode"], rec["drive"], rec["g"]
     floor = cfg["detector_floor_m_per_sqrt_hz"]
     shot_double = _homodyne_shot_floor(cav, mode, g, drive)
-    shot_pdh = shot_double * sensing.PDH_PENALTY
+    shot_pdh = sensing.shot_noise_floor(
+        cav, g, DriveCondition(drive.p_in, readout="pdh"), mode.omega_m)
     budget = sensing.noise_budget(cav, mode, g, drive, rec["grid"], floor)
     x_zp, s_sql = mechanics.zero_point(mode)
     results = {

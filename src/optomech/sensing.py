@@ -187,13 +187,6 @@ def response_jacobian(omega, a1: float, omega_m: float, gamma_m: float
     return h, jac.T
 
 
-def response_magnitude(cav: Microcavity, mode: MechanicalMode, g_pump: float,
-                       g_probe: float, omega: np.ndarray) -> np.ndarray:
-    """Normalized response |dw_tot/dw_Kerr| at angular frequencies omega."""
-    a1 = response_coefficient(cav, mode, g_pump, g_probe)
-    return response_model(omega, a1, mode.omega_m, mode.gamma_m)
-
-
 def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
                  mode: MechanicalMode | None = None) -> ResponseFit:
     """Damped least-squares fit of the interference model to a response curve.

@@ -11,8 +11,13 @@ from optomech import (
     MechanicalMode,
     Microcavity,
     NanoOscillator,
+    coupling_rate,
+    decay_constant,
+    response_coefficient,
+    response_model,
 )
-from optomech.units import TWO_PI
+from optomech.coupling import _shift_magnitude
+from optomech.units import C_LIGHT, HBAR, K_B, TWO_PI
 
 HZ_PER_NM = TWO_PI * 1e9
 
@@ -88,6 +93,68 @@ def random_string(rng) -> NanoOscillator:
         n_nano=rng.uniform(1.5, 2.5),
         Q=rng.uniform(1e4, 1e6),
     )
+
+
+# Independent oracles: each states a quantity another way than the library
+# does, so a test can hold the library to it.
+
+# reference set of the QBA scaling form, that of `paper_eq26_unity_ratio`:
+# g/2pi = 20 MHz/nm, kappa/2pi = 4 MHz, m_eff = 15 pg, Q = 1e6,
+# Omega_m/2pi = 1 MHz, P = 100 uW, lambda = 780 nm, T = 300 K
+QBA_REF = {
+    "g": 2.0 * math.pi * 20e6 / 1e-9,
+    "kappa": 2.0 * math.pi * 4e6,
+    "m_eff": 15e-15,
+    "Q": 1e6,
+    "omega_m": 2.0 * math.pi * 1e6,
+    "p_in": 100e-6,
+    "wavelength": 780e-9,
+    "T": 300.0,
+}
+
+
+def qba_reference_records():
+    """(cavity, mode, g, drive) of `QBA_REF`, the arguments of
+    `qba_thermal_ratio`."""
+    ref = QBA_REF
+    return (make_cavity(kappa=ref["kappa"], wavelength=ref["wavelength"]),
+            MechanicalMode.from_quality_factor(ref["omega_m"], ref["Q"],
+                                               ref["m_eff"]),
+            ref["g"], DriveCondition(p_in=ref["p_in"], temperature=ref["T"]))
+
+
+def qba_thermal_ratio_scaling(g, kappa, m_eff, Q, omega_m, p_in, wavelength,
+                              T):
+    """QBA-to-thermal ratio in the scaling parameters,
+
+    hbar*Q*g^2*P_in*lambda / (m_eff*Om*kappa^2*k_B*T*2pi*c)
+    * 4/(1 + 4*Om^2/kappa^2);
+
+    algebraically identical to `qba_thermal_ratio` at the mechanical
+    resonance.
+    """
+    lorentz = 4.0 / (1.0 + 4.0 * omega_m ** 2 / kappa ** 2)
+    return (HBAR * Q * g ** 2 * p_in * wavelength
+            / (m_eff * omega_m * kappa ** 2 * K_B * T * TWO_PI * C_LIGHT)
+            * lorentz)
+
+
+def response_magnitude(cav, mode, g_pump, g_probe, omega):
+    """Normalized response |dw_tot/dw_Kerr| at angular frequencies omega."""
+    a1 = response_coefficient(cav, mode, g_pump, g_probe)
+    return response_model(omega, a1, mode.omega_m, mode.gamma_m)
+
+
+def g_central_difference_error(cav, osc, geom, h):
+    """Relative error of the closed-form g against a central difference of
+    the shift magnitude at x0 +- h, with h in (0, 1/(10*alpha)) so the
+    stencil stays in the exponential regime."""
+    assert 0 < h < 1.0 / (10.0 * decay_constant(cav))
+    lo = _shift_magnitude(cav, osc, geom, geom.x0 - h)
+    hi = _shift_magnitude(cav, osc, geom, geom.x0 + h)
+    g_fd = (lo - hi) / (2.0 * h)
+    g = coupling_rate(cav, osc, geom)
+    return abs(g_fd - g) / g
 
 
 def approx_rel(actual, expected, rel):

@@ -26,13 +26,11 @@ from optomech import (
     fit_response,
     infer_stress,
     integrated_rms,
-    numeric_g_check,
     oscillation_amplitude,
     qba_force_psd,
-    qba_thermal_ratio_scaling,
+    qba_thermal_ratio,
     resonance_grid,
     response_coefficient,
-    response_magnitude,
     shot_noise_floor,
     snr_requirement,
     susceptibility,
@@ -43,19 +41,21 @@ from optomech import (
     transmission_modulation,
     zero_point,
 )
-from optomech.qba import _REF
 from optomech.sensing import PDH_PENALTY
 from optomech.units import HBAR, K_B, TWO_PI, SpectralDensity, to_sidedness
 
 from conftest import (
     HZ_PER_NM,
     approx_rel,
+    g_central_difference_error,
     make_cavity,
     make_drive,
     make_mode,
     make_string,
+    qba_reference_records,
     random_cavity,
     random_string,
+    response_magnitude,
     rng,
 )
 
@@ -190,10 +190,7 @@ def test_12_heisenberg_product(rng):
 
 
 def test_13_qba_ratio_reference_set_near_unity():
-    ratio = qba_thermal_ratio_scaling(
-        g=_REF["g"], kappa=_REF["kappa"], m_eff=_REF["m_eff"], Q=_REF["Q"],
-        omega_m=_REF["omega_m"], p_in=_REF["p_in"],
-        wavelength=_REF["wavelength"], T=_REF["T"])
+    ratio = qba_thermal_ratio(*qba_reference_records())
     assert abs(ratio - 1.0) <= 0.2
 
 
@@ -236,8 +233,8 @@ def test_15_finite_difference_gradient(rng):
             osc = NanoOscillator(**{**osc.__dict__, "kind": "sheet"})
         alpha = decay_constant(cav)
         geom = CouplingGeometry(rng.uniform(0.0, 2.0 / alpha), orientation)
-        assert numeric_g_check(cav, osc, geom,
-                               rng.uniform(0.002, 0.005) / alpha) < 1e-4
+        assert g_central_difference_error(
+            cav, osc, geom, rng.uniform(0.002, 0.005) / alpha) < 1e-4
 
 
 def test_16_saturation_amplitude_and_modulation_depth():

@@ -461,15 +461,34 @@ def test_numpy_warnings_stay_off_stderr(tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
-@pytest.mark.parametrize("name, key, value", [
+OVERFLOW_CASES = [
     # (2*L*f1)^2 in the stress inversion raises OverflowError
-    ("paper_stress_inference", "measured_f1_hz", 1e200),
-])
-def test_overflow_exits_3(name, key, value, tmp_path, capsys):
-    path = _write_config(tmp_path, name, None, key, value)
+    ("paper_stress_inference", None, "measured_f1_hz", 1e200,
+     "devices.infer_stress"),
+    # n**2 in the decay constant
+    ("paper_decay_length", "cavity", "refractive_index", 1e200,
+     "devices.decay_constant"),
+    # detector_floor**2 in the noise budget
+    ("paper_fig3_sensitivity", None, "detector_floor_m_per_sqrt_hz", 1e200,
+     "sensing.noise_budget"),
+    # the mode volume underflows to 0 and divides the shift: no errno tuple
+    ("paper_si_horizontal_g", "cavity", "mode_diameter_m", 1e-300,
+     "coupling._shift_magnitude"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, section, key, value, where", OVERFLOW_CASES,
+    ids=[f"{name}-{key}-{value}" for name, _, key, value, _ in OVERFLOW_CASES])
+def test_overflow_exits_3(name, section, key, value, where, tmp_path,
+                          capsys):
+    path = _write_config(tmp_path, name, section, key, value)
     out = tmp_path / "out"
     assert run_cli(["run", str(path), "--out", str(out)]) == 3
-    _one_line_error(capsys)
+    message = _one_line_error(capsys)
+    # the failing function is named, and Python's errno tuple is not shown
+    assert message.endswith(f" in {where}")
+    assert "(34, " not in message
     assert not (out / "result.json").exists()
 
 

@@ -16,7 +16,6 @@ from optomech import (
     fit_exponential,
     frequency_shift,
     mode_volume,
-    numeric_g_check,
     sampling_lengths,
     standing_wave_period,
     standing_wave_shift,
@@ -25,8 +24,8 @@ from optomech import coupling
 from optomech.cli import main
 from optomech.units import TWO_PI
 
-from conftest import approx_rel, make_cavity, make_string, random_cavity, \
-    random_string, rng
+from conftest import approx_rel, g_central_difference_error, make_cavity, \
+    make_string, random_cavity, random_string, rng
 
 
 def _oracle_shift(cav, osc, orientation, x0):
@@ -93,18 +92,7 @@ def test_finite_difference_gradient(rng):
         alpha = decay_constant(cav)
         geom = CouplingGeometry(rng.uniform(0.0, 2.0 / alpha), orientation)
         h = rng.uniform(0.002, 0.005) / alpha
-        assert numeric_g_check(cav, osc, geom, h) < 1e-4
-
-
-def test_finite_difference_step_validation():
-    cav = make_cavity()
-    osc = make_string()
-    geom = CouplingGeometry(0.0, "horizontal")
-    alpha = decay_constant(cav)
-    with pytest.raises(ValueError):
-        numeric_g_check(cav, osc, geom, 0.0)
-    with pytest.raises(ValueError):
-        numeric_g_check(cav, osc, geom, 1.0 / alpha)
+        assert g_central_difference_error(cav, osc, geom, h) < 1e-4
 
 
 def test_geometry_mismatch_for_unknown_sampling():

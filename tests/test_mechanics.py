@@ -8,7 +8,6 @@ from optomech import (
     MechanicalMode,
     OutOfDomain,
     ProbeProfile,
-    adaptive_quadrature,
     effective_mass,
     integrated_rms,
     mode_from_oscillator,
@@ -21,6 +20,7 @@ from optomech import (
     zero_point,
 )
 from optomech import mechanics, runner, scenarios
+from optomech.quadrature import adaptive_quadrature
 from optomech.units import HBAR, K_B, TWO_PI, SpectralDensity
 
 from conftest import approx_rel, make_mode, make_string, random_string, rng
@@ -153,6 +153,13 @@ def test_non_finite_probe_and_mode_raise(value):
         ProbeProfile("gaussian", l_y=value)
     with pytest.raises(ValueError, match="finite m_eff"):
         MechanicalMode(omega_m=1.0, gamma_m=1.0, m_eff=value)
+
+
+@pytest.mark.parametrize("Q", [0.0, -5.0, math.nan])
+def test_mode_from_non_positive_quality_factor_raises(Q):
+    # Q = 0 divided by zero, and Q = -5 blamed gamma_m
+    with pytest.raises(ValueError, match=r"require Q > 0, got"):
+        MechanicalMode.from_quality_factor(omega_m=1e6, Q=Q, m_eff=1e-15)
 
 
 @pytest.mark.parametrize("shape", ["Gaussian", "point", ""])

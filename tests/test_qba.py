@@ -7,12 +7,10 @@ from optomech import (
     DriveCondition,
     qba_force_psd,
     qba_thermal_ratio,
-    qba_thermal_ratio_scaling,
     susceptibility,
     thermal_force_psd,
     thermal_spectrum,
 )
-from optomech.qba import _REF
 from optomech.units import C_LIGHT, HBAR, K_B, TWO_PI
 
 from conftest import (
@@ -21,6 +19,8 @@ from conftest import (
     make_cavity,
     make_drive,
     make_mode,
+    qba_reference_records,
+    qba_thermal_ratio_scaling,
     rng,
 )
 
@@ -107,10 +107,7 @@ def test_scaling_form_is_identical_to_direct_ratio(rng):
 
 
 def test_reference_set_reaches_order_unity():
-    ratio = qba_thermal_ratio_scaling(
-        g=_REF["g"], kappa=_REF["kappa"], m_eff=_REF["m_eff"], Q=_REF["Q"],
-        omega_m=_REF["omega_m"], p_in=_REF["p_in"],
-        wavelength=_REF["wavelength"], T=_REF["T"])
+    ratio = qba_thermal_ratio(*qba_reference_records())
     assert 0.8 < ratio < 1.2
     approx_rel(ratio, 0.894920619076478, 1e-10)
 

@@ -14,7 +14,6 @@ from optomech import (
     noise_budget,
     qba_force_psd,
     response_coefficient,
-    response_magnitude,
     response_model,
     shot_noise_floor,
 )
@@ -29,6 +28,7 @@ from conftest import (
     make_cavity,
     make_drive,
     make_mode,
+    response_magnitude,
     rng,
 )
 

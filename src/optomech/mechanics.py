@@ -88,23 +88,36 @@ def mode_shape(osc: NanoOscillator, n: int, y: float) -> float:
 
 
 def effective_mass(osc: NanoOscillator, probe: ProbeProfile, n: int) -> float:
-    """Probe-weighted effective mass of the n-th mode (kg). A Gaussian
-    probe's overlap integrates one closure per call: mode_shape * v0^2."""
+    """Probe-weighted effective mass of the n-th mode (kg).
+
+    A Gaussian probe's overlap integrates one closure, mode_shape * v0^2,
+    outwards from the probe centre c: each half starts from a sample at
+    the probe's peak, which evenly spaced samples over the whole string
+    can all miss. For c = 0 the closure is exactly even about 0 for odd
+    n, so the overlap is twice the right half, and exactly odd for even
+    n, so the overlap is 0."""
     mean_sq = 0.5  # <u_n^2> = 1/2 exactly for the sinusoidal patterns
+    c = probe.center_offset
+    if c == 0.0 and n % 2 == 0:
+        raise DivergentMass(
+            "probe overlap vanishes (antisymmetric mode, symmetric probe)")
 
     if probe.shape == "delta":
-        overlap = mode_shape(osc, n, probe.center_offset)
+        overlap = mode_shape(osc, n, c)
     else:
         trig, k, L = _TRIG[n % 2], n * math.pi, osc.L
-        c, l_y, l2 = probe.center_offset, probe.l_y, probe.l_y ** 2
+        l_y, l2 = probe.l_y, probe.l_y ** 2
 
         def integrand(y: float) -> float:
             u = y - c
             return trig(k * y / L) * (math.exp(-math.pi * u * u / l2) / l_y)
-        overlap = adaptive_quadrature(integrand, -L / 2.0, L / 2.0)
-    if abs(overlap) < _OVERLAP_FLOOR * math.sqrt(mean_sq):
-        raise DivergentMass(
-            "probe overlap vanishes (antisymmetric mode, symmetric probe)")
+        right = adaptive_quadrature(integrand, c, L / 2.0)
+        overlap = (2.0 * right if c == 0.0 else
+                   adaptive_quadrature(integrand, -L / 2.0, c) + right)
+    floor = _OVERLAP_FLOOR * math.sqrt(mean_sq)
+    if abs(overlap) < floor:
+        raise DivergentMass(f"probe overlap {overlap:.6g} is below the floor "
+                            f"{_OVERLAP_FLOOR:g} * sqrt(<u_n^2>) = {floor:.6g}")
     return osc.physical_mass * mean_sq / overlap ** 2
 
 

@@ -111,9 +111,12 @@ def shot_noise_floor(cav: Microcavity, g: float, drive: DriveCondition,
         raise ZeroPower("shot-noise floor undefined at zero input power")
     if g <= 0:
         raise ValueError("require g > 0")
+    lorentz = 1.0 + (2.0 * omega / cav.kappa) ** 2
+    # math.sqrt on a number: a scalar run need not load numpy
     base = (cav.kappa / (4.0 * g)) \
         * math.sqrt(HBAR * cav.omega0 / drive.p_in) \
-        * np.sqrt(1.0 + (2.0 * omega / cav.kappa) ** 2)
+        * (math.sqrt(lorentz) if isinstance(lorentz, float)
+           else np.sqrt(lorentz))
     if sidedness == "single":
         base *= math.sqrt(2.0)
     elif sidedness != "double":

@@ -446,6 +446,18 @@ def test_vanishing_signal_to_background_exits_3(tmp_path, capsys):
     assert "signal-to-background ratio" in _one_line_error(capsys)
 
 
+def test_vanishing_probe_overlap_exits_3(tmp_path, capsys):
+    # a probe ~1e150 m wide on a symmetric mode: the overlap underflows to
+    # ~1e-77, and the message says so rather than blaming the mode's parity
+    path = _write_config(tmp_path, "paper_si_horizontal_g", "cavity",
+                         "major_radius_m", 1e150)
+    assert run_cli(["run", str(path)]) == 3
+    message = _one_line_error(capsys)
+    assert message.startswith("error: DivergentMass: probe overlap ")
+    assert "below the floor 1e-12" in message
+    assert "antisymmetric" not in message
+
+
 def test_numpy_warnings_stay_off_stderr(tmp_path):
     # in a subprocess, where numpy's RuntimeWarnings would reach stderr
     path = _write_config(tmp_path, "paper_fig2c_thermal", "mode",
@@ -673,7 +685,7 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["list-scenarios"]) == 0
 print("list-scenarios", loaded())
 for name, config in SCENARIOS.items():
-    if config["analysis"] == "coupling":
+    if config["analysis"] in ("coupling", "qba"):
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["run", name, "--out", sys.argv[1]]) == 0
         print(name, loaded())
@@ -684,17 +696,18 @@ print("numpy" in sys.modules)
 
 
 def test_scalar_runs_load_neither_numpy_nor_dataclasses(tmp_path):
-    # a fresh interpreter: the six `coupling` scenarios compute no array
-    coupling = [name for name, config in scenarios.SCENARIOS.items()
-                if config["analysis"] == "coupling"]
-    assert coupling
+    # a fresh interpreter: the six `coupling` scenarios and the `qba` one
+    # compute no array
+    scalar = [name for name, config in scenarios.SCENARIOS.items()
+              if config["analysis"] in ("coupling", "qba")]
+    assert len(scalar) == 7
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", _STARTUP_PROBE,
                            str(tmp_path)], capture_output=True, text=True,
                           timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        f"{step} []" for step in ["import", "list-scenarios", *coupling]
+        f"{step} []" for step in ["import", "list-scenarios", *scalar]
     ] + ["True"]
 
 

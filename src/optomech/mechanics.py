@@ -138,11 +138,19 @@ def thermal_spectrum(mode: MechanicalMode, T: float,
     if T < 0:
         raise ValueError("require T >= 0")
     f = np.asarray(grid_hz, dtype=float)
-    omega = TWO_PI * f
-    chi_sq = 1.0 / (mode.m_eff ** 2
-                    * ((mode.omega_m ** 2 - omega ** 2) ** 2
-                       + (omega * mode.gamma_m) ** 2))
-    values = 4.0 * mode.m_eff * mode.gamma_m * K_B * T * chi_sq
+    # the operations of 4*m*G*k_B*T / (m^2*((Om^2 - O^2)^2 + (O*G)^2)), in
+    # that order, in two arrays; `out=` keeps a 0-d grid an array, which
+    # SpectralDensity then rejects as not 1-D
+    omega = np.multiply(TWO_PI, f, out=np.empty_like(f))
+    values = np.square(omega, out=np.empty_like(f))
+    np.subtract(mode.omega_m ** 2, values, out=values)
+    np.square(values, out=values)
+    np.multiply(omega, mode.gamma_m, out=omega)
+    np.square(omega, out=omega)
+    np.add(values, omega, out=values)
+    np.multiply(mode.m_eff ** 2, values, out=values)
+    np.divide(1.0, values, out=values)
+    np.multiply(4.0 * mode.m_eff * mode.gamma_m * K_B * T, values, out=values)
     return SpectralDensity(frequencies=f, values=values, sidedness="single")
 
 
@@ -159,12 +167,20 @@ def resonance_grid(mode: MechanicalMode) -> np.ndarray:
     gamma_hz = mode.gamma_m / TWO_PI
     broad = np.logspace(math.log10(f_m) - 2.0, math.log10(f_m) + 2.0, 2000)
     half_window = min(2000.0 * gamma_hz, 0.5 * f_m)
-    narrow = np.linspace(max(f_m - half_window, broad[0]),
-                         f_m + half_window, 40001)
-    # sort and drop repeats: np.unique would import numpy.ma on first use
-    grid = np.concatenate([broad, narrow])
-    grid.sort()
-    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+    # the window starts at f_m/2 or above, inside the broad grid
+    narrow = np.linspace(f_m - half_window, f_m + half_window, 40001)
+    # merge the broad points inside the window into it, then drop repeats
+    # (np.unique would import numpy.ma on first use)
+    i, j = np.searchsorted(broad, (narrow[0], narrow[-1]))
+    inner = broad[i:j]
+    grid = np.concatenate((broad[:i],
+                           np.insert(narrow, np.searchsorted(narrow, inner),
+                                     inner),
+                           broad[j:]))
+    keep = grid[1:] != grid[:-1]
+    if keep.all():
+        return grid
+    return grid[np.concatenate(([True], keep))]
 
 
 def integrated_rms(spectrum: SpectralDensity) -> float:

@@ -134,7 +134,7 @@ class SpectralDensity:
         object.__setattr__(self, "values", vals)
         if freqs.ndim != 1 or vals.shape != freqs.shape:
             raise ValueError("frequencies and values must be 1-D and congruent")
-        if freqs.size >= 2 and not np.all(np.diff(freqs) > 0):
+        if not (freqs[1:] > freqs[:-1]).all():     # NaN fails too
             raise ValueError("frequencies must be strictly increasing")
         if self.sidedness == "single" and freqs.size and freqs[0] <= 0:
             raise ValueError("single-sided spectra require positive frequencies")

@@ -157,6 +157,30 @@ def g_central_difference_error(cav, osc, geom, h):
     return abs(g_fd - g) / g
 
 
+def resonance_grid_sorted(mode):
+    """`resonance_grid` as the sorted union of its two grids: the log grid
+    and the window's linear grid, concatenated, sorted and stripped of
+    repeats."""
+    f_m, gamma_hz = mode.omega_m / TWO_PI, mode.gamma_m / TWO_PI
+    broad = np.logspace(math.log10(f_m) - 2.0, math.log10(f_m) + 2.0, 2000)
+    half_window = min(2000.0 * gamma_hz, 0.5 * f_m)
+    assert f_m - half_window > broad[0]     # the window starts inside broad
+    narrow = np.linspace(f_m - half_window, f_m + half_window, 40001)
+    grid = np.concatenate([broad, narrow])
+    grid.sort()
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
+
+
+def thermal_spectrum_values(mode, T, grid_hz):
+    """`thermal_spectrum`'s values as one expression of 4*m*G*k_B*T*|chi|^2
+    over the Hz grid."""
+    omega = TWO_PI * np.asarray(grid_hz, dtype=float)
+    chi_sq = 1.0 / (mode.m_eff ** 2
+                    * ((mode.omega_m ** 2 - omega ** 2) ** 2
+                       + (omega * mode.gamma_m) ** 2))
+    return 4.0 * mode.m_eff * mode.gamma_m * K_B * T * chi_sq
+
+
 def approx_rel(actual, expected, rel):
     assert expected != 0
     assert abs(actual - expected) <= rel * abs(expected), \

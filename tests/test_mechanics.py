@@ -24,7 +24,8 @@ from optomech import mechanics, runner, scenarios
 from optomech.quadrature import adaptive_quadrature
 from optomech.units import HBAR, K_B, TWO_PI, SpectralDensity
 
-from conftest import approx_rel, make_mode, make_string, random_string, rng
+from conftest import (approx_rel, make_mode, make_string, random_string, rng,
+                      resonance_grid_sorted, thermal_spectrum_values)
 
 
 def test_mode_shape_symmetry_and_domain():
@@ -250,14 +251,46 @@ def test_equipartition_integrated_vs_analytic():
                                     (1e3, 2.0)])  # Q = 2: window capped
 def test_resonance_grid_is_sorted_union(f_m, Q):
     mode = make_mode(f_m=f_m, Q=Q)
-    f_m, gamma_hz = mode.omega_m / TWO_PI, mode.gamma_m / TWO_PI
-    broad = np.logspace(math.log10(f_m) - 2.0, math.log10(f_m) + 2.0, 2000)
-    half_window = min(2000.0 * gamma_hz, 0.5 * f_m)
-    narrow = np.linspace(max(f_m - half_window, broad[0]),
-                         f_m + half_window, 40001)
     grid = resonance_grid(mode)
-    assert np.array_equal(grid, np.unique(np.concatenate([broad, narrow])))
+    assert np.array_equal(grid, resonance_grid_sorted(mode))
     assert grid.dtype == np.float64
+
+
+def test_spectrum_path_matches_the_oracles_bit_for_bit():
+    # seeded modes over every regime of the window: capped at f_m/2 with
+    # up to ~240 log points inside it (Q < 4000), a few inside it, and none
+    # (Q above ~1e6); the first three are the sorted-union test's cases
+    rng = np.random.default_rng(2025)
+    draws = [(10.74e6, 53000.0, 300.0), (3.3e5, 1e7, 300.0), (1e3, 2.0, 300.0)]
+    draws += [(10 ** rng.uniform(2.0, 9.0),
+               10 ** rng.uniform(math.log10(1.5), 9.0),
+               rng.uniform(0.0, 1000.0)) for _ in range(300)]
+    inside = set()
+    for k, (f_m, Q, T) in enumerate(draws):
+        mode = make_mode(f_m=f_m, Q=Q, m_eff=10 ** rng.uniform(-18.0, -9.0))
+        grid = resonance_grid(mode)
+        assert grid.dtype == np.float64
+        assert grid.tobytes() == resonance_grid_sorted(mode).tobytes(), \
+            (f_m, Q)
+        f_m, gamma_hz = mode.omega_m / TWO_PI, mode.gamma_m / TWO_PI
+        half_window = min(2000.0 * gamma_hz, 0.5 * f_m)
+        window = (grid >= f_m - half_window) & (grid <= f_m + half_window)
+        inside.add(int(np.count_nonzero(window)) - 40001)
+        grids = [grid]
+        if k % 3 == 0:      # and a linear grid across the peak
+            grids.append(np.linspace(0.5 * f_m, 1.5 * f_m,
+                                     int(rng.integers(10_000, 100_001))))
+        for f in grids:
+            assert thermal_spectrum(mode, T, f).values.tobytes() \
+                == thermal_spectrum_values(mode, T, f).tobytes(), (f_m, Q, T)
+    # log points merged into the window: none, a few, and over 200
+    assert 0 in inside and max(inside) > 200
+    assert any(0 < n < 50 for n in inside)
+
+
+def test_thermal_spectrum_rejects_a_scalar_grid():
+    with pytest.raises(ValueError, match="1-D"):
+        thermal_spectrum(make_mode(), 300.0, 10.74e6)
 
 
 def test_integrated_rms_rejects_double_sided():

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import math
 import pkgutil
 
 import numpy as np
@@ -37,6 +38,27 @@ def test_spectral_density_grid_validation():
     with pytest.raises(ValueError):
         SpectralDensity(np.array([1.0, 2.0]), np.array([1.0, 1.0]),
                         "sideways")
+
+
+@pytest.mark.parametrize("freqs, increasing", [
+    ([1.0, 1.0], False),
+    ([1.0, 2.0, 2.0, 3.0], False),
+    ([math.nan, 1.0, 2.0], False),
+    ([1.0, math.nan, 2.0], False),
+    ([1.0, 2.0, math.nan], False),
+    ([1.0, math.inf, math.inf], False),
+    ([1.0, 2.0, math.inf], True),
+    ([-math.inf, 0.0, 1.0], True),
+    ([1.0], True),
+    ([], True),
+])
+def test_spectral_density_requires_strictly_increasing(freqs, increasing):
+    f = np.array(freqs, dtype=float)
+    if increasing:
+        SpectralDensity(f, np.ones_like(f), "double")
+    else:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SpectralDensity(f, np.ones_like(f), "double")
 
 
 def _record_classes() -> dict:

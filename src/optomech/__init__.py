@@ -56,7 +56,6 @@ from .mechanics import (
     mode_shape,
     resonance_grid,
     snr_requirement,
-    susceptibility,
     thermal_rms,
     thermal_spectrum,
     zero_point,

@@ -21,7 +21,9 @@ and the parametric-instability threshold G_ba = -G_m gives
 Above threshold the oscillation saturates near (kappa/2)/g; the
 square-root interpolation between threshold and asymptote is
 phenomenological. Transmission modulation uses the quasi-static Lorentzian
-dip of a critically coupled cavity.
+dip of a critically coupled cavity. The cavity lines come from
+`devices.detuning_sq`, but for the closed form at Delta = +kappa/2, which
+the general bracket would lose to cancellation for Om << kappa.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 import math
 from typing import Literal
 
-from .devices import Microcavity
+from .devices import Microcavity, detuning_sq
 from .mechanics import MechanicalMode, zero_point
 from .sensing import DriveCondition
 from .units import HBAR, TWO_PI, np, record
@@ -62,7 +64,7 @@ def backaction_rate(cav: Microcavity, mode: MechanicalMode, g: float,
     delta = drive.detuning
     om = mode.omega_m
     photon_flux = drive.p_in / (HBAR * cav.omega0)
-    lor = lambda d: 1.0 / (1.0 + 4.0 * d * d / (kappa * kappa))
+    lor = lambda d: 1.0 / (1.0 + detuning_sq(cav, d))
     gamma_ba = ((g * x_zp / kappa) ** 2 * photon_flux
                 * 8.0 * lor(delta) * (lor(delta + om) - lor(delta - om)))
     gamma_total = mode.gamma_m + gamma_ba
@@ -132,20 +134,20 @@ def transmission_modulation(cav: Microcavity, g: float, amplitude: float,
                             delta: float) -> float:
     """Quasi-static transmission modulation depth in [0, 1].
 
-    The critically coupled dip T(d) = 1 - 1/(1 + 4d^2/kappa^2) is swept by
-    the instantaneous detuning d(t) = delta + g*a*cos(Om*t); the depth is
+    The critically coupled dip T(d) = 1 - 1/(1 + x) = x/(1 + x), with
+    x = (2d/kappa)^2 and no cancellation for |d| << kappa, is swept by the
+    instantaneous detuning d(t) = delta + g*a*cos(Om*t); the depth is
     (T_max - T_min)/T_max, reaching unity whenever the sweep crosses
     resonance.
     """
     if amplitude < 0:
         raise ValueError("require amplitude >= 0")
-    kappa = cav.kappa
     swing = g * amplitude
-    trans = lambda d: 1.0 - 1.0 / (1.0 + 4.0 * d * d / (kappa * kappa))
     lo, hi = delta - swing, delta + swing
     d_max = max(abs(lo), abs(hi))
     d_min = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    t_max, t_min = trans(d_max), trans(d_min)
+    x_max, x_min = detuning_sq(cav, d_max), detuning_sq(cav, d_min)
+    t_max, t_min = x_max / (1.0 + x_max), x_min / (1.0 + x_min)
     if t_max == 0.0:
         return 0.0
     return (t_max - t_min) / t_max

@@ -139,6 +139,12 @@ def finesse(cav: Microcavity) -> float:
     return C_LIGHT / (cav.n_eff * cav.R * cav.kappa)
 
 
+def detuning_sq(cav: Microcavity, delta):
+    """(2*delta/kappa)^2 for a detuning delta (rad/s, scalar or array): the
+    cavity line is the Lorentzian 1/(1 + (2*delta/kappa)^2)."""
+    return (2.0 * delta / cav.kappa) ** 2
+
+
 def sampling_lengths(cav: Microcavity) -> tuple[float, float]:
     """Transverse sampling lengths (l_x, l_y) of the evanescent field.
 

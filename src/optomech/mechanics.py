@@ -121,41 +121,53 @@ def effective_mass(osc: NanoOscillator, probe: ProbeProfile, n: int) -> float:
     return osc.physical_mass * mean_sq / overlap ** 2
 
 
-def susceptibility(mode: MechanicalMode, omega: float) -> complex:
-    """Mechanical susceptibility chi_m = 1/(m_eff*(Om^2 - O^2 - i*O*G)) (m/N)."""
-    if omega < 0:
-        raise ValueError("require omega >= 0")
-    return 1.0 / (mode.m_eff * (mode.omega_m ** 2 - omega ** 2
-                                - 1j * omega * mode.gamma_m))
+def _require_temperature(T: float) -> None:
+    if not T >= 0:   # NaN fails too
+        raise ValueError(f"require T >= 0, got {T!r}")
+
+
+def thermal_force_psd(mode: MechanicalMode, T: float) -> float:
+    """Thermal Langevin force PSD 2*m_eff*Gamma_m*k_B*T (double-sided,
+    N^2/Hz)."""
+    _require_temperature(T)
+    return 2.0 * mode.m_eff * mode.gamma_m * K_B * T
+
+
+def mechanical_denominator(omega, omega_m: float, gamma_m: float,
+                           re, im) -> None:
+    """Write Re and Im of D = Om^2 - O^2 - i*O*Gm, chi_m = 1/(m_eff*D), at
+    the angular frequencies omega into float arrays; im may be omega."""
+    np.square(omega, out=re)
+    np.subtract(omega_m ** 2, re, out=re)
+    np.multiply(omega, -gamma_m, out=im)
 
 
 def thermal_spectrum(mode: MechanicalMode, T: float,
                      grid_hz: np.ndarray) -> SpectralDensity:
     """Single-sided Brownian displacement noise on a Hz grid.
 
-    S_xx[O] = 4 * m_eff * Gamma_m * k_B * T * |chi_m[O]|^2.
+    S_xx[O] = 2 * S_FF * |chi_m[O]|^2 with S_FF = `thermal_force_psd`.
     """
-    if T < 0:
-        raise ValueError("require T >= 0")
+    prefactor = 2.0 * thermal_force_psd(mode, T)
     f = np.asarray(grid_hz, dtype=float)
-    # the operations of 4*m*G*k_B*T / (m^2*((Om^2 - O^2)^2 + (O*G)^2)), in
-    # that order, in two arrays; `out=` keeps a 0-d grid an array, which
+    # the operations of 2*S_FF / (m^2*((Om^2 - O^2)^2 + (O*G)^2)), in that
+    # order, in two arrays; `out=` keeps a 0-d grid an array, which
     # SpectralDensity then rejects as not 1-D
     omega = np.multiply(TWO_PI, f, out=np.empty_like(f))
-    values = np.square(omega, out=np.empty_like(f))
-    np.subtract(mode.omega_m ** 2, values, out=values)
+    values = np.empty_like(f)
+    mechanical_denominator(omega, mode.omega_m, mode.gamma_m, values, omega)
     np.square(values, out=values)
-    np.multiply(omega, mode.gamma_m, out=omega)
     np.square(omega, out=omega)
     np.add(values, omega, out=values)
     np.multiply(mode.m_eff ** 2, values, out=values)
     np.divide(1.0, values, out=values)
-    np.multiply(4.0 * mode.m_eff * mode.gamma_m * K_B * T, values, out=values)
+    np.multiply(prefactor, values, out=values)
     return SpectralDensity(frequencies=f, values=values, sidedness="single")
 
 
 def thermal_rms(mode: MechanicalMode, T: float) -> float:
     """Analytic rms displacement sqrt(k_B*T/(m_eff*Omega_m^2)) (m)."""
+    _require_temperature(T)
     return math.sqrt(K_B * T / (mode.m_eff * mode.omega_m ** 2))
 
 
@@ -208,8 +220,7 @@ def snr_requirement(mode: MechanicalMode, T: float) -> tuple[float, float]:
     Returns (sqrt(2*nbar), PSD ratio in dB) with nbar = k_B*T/(hbar*Omega_m);
     the dB figure is 10*log10 of the PSD ratio 2*nbar.
     """
-    if T < 0:
-        raise ValueError("require T >= 0")
+    _require_temperature(T)
     two_nbar = 2.0 * K_B * T / (HBAR * mode.omega_m)
     db = 10.0 * math.log10(two_nbar) if two_nbar > 0 else -math.inf
     return math.sqrt(two_nbar), db

@@ -24,10 +24,11 @@ from pathlib import Path
 from typing import Literal
 
 from .coupling import least_squares, read_columns
-from .devices import Microcavity
+from .devices import Microcavity, detuning_sq
 from .errors import (IllConditioned, NoResonanceInWindow, ZeroPower,
                      require_finite)
-from .mechanics import MechanicalMode, thermal_spectrum
+from .mechanics import (MechanicalMode, mechanical_denominator,
+                        thermal_spectrum)
 from .units import (C_LIGHT, HBAR, TWO_PI, SpectralDensity, np,
                     record)
 
@@ -111,7 +112,7 @@ def shot_noise_floor(cav: Microcavity, g: float, drive: DriveCondition,
         raise ZeroPower("shot-noise floor undefined at zero input power")
     if g <= 0:
         raise ValueError("require g > 0")
-    lorentz = 1.0 + (2.0 * omega / cav.kappa) ** 2
+    lorentz = 1.0 + detuning_sq(cav, omega)
     # math.sqrt on a number: a scalar run need not load numpy
     base = (cav.kappa / (4.0 * g)) \
         * math.sqrt(HBAR * cav.omega0 / drive.p_in) \
@@ -142,18 +143,11 @@ def g_eff_from_a1(cav: Microcavity, mode: MechanicalMode, a1: float) -> float:
     return math.sqrt(a1 / response_coefficient(cav, mode, 1.0, 1.0))
 
 
-def _denominator(omega, omega_m: float, gamma_m: float) -> np.ndarray:
-    """D = Om^2 - O^2 - i*O*Gm as a new complex array, built in place."""
-    omega = np.asarray(omega, dtype=float)
-    d = np.empty(omega.shape, dtype=complex)
-    np.subtract(omega_m ** 2, omega ** 2, out=d.real)
-    np.multiply(omega, -gamma_m, out=d.imag)
-    return d
-
-
 def response_model(omega, a1: float, omega_m: float, gamma_m: float):
     """H[O] = |1 + a1/(Om^2 - O^2 - i*O*Gm)|."""
-    z = _denominator(omega, omega_m, gamma_m)
+    omega = np.asarray(omega, dtype=float)
+    z = np.empty(omega.shape, dtype=complex)
+    mechanical_denominator(omega, omega_m, gamma_m, z.real, z.imag)
     np.divide(a1, z, out=z)
     z += 1.0
     return np.abs(z)
@@ -171,7 +165,8 @@ def response_jacobian(omega, a1: float, omega_m: float, gamma_m: float
     array costs about as much as the arithmetic on it.
     """
     omega = np.asarray(omega, dtype=float)
-    q = _denominator(omega, omega_m, gamma_m)
+    q = np.empty(omega.shape, dtype=complex)
+    mechanical_denominator(omega, omega_m, gamma_m, q.real, q.imag)
     np.divide(1.0, q, out=q)
     z = a1 * q
     z += 1.0

@@ -141,12 +141,3 @@ class SpectralDensity:
         if self.sidedness not in ("single", "double"):
             raise ValueError(f"unknown sidedness {self.sidedness!r}")
 
-
-def to_sidedness(s: SpectralDensity, target: Sidedness) -> SpectralDensity:
-    """Convert between single- and double-sided conventions (factor 2)."""
-    if target not in ("single", "double"):
-        raise ValueError(f"unknown sidedness {target!r}")
-    if s.sidedness == target:
-        return s
-    factor = 2.0 if target == "single" else 0.5
-    return SpectralDensity(s.frequencies, s.values * factor, target)

@@ -17,7 +17,7 @@ from optomech import (
     response_model,
 )
 from optomech.coupling import _shift_magnitude
-from optomech.units import C_LIGHT, HBAR, K_B, TWO_PI
+from optomech.units import C_LIGHT, HBAR, K_B, TWO_PI, SpectralDensity
 
 HZ_PER_NM = TWO_PI * 1e9
 
@@ -179,6 +179,51 @@ def thermal_spectrum_values(mode, T, grid_hz):
                     * ((mode.omega_m ** 2 - omega ** 2) ** 2
                        + (omega * mode.gamma_m) ** 2))
     return 4.0 * mode.m_eff * mode.gamma_m * K_B * T * chi_sq
+
+
+def susceptibility(mode, omega):
+    """Mechanical susceptibility chi_m = 1/(m_eff*(Om^2 - O^2 - i*O*G))
+    (m/N) at one angular frequency omega >= 0, as a Python complex."""
+    if omega < 0:
+        raise ValueError("require omega >= 0")
+    return 1.0 / (mode.m_eff * (mode.omega_m ** 2 - omega ** 2
+                                - 1j * omega * mode.gamma_m))
+
+
+def to_sidedness(s, target):
+    """`s` in the single- or double-sided convention (factor 2)."""
+    if target not in ("single", "double"):
+        raise ValueError(f"unknown sidedness {target!r}")
+    if s.sidedness == target:
+        return s
+    factor = 2.0 if target == "single" else 0.5
+    return SpectralDensity(s.frequencies, s.values * factor, target)
+
+
+# The spellings that the shared forms replaced, kept to hold them to their
+# old bits: the complex mechanical denominator of `response_model` and
+# `response_jacobian`, and the cavity line 1 + (2*O/kappa)^2 as
+# `shot_noise_floor`, `qba_force_psd` and `backaction` wrote it.
+
+def denominator_complex(omega, omega_m, gamma_m):
+    """D = Om^2 - O^2 - i*O*Gm as a new complex array."""
+    omega = np.asarray(omega, dtype=float)
+    d = np.empty(omega.shape, dtype=complex)
+    np.subtract(omega_m ** 2, omega ** 2, out=d.real)
+    np.multiply(omega, -gamma_m, out=d.imag)
+    return d
+
+
+def line_shot(omega, kappa):
+    return 1.0 + (2.0 * omega / kappa) ** 2
+
+
+def line_qba(omega, kappa):
+    return 1.0 + 4.0 * omega ** 2 / kappa ** 2
+
+
+def line_backaction(d, kappa):
+    return 1.0 + 4.0 * d * d / (kappa * kappa)
 
 
 def approx_rel(actual, expected, rel):

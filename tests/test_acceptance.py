@@ -33,7 +33,6 @@ from optomech import (
     response_coefficient,
     shot_noise_floor,
     snr_requirement,
-    susceptibility,
     thermal_force_psd,
     thermal_rms,
     thermal_spectrum,
@@ -42,7 +41,7 @@ from optomech import (
     zero_point,
 )
 from optomech.sensing import PDH_PENALTY
-from optomech.units import HBAR, K_B, TWO_PI, SpectralDensity, to_sidedness
+from optomech.units import HBAR, K_B, TWO_PI, SpectralDensity
 
 from conftest import (
     HZ_PER_NM,
@@ -57,6 +56,8 @@ from conftest import (
     random_string,
     response_magnitude,
     rng,
+    susceptibility,
+    to_sidedness,
 )
 
 from optomech import NanoOscillator, devices, index_for_decay_length

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from conftest import (
     make_cavity,
     make_drive,
     make_mode,
+    random_cavity,
     rng,
 )
 
@@ -168,6 +170,28 @@ def test_modulation_depth_limits():
     assert all(b > a for a, b in zip(depths, depths[1:]))
     with pytest.raises(ValueError):
         transmission_modulation(cav, g, -1.0, delta)
+
+
+def test_modulation_depth_matches_mpmath(rng):
+    # the dip x/(1 + x) keeps full precision for |d| << kappa, where
+    # 1 - 1/(1 + x) loses all of it; sweeps that stay on one side of
+    # resonance with |delta| from 1e-8 to 1 linewidth
+    def dip(d, kappa):
+        return 1 - 1 / (1 + 4 * d * d / (kappa * kappa))
+
+    for _ in range(500):
+        cav = random_cavity(rng)
+        g = rng.uniform(0.1e6, 20e6) * HZ_PER_NM
+        delta = cav.kappa * 10.0 ** rng.uniform(-8.0, 0.0) \
+            * rng.choice([-1.0, 1.0])
+        amplitude = abs(delta) * rng.uniform(0.2, 0.8) / g
+        with mpmath.workprec(200):
+            d, kappa = abs(mpmath.mpf(delta)), mpmath.mpf(cav.kappa)
+            swing = mpmath.mpf(g) * amplitude
+            near, far = dip(d - swing, kappa), dip(d + swing, kappa)
+            depth = float((far - near) / far)
+        approx_rel(transmission_modulation(cav, g, amplitude, delta), depth,
+                   1e-14)
 
 
 def test_threshold_rejects_zero_coupling():

@@ -15,7 +15,7 @@ from optomech import (
     mode_shape,
     resonance_grid,
     snr_requirement,
-    susceptibility,
+    thermal_force_psd,
     thermal_rms,
     thermal_spectrum,
     zero_point,
@@ -25,7 +25,8 @@ from optomech.quadrature import adaptive_quadrature
 from optomech.units import HBAR, K_B, TWO_PI, SpectralDensity
 
 from conftest import (approx_rel, make_mode, make_string, random_string, rng,
-                      resonance_grid_sorted, thermal_spectrum_values)
+                      resonance_grid_sorted, susceptibility,
+                      thermal_spectrum_values)
 
 
 def test_mode_shape_symmetry_and_domain():
@@ -200,6 +201,16 @@ def test_susceptibility_peak_value():
     assert chi.imag > 0
     with pytest.raises(ValueError):
         susceptibility(mode, -1.0)
+
+
+@pytest.mark.parametrize("T", [math.nan, -1.0])
+@pytest.mark.parametrize("func", [
+    thermal_force_psd, snr_requirement, thermal_rms,
+    lambda mode, T: thermal_spectrum(mode, T, np.array([1e6, 2e6])),
+])
+def test_nan_and_negative_temperature_raise(func, T):
+    with pytest.raises(ValueError, match="require T >= 0"):
+        func(make_mode(), T)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -7,7 +7,6 @@ from optomech import (
     DriveCondition,
     qba_force_psd,
     qba_thermal_ratio,
-    susceptibility,
     thermal_force_psd,
     thermal_spectrum,
 )
@@ -22,6 +21,7 @@ from conftest import (
     qba_reference_records,
     qba_thermal_ratio_scaling,
     rng,
+    susceptibility,
 )
 
 

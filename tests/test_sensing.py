@@ -18,6 +18,7 @@ from optomech import (
     shot_noise_floor,
 )
 from optomech import sensing
+from optomech.devices import detuning_sq
 from optomech.coupling import LeastSquaresResult
 from optomech.sensing import PDH_PENALTY
 from optomech.units import C_LIGHT, HBAR, TWO_PI
@@ -25,9 +26,14 @@ from optomech.units import C_LIGHT, HBAR, TWO_PI
 from conftest import (
     HZ_PER_NM,
     approx_rel,
+    denominator_complex,
+    line_backaction,
+    line_qba,
+    line_shot,
     make_cavity,
     make_drive,
     make_mode,
+    random_cavity,
     response_magnitude,
     rng,
 )
@@ -101,6 +107,55 @@ def test_heisenberg_product(rng):
         s_xx = shot_noise_floor(cav, g, drive, omega) ** 2
         s_ff = qba_force_psd(cav, g, drive, omega)
         approx_rel(s_xx * s_ff, HBAR ** 2 / 2.0, 1e-12)
+
+
+def _ulp_apart(a, b):
+    return np.abs(np.asarray(a) - b) / np.spacing(np.abs(b))
+
+
+def test_shared_forms_match_their_old_spellings(rng, monkeypatch):
+    # the mechanical denominator keeps the response bit for bit, and the
+    # cavity line keeps the shot floor bit for bit; qba_force_psd and
+    # each Lorentzian of backaction_rate move by round-off only
+    cases = []
+    for _ in range(400):
+        cav = random_cavity(rng)
+        g = rng.uniform(0.1e6, 50e6) * HZ_PER_NM
+        drive = make_drive(p_in=rng.uniform(1e-7, 1e-2))
+        omega_m = TWO_PI * rng.uniform(1e3, 1e9)
+        gamma_m = omega_m / rng.uniform(1.5, 1e8)
+        a1 = rng.uniform(-1.0, 1.0) * omega_m * gamma_m
+        omega = omega_m * rng.uniform(0.0, 3.0, size=17)
+        scalar = float(omega[0])
+        cases.append((cav, g, drive, omega, scalar, a1, omega_m, gamma_m))
+
+        shot = (cav.kappa / (4.0 * g)
+                * math.sqrt(HBAR * cav.omega0 / drive.p_in))
+        assert shot_noise_floor(cav, g, drive, scalar) \
+            == shot * math.sqrt(line_shot(scalar, cav.kappa))
+        assert shot_noise_floor(cav, g, drive, omega).tobytes() \
+            == (shot * np.sqrt(line_shot(omega, cav.kappa))).tobytes()
+        qba_old = (8.0 * (HBAR * g) ** 2 / cav.kappa ** 2
+                   * drive.p_in / (HBAR * cav.omega0)
+                   / line_qba(scalar, cav.kappa))
+        assert _ulp_apart(qba_force_psd(cav, g, drive, scalar),
+                          qba_old) <= 4
+        lor = 1.0 / (1.0 + detuning_sq(cav, omega))
+        assert _ulp_apart(lor,
+                          1.0 / line_backaction(omega, cav.kappa)).max() <= 4
+
+    def responses():
+        return [(sensing.response_model(omega, a1, om, gm).tobytes(),
+                 *(a.tobytes() for a in sensing.response_jacobian(
+                     omega, a1, om, gm)))
+                for *_, omega, _, a1, om, gm in cases]
+    def denominator_old(omega, omega_m, gamma_m, re, im):
+        d = denominator_complex(omega, omega_m, gamma_m)
+        re[...], im[...] = d.real, d.imag
+
+    shared = responses()
+    monkeypatch.setattr(sensing, "mechanical_denominator", denominator_old)
+    assert shared == responses()
 
 
 def test_response_coefficient_round_trip():

@@ -8,9 +8,7 @@ import pytest
 
 import optomech
 from optomech import SpectralDensity
-from optomech.units import to_sidedness
-
-from conftest import make_cavity, make_string
+from conftest import make_cavity, make_string, to_sidedness
 
 
 def test_sidedness_involution_and_factor_two():

@@ -21,9 +21,8 @@ and the parametric-instability threshold G_ba = -G_m gives
 Above threshold the oscillation saturates near (kappa/2)/g; the
 square-root interpolation between threshold and asymptote is
 phenomenological. Transmission modulation uses the quasi-static Lorentzian
-dip of a critically coupled cavity. The cavity lines come from
-`devices.detuning_sq`, but for the closed form at Delta = +kappa/2, which
-the general bracket would lose to cancellation for Om << kappa.
+dip of a critically coupled cavity. The general rate and the dip take
+the cavity line from `devices.detuning_sq`, inf past the float range.
 """
 
 from __future__ import annotations
@@ -56,6 +55,14 @@ class OscillationState:
     modulation_depth: float  # in [0, 1]
 
 
+def _line(cav: Microcavity, d: float) -> float:
+    """`detuning_sq` at one detuning, inf where the square overflows."""
+    try:
+        return detuning_sq(cav, d)
+    except OverflowError:
+        return math.inf
+
+
 def backaction_rate(cav: Microcavity, mode: MechanicalMode, g: float,
                     drive: DriveCondition) -> BackactionResult:
     """Dynamical backaction rate at the drive detuning (rad/s)."""
@@ -64,7 +71,7 @@ def backaction_rate(cav: Microcavity, mode: MechanicalMode, g: float,
     delta = drive.detuning
     om = mode.omega_m
     photon_flux = drive.p_in / (HBAR * cav.omega0)
-    lor = lambda d: 1.0 / (1.0 + detuning_sq(cav, d))
+    lor = lambda d: 1.0 / (1.0 + _line(cav, d))
     gamma_ba = ((g * x_zp / kappa) ** 2 * photon_flux
                 * 8.0 * lor(delta) * (lor(delta + om) - lor(delta - om)))
     gamma_total = mode.gamma_m + gamma_ba
@@ -134,11 +141,10 @@ def transmission_modulation(cav: Microcavity, g: float, amplitude: float,
                             delta: float) -> float:
     """Quasi-static transmission modulation depth in [0, 1].
 
-    The critically coupled dip T(d) = 1 - 1/(1 + x) = x/(1 + x), with
-    x = (2d/kappa)^2 and no cancellation for |d| << kappa, is swept by the
-    instantaneous detuning d(t) = delta + g*a*cos(Om*t); the depth is
-    (T_max - T_min)/T_max, reaching unity whenever the sweep crosses
-    resonance.
+    The critically coupled dip T(d) = x/(1 + x), x = (2d/kappa)^2, which
+    keeps its digits for |d| << kappa, is swept by the detuning d(t) =
+    delta + g*a*cos(Om*t); the depth is (T_max - T_min)/T_max, reaching
+    unity whenever the sweep crosses resonance.
     """
     if amplitude < 0:
         raise ValueError("require amplitude >= 0")
@@ -146,8 +152,8 @@ def transmission_modulation(cav: Microcavity, g: float, amplitude: float,
     lo, hi = delta - swing, delta + swing
     d_max = max(abs(lo), abs(hi))
     d_min = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    x_max, x_min = detuning_sq(cav, d_max), detuning_sq(cav, d_min)
-    t_max, t_min = x_max / (1.0 + x_max), x_min / (1.0 + x_min)
+    dip = lambda x: 1.0 if x == math.inf else x / (1.0 + x)
+    t_max, t_min = dip(_line(cav, d_max)), dip(_line(cav, d_min))
     if t_max == 0.0:
         return 0.0
     return (t_max - t_min) / t_max

@@ -140,8 +140,7 @@ def finesse(cav: Microcavity) -> float:
 
 
 def detuning_sq(cav: Microcavity, delta):
-    """(2*delta/kappa)^2 for a detuning delta (rad/s, scalar or array): the
-    cavity line is the Lorentzian 1/(1 + (2*delta/kappa)^2)."""
+    """x = (2*delta/kappa)^2 of the cavity line 1/(1 + x); delta in rad/s."""
     return (2.0 * delta / cav.kappa) ** 2
 
 

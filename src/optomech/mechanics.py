@@ -133,8 +133,7 @@ def thermal_force_psd(mode: MechanicalMode, T: float) -> float:
     return 2.0 * mode.m_eff * mode.gamma_m * K_B * T
 
 
-def mechanical_denominator(omega, omega_m: float, gamma_m: float,
-                           re, im) -> None:
+def mechanical_denominator(omega, omega_m, gamma_m, re, im) -> None:
     """Write Re and Im of D = Om^2 - O^2 - i*O*Gm, chi_m = 1/(m_eff*D), at
     the angular frequencies omega into float arrays; im may be omega."""
     np.square(omega, out=re)

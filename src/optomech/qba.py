@@ -13,7 +13,6 @@ force noise of a critically coupled, quantum-limited drive is
 
 which together with the shot-noise displacement floor saturates the
 Heisenberg pair S_xx_shot * S_FF_qba = hbar^2/2 at every frequency.
-Both build the cavity line 1 + (2*O/kappa)^2 from `devices.detuning_sq`.
 """
 
 from __future__ import annotations

@@ -27,8 +27,7 @@ from .coupling import least_squares, read_columns
 from .devices import Microcavity, detuning_sq
 from .errors import (IllConditioned, NoResonanceInWindow, ZeroPower,
                      require_finite)
-from .mechanics import (MechanicalMode, mechanical_denominator,
-                        thermal_spectrum)
+from .mechanics import MechanicalMode, mechanical_denominator, thermal_spectrum
 from .units import (C_LIGHT, HBAR, TWO_PI, SpectralDensity, np,
                     record)
 

@@ -1,6 +1,6 @@
 import math
+from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -172,10 +172,11 @@ def test_modulation_depth_limits():
         transmission_modulation(cav, g, -1.0, delta)
 
 
-def test_modulation_depth_matches_mpmath(rng):
+def test_modulation_depth_matches_exact_rationals(rng):
     # the dip x/(1 + x) keeps full precision for |d| << kappa, where
     # 1 - 1/(1 + x) loses all of it; sweeps that stay on one side of
-    # resonance with |delta| from 1e-8 to 1 linewidth
+    # resonance with |delta| from 1e-8 to 1 linewidth, against the depth
+    # of the same inputs in exact rational arithmetic
     def dip(d, kappa):
         return 1 - 1 / (1 + 4 * d * d / (kappa * kappa))
 
@@ -185,13 +186,25 @@ def test_modulation_depth_matches_mpmath(rng):
         delta = cav.kappa * 10.0 ** rng.uniform(-8.0, 0.0) \
             * rng.choice([-1.0, 1.0])
         amplitude = abs(delta) * rng.uniform(0.2, 0.8) / g
-        with mpmath.workprec(200):
-            d, kappa = abs(mpmath.mpf(delta)), mpmath.mpf(cav.kappa)
-            swing = mpmath.mpf(g) * amplitude
-            near, far = dip(d - swing, kappa), dip(d + swing, kappa)
-            depth = float((far - near) / far)
-        approx_rel(transmission_modulation(cav, g, amplitude, delta), depth,
-                   1e-14)
+        d, kappa = abs(Fraction(delta)), Fraction(cav.kappa)
+        swing = Fraction(g) * Fraction(amplitude)
+        near, far = dip(d - swing, kappa), dip(d + swing, kappa)
+        approx_rel(transmission_modulation(cav, g, amplitude, delta),
+                   float((far - near) / far), 1e-14)
+
+
+def test_detuning_past_the_float_range_is_the_far_limit():
+    # (2*d/kappa)^2 overflows a float near |d| ~ 1e154*kappa; there the
+    # Lorentzian is 0 and the dip 1, the limits of |d| -> inf
+    cav, mode, g = _fig4_setup()
+    far = 1e163
+    drive = DriveCondition(p_in=1e-4, detuning=far)
+    result = backaction_rate(cav, mode, g, drive)
+    assert (result.gamma_ba, result.regime) == (0.0, "neutral")
+    assert result.gamma_total == mode.gamma_m
+    assert transmission_modulation(cav, g, 1.0 / g, far) == 0.0
+    assert transmission_modulation(cav, g, far / g, 0.0) == 1.0
+    assert transmission_modulation(cav, g, math.inf, 0.0) == 1.0
 
 
 def test_threshold_rejects_zero_coupling():

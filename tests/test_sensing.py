@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from optomech import (
+    DriveCondition,
     IllConditioned,
     NoResonanceInWindow,
     ResponseCurve,
     ZeroPower,
+    backaction_rate,
     fit_response,
     g_eff_from_a1,
     noise_budget,
@@ -16,9 +18,9 @@ from optomech import (
     response_coefficient,
     response_model,
     shot_noise_floor,
+    zero_point,
 )
 from optomech import sensing
-from optomech.devices import detuning_sq
 from optomech.coupling import LeastSquaresResult
 from optomech.sensing import PDH_PENALTY
 from optomech.units import C_LIGHT, HBAR, TWO_PI
@@ -115,8 +117,11 @@ def _ulp_apart(a, b):
 
 def test_shared_forms_match_their_old_spellings(rng, monkeypatch):
     # the mechanical denominator keeps the response bit for bit, and the
-    # cavity line keeps the shot floor bit for bit; qba_force_psd and
-    # each Lorentzian of backaction_rate move by round-off only
+    # cavity line keeps the shot floor in the spelling of its CSVs bit for
+    # bit; qba_force_psd moves by round-off only, and backaction_rate by
+    # at most 4 ulp per Lorentzian, amplified where the sideband bracket
+    # lor(delta + Om) - lor(delta - Om) cancels
+    eps = np.finfo(float).eps
     cases = []
     for _ in range(400):
         cav = random_cavity(rng)
@@ -140,9 +145,19 @@ def test_shared_forms_match_their_old_spellings(rng, monkeypatch):
                    / line_qba(scalar, cav.kappa))
         assert _ulp_apart(qba_force_psd(cav, g, drive, scalar),
                           qba_old) <= 4
-        lor = 1.0 / (1.0 + detuning_sq(cav, omega))
-        assert _ulp_apart(lor,
-                          1.0 / line_backaction(omega, cav.kappa)).max() <= 4
+        mode = make_mode(f_m=omega_m / TWO_PI, Q=omega_m / gamma_m)
+        detuned = DriveCondition(p_in=drive.p_in,
+                                 detuning=cav.kappa * rng.uniform(-2.0, 2.0))
+        x_zp, _ = zero_point(mode)
+        lor = lambda d: 1.0 / line_backaction(d, cav.kappa)
+        delta = detuned.detuning
+        hi, lo = lor(delta + mode.omega_m), lor(delta - mode.omega_m)
+        scale = ((g * x_zp / cav.kappa) ** 2
+                 * (drive.p_in / (HBAR * cav.omega0)) * 8.0 * lor(delta))
+        rate = backaction_rate(cav, mode, g, detuned).gamma_ba
+        assert abs(rate - scale * (hi - lo)) \
+            <= eps * abs(scale) * (4.0 * (abs(hi) + abs(lo))
+                                   + 8.0 * abs(hi - lo))
 
     def responses():
         return [(sensing.response_model(omega, a1, om, gm).tobytes(),

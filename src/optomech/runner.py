@@ -9,6 +9,7 @@ externally.
 from __future__ import annotations
 
 import math
+import sys
 from contextlib import ExitStack
 from pathlib import Path
 
@@ -127,7 +128,7 @@ def _check(raw, kind, where: str):
         scale = {"_hz": TWO_PI, "_nm": HZ_PER_NM}.get(where[-3:], 1.0)
         if ok and not math.isfinite(raw * scale):
             ok = False
-            expected += f" of magnitude <= {np.finfo(float).max / scale:.4g}"
+            expected += f" of magnitude <= {sys.float_info.max / scale:.4g}"
     elif isinstance(kind, range):
         expected = f"an integer in [{kind[0]}, {kind[-1]}]"
         ok = is_int and raw in kind

@@ -674,7 +674,7 @@ def test_fits_do_not_depend_on_the_blas_thread_count(tmp_path):
 
 
 _STARTUP_PROBE = """
-import contextlib, io, sys
+import contextlib, io, json, os, sys
 def loaded():
     return [m for m in ("numpy", "dataclasses") if m in sys.modules]
 import optomech
@@ -689,6 +689,16 @@ for name, config in SCENARIOS.items():
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["run", name, "--out", sys.argv[1]]) == 0
         print(name, loaded())
+# a bound's message is formatted from the float range, not from numpy
+config = SCENARIOS["paper_decay_length"]
+config = dict(config, cavity=dict(config["cavity"], kappa_hz=1e308))
+path = os.path.join(sys.argv[1], "big_kappa.json")
+with open(path, "w") as f:
+    json.dump(config, f)
+with contextlib.redirect_stderr(io.StringIO()) as err:
+    assert main(["run", path]) == 2
+assert "of magnitude <= 2.861e+307, got 1e+308" in err.getvalue()
+print("big_kappa", loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["run", "paper_fig2c_thermal", "--out", sys.argv[1]]) == 0
 print("numpy" in sys.modules)
@@ -697,7 +707,7 @@ print("numpy" in sys.modules)
 
 def test_scalar_runs_load_neither_numpy_nor_dataclasses(tmp_path):
     # a fresh interpreter: the six `coupling` scenarios and the `qba` one
-    # compute no array
+    # compute no array, and a config range error exits 2 without numpy
     scalar = [name for name, config in scenarios.SCENARIOS.items()
               if config["analysis"] in ("coupling", "qba")]
     assert len(scalar) == 7
@@ -707,7 +717,8 @@ def test_scalar_runs_load_neither_numpy_nor_dataclasses(tmp_path):
                           timeout=120, env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [
-        f"{step} []" for step in ["import", "list-scenarios", *scalar]
+        f"{step} []"
+        for step in ["import", "list-scenarios", *scalar, "big_kappa"]
     ] + ["True"]
 
 

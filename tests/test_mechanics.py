@@ -24,9 +24,9 @@ from optomech import mechanics, runner, scenarios
 from optomech.quadrature import adaptive_quadrature
 from optomech.units import HBAR, K_B, TWO_PI, SpectralDensity
 
-from conftest import (approx_rel, make_mode, make_string, random_string, rng,
-                      resonance_grid_sorted, susceptibility,
-                      thermal_spectrum_values)
+from conftest import (adaptive_quadrature_reference, approx_rel, make_mode,
+                      make_string, random_string, rng, resonance_grid_sorted,
+                      susceptibility, thermal_spectrum_values)
 
 
 def test_mode_shape_symmetry_and_domain():
@@ -352,6 +352,69 @@ def test_adaptive_quadrature_known_integrals():
                                    -1.0, 1.0), 2.0 * math.atan(1e6), 1e-8)
 
 
+def _counted(f):
+    calls = []
+
+    def counted(y):
+        calls.append(y)
+        return f(y)
+    return counted, calls
+
+
+def _effective_mass_integrals(draws):
+    """(f, a, b) of each quadrature that `effective_mass` runs, for probes
+    drawn as `test_effective_mass_matches_the_oracles` draws them: both
+    halves of the split at the probe centre."""
+    rng, integrals = np.random.default_rng(19), []
+
+    def recorded(f, a, b):
+        integrals.append((f, a, b))
+        return adaptive_quadrature(f, a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mechanics, "adaptive_quadrature", recorded)
+        for i in range(draws):
+            osc = make_string(L=rng.uniform(5e-6, 100e-6))
+            n = int(rng.integers(1, 10))
+            offset = 0.0 if i % 2 == 0 else rng.uniform(-0.45, 0.45) * osc.L
+            probe = ProbeProfile(shape="gaussian",
+                                 l_y=rng.uniform(0.005, 0.6) * osc.L,
+                                 center_offset=offset)
+            try:
+                effective_mass(osc, probe, n)
+            except DivergentMass:
+                pass
+    return integrals
+
+
+def test_adaptive_quadrature_matches_its_oracle_bit_for_bit():
+    # the written-out Simpson step against the helper-and-max form: the
+    # same double and the same integrand values, in the same order
+    integrals = _effective_mass_integrals(100)
+    rng = np.random.default_rng(27)
+    smooth = [math.sin, lambda x: math.exp(-x * x), lambda x: 0.0,
+              lambda x: 3.0 * x - 1.0, lambda x: x * x - 0.5 * x,
+              lambda x: 2.0 * x ** 3 - x]
+
+    def lorentzian(x):     # narrow: ~1e4 values where 0 is inside
+        return 1e-6 / (x * x + 1e-12)
+    for i in range(200):
+        a, b = sorted(rng.uniform(-4.0, 4.0, 2))
+        if i % 3 == 1:
+            a, b = b, a
+        elif i % 10 == 0:
+            b = a
+        f = lorentzian if i % 25 == 3 else smooth[i % len(smooth)]
+        integrals.append((f, a, b))
+    assert len(integrals) >= 300
+    for f, a, b in integrals:
+        got_f, got_calls = _counted(f)
+        want_f, want_calls = _counted(f)
+        got = adaptive_quadrature(got_f, a, b)
+        want = adaptive_quadrature_reference(want_f, a, b)
+        assert got.hex() == want.hex(), (a, b)   # signed zeros included
+        assert got_calls == want_calls, (a, b)
+
+
 def _reference_mass(osc, probe, n):
     """The effective mass by the earlier rule: one adaptive Simpson
     integral over the whole string, through `mode_shape` and the probe's
@@ -404,6 +467,43 @@ def test_effective_mass_matches_the_oracles():
             expected = _simpson_mass(osc, probe, n)
         approx_rel(got, expected, 1e-8)
     assert outcomes == {float, DivergentMass}
+
+
+def _mpmath_mass(osc, probe, n):
+    """m*<u^2>/overlap^2 with the overlap from `mpmath.quad` at 30 digits,
+    split at the probe centre, in x = y/L."""
+    import mpmath       # a test dependency: the arbitrary-precision oracle
+    with mpmath.workdps(30):
+        L = mpmath.mpf(osc.L)
+        c, w = mpmath.mpf(probe.center_offset) / L, mpmath.mpf(probe.l_y) / L
+        trig = mpmath.cos if n % 2 == 1 else mpmath.sin
+
+        def integrand(x):
+            return trig(n * mpmath.pi * x) * mpmath.exp(
+                -mpmath.pi * (x - c) ** 2 / w ** 2) / w
+        overlap = mpmath.quad(integrand, [-0.5, c, 0.5])
+        return float(0.5 * mpmath.mpf(osc.physical_mass) / overlap ** 2)
+
+
+def test_effective_mass_matches_mpmath():
+    # six centred probes and two off-centre ones; a high mode under a wide
+    # probe, or a probe near a node, cancels in the overlap (here below
+    # 0.1 of the peak), and the 1e-10 tolerance then no longer keeps the
+    # mass within 1e-12 (n = 5 under l_y = 0.48*L reads 3.1e-12)
+    rng = np.random.default_rng(16)
+    checked = 0
+    while checked < 8:
+        osc = make_string(L=rng.uniform(5e-6, 100e-6))
+        n = int(rng.choice([1, 3, 5]))
+        offset = 0.0 if checked < 6 else rng.uniform(-0.3, 0.3) * osc.L
+        probe = ProbeProfile(shape="gaussian",
+                             l_y=rng.uniform(0.02, 0.5) * osc.L,
+                             center_offset=offset)
+        if abs(_closed_form_overlap(osc, probe, n)) < 0.1:
+            continue
+        approx_rel(effective_mass(osc, probe, n),
+                   _mpmath_mass(osc, probe, n), 1e-12)
+        checked += 1
 
 
 def _bundled_string():

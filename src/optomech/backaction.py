@@ -102,7 +102,7 @@ def threshold_power(cav: Microcavity, mode: MechanicalMode, g: float) -> float:
     """Parametric instability threshold power at Delta = +kappa/2 (W): the
     input power at which blue_detuned_rate cancels Gamma_m. The rate is
     linear in power, so this is -Gamma_m over the rate at 1 W."""
-    if g <= 0:
+    if not g > 0:
         raise ValueError("require g > 0")
     return -mode.gamma_m / blue_detuned_rate(cav, mode, g, 1.0)
 
@@ -146,7 +146,7 @@ def transmission_modulation(cav: Microcavity, g: float, amplitude: float,
     delta + g*a*cos(Om*t); the depth is (T_max - T_min)/T_max, reaching
     unity whenever the sweep crosses resonance.
     """
-    if amplitude < 0:
+    if not amplitude >= 0:
         raise ValueError("require amplitude >= 0")
     swing = g * amplitude
     lo, hi = delta - swing, delta + swing

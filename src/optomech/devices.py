@@ -124,7 +124,7 @@ def decay_constant(cav: Microcavity) -> float:
 
 def index_for_decay_length(wavelength: float, decay_length: float) -> float:
     """Refractive index giving a target field decay length 1/alpha."""
-    if wavelength <= 0 or decay_length <= 0:
+    if not (wavelength > 0 and decay_length > 0):
         raise ValueError("require positive wavelength and decay length")
     return math.sqrt(1.0 + (wavelength / (TWO_PI * decay_length)) ** 2)
 
@@ -161,11 +161,13 @@ def string_mode_frequency(osc: NanoOscillator, n: int) -> float:
     """Stress-dominated string eigenfrequency f_n = (n/2L)*sqrt(S/rho) (Hz)."""
     if osc.kind != "string":
         raise NotAString("mode frequencies defined for string oscillators only")
+    if not n >= 1:
+        raise ValueError(f"require mode index n >= 1, got {n!r}")
     return (n / (2.0 * osc.L)) * math.sqrt(osc.stress / osc.rho)
 
 
 def infer_stress(osc: NanoOscillator, measured_f1: float) -> float:
     """Invert the fundamental frequency for tensile stress S = rho*(2L*f1)^2."""
-    if measured_f1 < 0:
+    if not measured_f1 >= 0:
         raise ValueError("require measured_f1 >= 0")
     return osc.rho * (2.0 * osc.L * measured_f1) ** 2

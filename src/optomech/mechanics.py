@@ -82,7 +82,9 @@ def mode_shape(osc: NanoOscillator, n: int, y: float) -> float:
     y = +/- L/2. Shapes beyond the fundamental extrapolate the
     stress-dominated (string) limit.
     """
-    if abs(y) > osc.L / 2:
+    if not n >= 1:
+        raise ValueError(f"require mode index n >= 1, got {n!r}")
+    if not abs(y) <= osc.L / 2:
         raise OutOfDomain(f"|y| = {abs(y):g} exceeds L/2 = {osc.L / 2:g}")
     return _TRIG[n % 2](n * math.pi * y / osc.L)
 
@@ -96,6 +98,8 @@ def effective_mass(osc: NanoOscillator, probe: ProbeProfile, n: int) -> float:
     can all miss. For c = 0 the closure is exactly even about 0 for odd
     n, so the overlap is twice the right half, and exactly odd for even
     n, so the overlap is 0."""
+    if not n >= 1:
+        raise ValueError(f"require mode index n >= 1, got {n!r}")
     mean_sq = 0.5  # <u_n^2> = 1/2 exactly for the sinusoidal patterns
     c = probe.center_offset
     if c == 0.0 and n % 2 == 0:

@@ -109,7 +109,7 @@ def shot_noise_floor(cav: Microcavity, g: float, drive: DriveCondition,
     """
     if drive.p_in == 0:
         raise ZeroPower("shot-noise floor undefined at zero input power")
-    if g <= 0:
+    if not g > 0:
         raise ValueError("require g > 0")
     lorentz = 1.0 + detuning_sq(cav, omega)
     # math.sqrt on a number: a scalar run need not load numpy
@@ -130,7 +130,7 @@ def response_coefficient(cav: Microcavity, mode: MechanicalMode,
                          g_pump: float, g_probe: float) -> float:
     """Interference coefficient a1 relating the mechanical response to the
     Kerr background (rad^2/s^2)."""
-    if g_pump <= 0 or g_probe <= 0:
+    if not (g_pump > 0 and g_probe > 0):
         raise ValueError("require g_pump > 0 and g_probe > 0")
     return (g_pump * g_probe / cav.omega0 ** 2
             * TWO_PI * cav.R * cav.n_eff ** 2 * cav.mode_area
@@ -255,7 +255,7 @@ def noise_budget(cav: Microcavity, mode: MechanicalMode, g: float,
     detector_floor is a flat amplitude spectral density in m/sqrt(Hz)
     (single-sided).
     """
-    if detector_floor < 0:
+    if not detector_floor >= 0:
         raise ValueError("require detector_floor >= 0")
     f = np.asarray(grid_hz, dtype=float)
     signal = thermal_spectrum(mode, drive.temperature, f)

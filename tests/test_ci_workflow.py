@@ -39,10 +39,17 @@ def test_console_script_step_runs(tmp_path):
     bin_dir, work = tmp_path / "bin", tmp_path / "work"
     bin_dir.mkdir()
     work.mkdir()
-    # the installed entry point and `python`, both this interpreter
-    for name, args in (("optomech", " -m optomech.cli"), ("python", "")):
+    # the installed entry point, which logs each call's exit code, and
+    # `python`, both this interpreter
+    codes = tmp_path / "codes.txt"
+    shims = {
+        "optomech": f'"{sys.executable}" -m optomech.cli "$@"\n'
+                    f'code=$?\necho "$code" >> "{codes}"\nexit "$code"\n',
+        "python": f'exec "{sys.executable}" "$@"\n',
+    }
+    for name, body in shims.items():
         shim = bin_dir / name
-        shim.write_text(f'#!/bin/sh\nexec "{sys.executable}"{args} "$@"\n')
+        shim.write_text("#!/bin/sh\n" + body)
         shim.chmod(0o755)
     pythonpath = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
@@ -53,6 +60,9 @@ def test_console_script_step_runs(tmp_path):
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (work / "rt" / "response.csv").exists()
+    # one call per outcome: the runs, the fit, a config error and a
+    # domain error, each exit code as the entry point returned it
+    assert codes.read_text().split() == ["0", "0", "0", "0", "2", "3"]
 
 
 def test_dependency_floors_match_pyproject():

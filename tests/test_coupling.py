@@ -152,6 +152,27 @@ def test_exponential_fit_is_independent_of_the_shift_unit(scale, rng):
     approx_rel(scaled.residual_norm, fit.residual_norm * scale, 1e-9)
 
 
+def test_exponential_fit_scales_exactly_with_the_separation_unit(rng):
+    # x0 -> 2**k * x0 scales the seed's slope, x0/l and the decay length by
+    # powers of two, which round nothing: the fit is the same but for the
+    # decay length * 2**k, bit for bit. With x0 <= 3 * 140 nm, x0**2 stays
+    # a normal double for k in about [-490, 530]
+    for _ in range(4):
+        decay = rng.uniform(80e-9, 140e-9)
+        x = np.linspace(0.0, 3.0 * decay, rng.integers(30, 2001))
+        dw = -TWO_PI * rng.uniform(1e6, 5e7) * np.exp(-x / decay) \
+            * (1.0 + 0.01 * rng.standard_normal(x.size))
+        fit = fit_exponential(ShiftCurve(np.column_stack((x, dw))))
+        for k in range(-300, 301, 10):
+            scale = 2.0 ** k
+            scaled = fit_exponential(
+                ShiftCurve(np.column_stack((x * scale, dw))))
+            assert (scaled.amplitude, scaled.decay_length,
+                    scaled.residual_norm) \
+                == (fit.amplitude, fit.decay_length * scale,
+                    fit.residual_norm), k
+
+
 def test_fit_requires_two_points():
     with pytest.raises(IllConditioned):
         fit_exponential(ShiftCurve(((0.0, -1.0),)))

@@ -15,17 +15,20 @@ from optomech import (
     mode_shape,
     resonance_grid,
     snr_requirement,
+    string_mode_frequency,
     thermal_force_psd,
     thermal_rms,
     thermal_spectrum,
     zero_point,
 )
-from optomech import mechanics, runner, scenarios
+from optomech import backaction, devices, mechanics, runner, scenarios, \
+    sensing
 from optomech.quadrature import adaptive_quadrature
 from optomech.units import HBAR, K_B, TWO_PI, SpectralDensity
 
-from conftest import (adaptive_quadrature_reference, approx_rel, make_mode,
-                      make_string, random_string, rng, resonance_grid_sorted,
+from conftest import (HZ_PER_NM, adaptive_quadrature_reference, approx_rel,
+                      make_cavity, make_drive, make_mode, make_string,
+                      random_string, rng, resonance_grid_sorted,
                       susceptibility, thermal_spectrum_values)
 
 
@@ -211,6 +214,57 @@ def test_susceptibility_peak_value():
 def test_nan_and_negative_temperature_raise(func, T):
     with pytest.raises(ValueError, match="require T >= 0"):
         func(make_mode(), T)
+
+
+_G = 3.8e6 * HZ_PER_NM
+
+
+@pytest.mark.parametrize("error, match, call", [
+    (ValueError, "measured_f1 >= 0",
+     lambda: devices.infer_stress(make_string(), math.nan)),
+    (ValueError, "positive wavelength and decay length",
+     lambda: devices.index_for_decay_length(1.55e-6, math.nan)),
+    (OutOfDomain, "exceeds L/2",
+     lambda: mode_shape(make_string(), 1, math.nan)),
+    (ValueError, "require g > 0",
+     lambda: sensing.shot_noise_floor(make_cavity(), math.nan, make_drive(),
+                                      1e6)),
+    (ValueError, "g_pump > 0 and g_probe > 0",
+     lambda: sensing.response_coefficient(make_cavity(), make_mode(), _G,
+                                          math.nan)),
+    (ValueError, "detector_floor >= 0",
+     lambda: sensing.noise_budget(make_cavity(), make_mode(), _G,
+                                  make_drive(), np.linspace(10e6, 11e6, 11),
+                                  detector_floor=math.nan)),
+    (ValueError, "require g > 0",
+     lambda: backaction.threshold_power(make_cavity(), make_mode(),
+                                        math.nan)),
+    (ValueError, "amplitude >= 0",
+     lambda: backaction.transmission_modulation(make_cavity(), _G, math.nan,
+                                                0.0)),
+], ids=["infer_stress", "index_for_decay_length", "mode_shape",
+        "shot_noise_floor", "response_coefficient", "noise_budget",
+        "threshold_power", "transmission_modulation"])
+def test_nan_argument_is_rejected_by_its_guard(error, match, call):
+    # NaN passes a guard written `x <= 0` or `x < 0`, so each is written
+    # `not x > 0` or `not x >= 0`
+    with pytest.raises(error, match=match):
+        call()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("func", [
+    lambda osc, n: string_mode_frequency(osc, n),
+    lambda osc, n: mode_shape(osc, n, 0.0),
+    lambda osc, n: effective_mass(
+        osc, ProbeProfile("gaussian", l_y=0.2 * osc.L), n),
+], ids=["string_mode_frequency", "mode_shape", "effective_mass"])
+def test_mode_index_below_one_raises(func, n):
+    # the parity of n picks the mode pattern, so n = -1 would pass for
+    # mode 1 and n = 0 for an antisymmetric mode
+    with pytest.raises(ValueError, match=rf"require mode index n >= 1, "
+                                         rf"got {n}"):
+        func(make_string(), n)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

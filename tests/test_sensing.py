@@ -321,9 +321,17 @@ def test_response_jacobian_matches_central_difference(rng):
                 <= 1e-6 * np.max(np.abs(jac[:, j]))
 
 
-# 15 000 rows: long enough for OpenBLAS to thread a 1-D dot over them
-@pytest.mark.parametrize("points", [2000, 15_000])
-def test_fit_matches_scipy_levenberg_marquardt(points, monkeypatch, rng):
+def _noisy_curve(rng, points=2000, repeats=1):
+    """A random resonance with 1% noise, each of its grid's frequencies
+    taken `repeats` times, as from that many sweeps."""
+    params, f = _random_resonance(rng, points)
+    f = np.tile(f, repeats)
+    h = response_model(TWO_PI * f, *params) \
+        * (1.0 + 0.01 * rng.standard_normal(f.size))
+    return ResponseCurve(f, h)
+
+
+def _assert_fits_match_scipy(curves, monkeypatch):
     # an independent oracle: scipy's MINPACK `lmder` on the same scaled
     # problem from the same start; x_scale="jac" is lmder's column-norm
     # scaling, the default only from scipy 1.16
@@ -338,11 +346,8 @@ def test_fit_matches_scipy_levenberg_marquardt(points, monkeypatch, rng):
 
     monkeypatch.setattr(sensing, "least_squares", recorded)
     nfev = oracle_nfev = 0
-    for _ in range(20):
-        params, f = _random_resonance(rng, points)
-        h = response_model(TWO_PI * f, *params) \
-            * (1.0 + 0.01 * rng.standard_normal(f.size))
-        fit_response(ResponseCurve(f, h))
+    for curve in curves:
+        fit_response(curve)
         fun_jac, x0, sol = calls.pop()
         oracle = scipy_least_squares(
             lambda p: fun_jac(p)[0], x0, jac=lambda p: fun_jac(p)[1],
@@ -354,6 +359,42 @@ def test_fit_matches_scipy_levenberg_marquardt(points, monkeypatch, rng):
         nfev += sol.nfev
         oracle_nfev += oracle.nfev
     assert nfev <= 1.1 * oracle_nfev
+
+
+# 15 000 rows: long enough for OpenBLAS to thread a 1-D dot over them
+@pytest.mark.parametrize("points", [2000, 15_000])
+def test_fit_matches_scipy_levenberg_marquardt(points, monkeypatch, rng):
+    _assert_fits_match_scipy(
+        (_noisy_curve(rng, points) for _ in range(20)), monkeypatch)
+
+
+@pytest.mark.parametrize("repeats", [2, 3])
+def test_fit_of_repeated_frequencies_matches_scipy(repeats, monkeypatch,
+                                                   rng):
+    # the curve sorts each frequency's rows by magnitude, so the fit's
+    # starting peak and half-width read ties
+    _assert_fits_match_scipy(
+        (_noisy_curve(rng, 1000, repeats) for _ in range(20)), monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+def test_response_fit_scales_exactly_with_the_frequency_unit(seed):
+    # f -> 2**k * f scales Omega_m, Gamma_m, the seed and the Jacobian's
+    # columns by powers of two, which round nothing: the fit is the same
+    # but for a1 * 4**k and the rates * 2**k, bit for bit. On these grids
+    # that holds for |k| up to ~240; past that a square leaves the range
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        curve = _noisy_curve(rng, 500)
+        fit = fit_response(curve)
+        for k in range(-150, 151, 10):
+            scale = 2.0 ** k
+            scaled = fit_response(ResponseCurve(
+                curve.frequencies_hz * scale, curve.magnitudes))
+            assert (scaled.a1, scaled.omega_m, scaled.gamma_m,
+                    scaled.residual_norm) \
+                == (fit.a1 * scale * scale, fit.omega_m * scale,
+                    fit.gamma_m * scale, fit.residual_norm), k
 
 
 def test_least_squares_solves_a_linear_problem(rng):

@@ -63,9 +63,17 @@ def _line(cav: Microcavity, d: float) -> float:
         return math.inf
 
 
+def _require_finite_g(g: float) -> None:
+    # an infinite g makes inf*0 of a vanishing Lorentzian difference or
+    # swing, and NaN passes every comparison
+    if not math.isfinite(g):
+        raise ValueError(f"require finite g, got {g!r}")
+
+
 def backaction_rate(cav: Microcavity, mode: MechanicalMode, g: float,
                     drive: DriveCondition) -> BackactionResult:
     """Dynamical backaction rate at the drive detuning (rad/s)."""
+    _require_finite_g(g)
     x_zp, _ = zero_point(mode)
     kappa = cav.kappa
     delta = drive.detuning
@@ -141,19 +149,25 @@ def transmission_modulation(cav: Microcavity, g: float, amplitude: float,
                             delta: float) -> float:
     """Quasi-static transmission modulation depth in [0, 1].
 
-    The critically coupled dip T(d) = x/(1 + x), x = (2d/kappa)^2, which
-    keeps its digits for |d| << kappa, is swept by the detuning d(t) =
-    delta + g*a*cos(Om*t); the depth is (T_max - T_min)/T_max, reaching
-    unity whenever the sweep crosses resonance.
+    The critically coupled dip T(d) = x/(1 + x), x = (2d/kappa)^2, is
+    swept by the detuning d(t) = delta + g*a*cos(Om*t); the depth is
+    (T_max - T_min)/T_max, reaching unity whenever the sweep crosses
+    resonance. On one side of it, over lo <= |d| <= hi, the depth is
+    (x_max - x_min)/(x_max*(1 + x_min)) with (x_max - x_min)/x_max =
+    (hi - lo)*(hi + lo)/hi^2: no two dips near 1 are subtracted far off
+    resonance, and no square leaves the float range.
     """
+    _require_finite_g(g)
+    if not math.isfinite(delta):
+        raise ValueError(f"require finite delta, got {delta!r}")
     if not amplitude >= 0:
         raise ValueError("require amplitude >= 0")
-    swing = g * amplitude
-    lo, hi = delta - swing, delta + swing
-    d_max = max(abs(lo), abs(hi))
-    d_min = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
-    dip = lambda x: 1.0 if x == math.inf else x / (1.0 + x)
-    t_max, t_min = dip(_line(cav, d_max)), dip(_line(cav, d_min))
-    if t_max == 0.0:
+    # T is even in d: sweep |delta| +- swing
+    swing = abs(g) * amplitude if g else 0.0
+    lo, hi = abs(delta) - swing, abs(delta) + swing
+    if lo <= 0.0:
+        return 1.0 if hi > 0.0 else 0.0
+    x_min = _line(cav, lo)
+    if x_min == math.inf:
         return 0.0
-    return (t_max - t_min) / t_max
+    return (hi - lo) / hi * (1.0 + lo / hi) / (1.0 + x_min)

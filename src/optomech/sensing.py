@@ -139,6 +139,8 @@ def response_coefficient(cav: Microcavity, mode: MechanicalMode,
 
 def g_eff_from_a1(cav: Microcavity, mode: MechanicalMode, a1: float) -> float:
     """Invert the a1 closed form for g_eff = sqrt(g_pump*g_probe)."""
+    if not a1 > 0:
+        raise ValueError(f"require a1 > 0, got {a1!r}")
     return math.sqrt(a1 / response_coefficient(cav, mode, 1.0, 1.0))
 
 

@@ -1,6 +1,7 @@
 """Shared builders for the test suite."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -264,3 +265,49 @@ def approx_rel(actual, expected, rel):
     assert expected != 0
     assert abs(actual - expected) <= rel * abs(expected), \
         f"{actual} vs {expected} (rel err {abs(actual - expected) / abs(expected):.3e} > {rel})"
+
+
+# `coupling.read_columns` as it read every input through the open handle,
+# kept to hold the reader to its old arrays and error rows.
+
+def _parse_rows_reference(lines, n):
+    return np.loadtxt(lines, delimiter=",", usecols=range(n), ndmin=2,
+                      comments=None, quotechar='"')
+
+
+def _first_bad_row_reference(lines, n):
+    good, bad = 0, len(lines)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _parse_rows_reference(lines[good:mid], n)
+            good = mid
+        except ValueError:
+            bad = mid
+    return good
+
+
+def read_columns_reference(path, names):
+    """The first len(names) columns of a measured-data CSV, each row of
+    the table parsed from the handle that read the header."""
+    n = len(names)
+    with open(path, encoding="utf-8-sig") as fh:
+        header = [c.strip().strip('"') for c in fh.readline().split(",")]
+        if header[:n] != list(names):
+            raise ValueError(f"expected CSV header `{', '.join(names)}`")
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                table = _parse_rows_reference(fh, n)
+        except ValueError:
+            fh.seek(0)
+            lines = [line for line in fh.read().split("\n")[1:] if line]
+            row = _first_bad_row_reference(lines, n)
+            raise ValueError(f"data row {row + 1}: expected {n} numbers, "
+                             f"got {lines[row]!r:.60}") from None
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ValueError(f"data row {bad[0] + 1}: values must be finite, "
+                         f"got {', '.join(map(repr, table[bad[0]].tolist()))}")
+    return table.T

@@ -173,17 +173,17 @@ def test_modulation_depth_limits():
 
 
 def test_modulation_depth_matches_exact_rationals(rng):
-    # the dip x/(1 + x) keeps full precision for |d| << kappa, where
-    # 1 - 1/(1 + x) loses all of it; sweeps that stay on one side of
-    # resonance with |delta| from 1e-8 to 1 linewidth, against the depth
-    # of the same inputs in exact rational arithmetic
+    # near resonance 1 - 1/(1 + x) loses all its digits, and far off it
+    # the two dips near 1 cancel; sweeps that stay on one side of
+    # resonance with |delta| from 1e-8 to 100 linewidths, against the
+    # depth of the same inputs in exact rational arithmetic
     def dip(d, kappa):
         return 1 - 1 / (1 + 4 * d * d / (kappa * kappa))
 
-    for _ in range(500):
+    for _ in range(2000):
         cav = random_cavity(rng)
         g = rng.uniform(0.1e6, 20e6) * HZ_PER_NM
-        delta = cav.kappa * 10.0 ** rng.uniform(-8.0, 0.0) \
+        delta = cav.kappa * 10.0 ** rng.uniform(-8.0, 2.0) \
             * rng.choice([-1.0, 1.0])
         amplitude = abs(delta) * rng.uniform(0.2, 0.8) / g
         d, kappa = abs(Fraction(delta)), Fraction(cav.kappa)
@@ -205,6 +205,36 @@ def test_detuning_past_the_float_range_is_the_far_limit():
     assert transmission_modulation(cav, g, 1.0 / g, far) == 0.0
     assert transmission_modulation(cav, g, far / g, 0.0) == 1.0
     assert transmission_modulation(cav, g, math.inf, 0.0) == 1.0
+
+
+def test_depth_is_even_in_the_coupling_sign(rng):
+    # d(t) = delta + g*a*cos(Om*t) covers delta +- |g|*a for either sign
+    cav, _, g = _fig4_setup()
+    for _ in range(200):
+        delta = cav.kappa * rng.uniform(-2.0, 2.0)
+        amplitude = cav.kappa * rng.uniform(0.0, 2.0) / g
+        assert transmission_modulation(cav, -g, amplitude, delta) \
+            == transmission_modulation(cav, g, amplitude, delta)
+    assert transmission_modulation(cav, -g, cav.kappa / g, 0.1 * cav.kappa) \
+        == 1.0
+    assert transmission_modulation(cav, 0.0, math.inf, cav.kappa) == 0.0
+
+
+@pytest.mark.parametrize("g, delta, name", [
+    (math.nan, 0.0, "g"), (math.inf, 0.0, "g"), (-math.inf, 0.0, "g"),
+    (1.0, math.nan, "delta"), (1.0, math.inf, "delta"),
+])
+def test_modulation_rejects_non_finite_arguments(g, delta, name):
+    cav, _, g_ref = _fig4_setup()
+    with pytest.raises(ValueError, match=f"require finite {name}, got"):
+        transmission_modulation(cav, g * g_ref, 1e-12, delta)
+
+
+@pytest.mark.parametrize("g", [math.nan, math.inf])
+def test_backaction_rate_rejects_a_non_finite_coupling(g):
+    cav, mode, _ = _fig4_setup()
+    with pytest.raises(ValueError, match="require finite g, got"):
+        backaction_rate(cav, mode, g, make_drive(detuning_hz=6e6))
 
 
 def test_threshold_rejects_zero_coupling():

@@ -1,8 +1,16 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+import tempfile
+import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from optomech import (
     CouplingGeometry,
@@ -25,7 +33,7 @@ from optomech.cli import main
 from optomech.units import TWO_PI
 
 from conftest import approx_rel, g_central_difference_error, make_cavity, \
-    make_string, random_cavity, random_string, rng
+    make_string, random_cavity, random_string, read_columns_reference, rng
 
 
 def _oracle_shift(cav, osc, orientation, x0):
@@ -277,25 +285,149 @@ def _shift_rows():
                                                      dfreq.tolist())]
 
 
-@pytest.mark.parametrize("variant", ["crlf", "blank lines", "extra column",
-                                     "quoted cell"])
+_SHIFT_NAMES = ("x0_m", "dfreq_hz")
+
+# reads /dev/stdin in a subprocess: the timeout bounds a reader that
+# waits for a pipe to open again
+_READ_STDIN = """
+import sys
+from optomech import coupling
+sys.stdout.write(coupling.read_columns("/dev/stdin", ("x0_m", "dfreq_hz"))
+                 .tobytes().hex())
+"""
+
+
+def _read_piped(data: bytes) -> np.ndarray:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _READ_STDIN], input=data,
+                          capture_output=True, env=dict(os.environ,
+                                                        PYTHONPATH=src),
+                          timeout=60, check=True)
+    return np.frombuffer(bytes.fromhex(proc.stdout.decode()),
+                         dtype=float).reshape(2, -1)
+
+
+@pytest.mark.parametrize("variant", ["crlf", "cr", "blank lines",
+                                     "extra column", "quoted cell", "pipe",
+                                     ".gz", ".bz2", ".xz", ".lzma", ".GZ"])
 def test_read_columns_accepts(variant, tmp_path):
+    # a name with a compression suffix is read as the plain text it holds
     x, dfreq, rows = _shift_rows()
     header, newline = "x0_m,dfreq_hz", "\n"
     if variant == "crlf":   # csv.writer's default line ending
         newline = "\r\n"
+    elif variant == "cr":
+        newline = "\r"
     elif variant == "blank lines":
         rows = [r + "\n" for r in rows[:6]] + ["", "\n"] + rows[6:] + [""]
     elif variant == "extra column":
         header += ",note"
         rows = [r + ",not a number" for r in rows]
-    else:
+    elif variant == "quoted cell":
         rows = [f'"{a!r}",{b!r}' for a, b in zip(x.tolist(),
                                                   dfreq.tolist())]
-    path = tmp_path / "shift.csv"
-    path.write_bytes((newline.join([header] + rows) + newline).encode())
-    table = coupling.read_columns(path, ("x0_m", "dfreq_hz"))
+    data = (newline.join([header] + rows) + newline).encode()
+    if variant == "pipe":
+        table = _read_piped(data)
+    else:
+        path = tmp_path / ("shift.csv" + variant * variant.startswith("."))
+        path.write_bytes(data)
+        table = coupling.read_columns(path, _SHIFT_NAMES)
     assert np.array_equal(table, [x, dfreq])
+
+
+def test_a_url_shaped_name_is_a_local_file(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a data_csv name was opened as a URL")
+
+    monkeypatch.setattr(urllib.request, "urlopen", refuse)
+    x, dfreq, rows = _shift_rows()
+    folder = tmp_path / "http:" / "host"
+    folder.mkdir(parents=True)
+    (folder / "d.csv").write_text("\n".join(["x0_m,dfreq_hz"] + rows) + "\n")
+    monkeypatch.chdir(tmp_path)
+    table = coupling.read_columns("http://host/d.csv", _SHIFT_NAMES)
+    assert np.array_equal(table, [x, dfreq])
+
+
+def test_a_malformed_piped_row_is_named(tmp_path):
+    # a pipe cannot be read twice: the rows for the message are kept
+    _, _, rows = _shift_rows()
+    rows[4] = "2e-7,abc"
+    data = ("\n".join(["x0_m,dfreq_hz"] + rows) + "\n").encode()
+    path = tmp_path / "shift.csv"
+    path.write_bytes(data)
+    with pytest.raises(ValueError) as from_file:
+        coupling.read_columns(path, _SHIFT_NAMES)
+    assert str(from_file.value) == "data row 5: expected 2 numbers, got " \
+        "'2e-7,abc'"
+    with pytest.raises(subprocess.CalledProcessError) as piped:
+        _read_piped(data)
+    assert piped.value.stderr.decode().splitlines()[-1] \
+        == f"ValueError: {from_file.value}"
+
+
+# A cell of the generated files: numbers spelled several ways, text that
+# may hold a quote, a comma, a line break or another separator character
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda v: st.sampled_from([repr(v), f"{v:.3e}", f" {v!r} ", f'"{v!r}"',
+                               f'" {v:g}\n"']))
+_TEXT = st.text(alphabet=st.sampled_from('ab ,"\n\r\t\x0b\x0c\x85\u2028'),
+                max_size=6)
+_BAD_CELL = st.sampled_from(["nan", "inf", "-inf", "1e999", "abc", "", "1_0",
+                             "0x10", "# 1", '"1"2', "1 2"])
+
+
+@st.composite
+def _csv_files(draw):
+    """(bytes, name suffix) of a measured-data CSV in the forms that
+    `read_columns` documents, with at most one bad row."""
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    extra = draw(st.integers(0, 2))
+    header = [draw(st.sampled_from([n, f" {n}", f'"{n}"'])) for n in
+              _SHIFT_NAMES] + [f"note{k}" for k in range(extra)]
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        cells = [draw(_NUMBER), draw(_NUMBER)]
+        cells += [draw(_TEXT.map(lambda t: f'"{t}"') | _TEXT.filter(
+            lambda t: not set(t) & set(',"\n\r'))) for _ in range(extra)]
+        lines.append(",".join(cells))
+    if len(lines) > 1 and draw(st.booleans()):
+        at = draw(st.integers(1, len(lines) - 1))
+        column = draw(st.integers(0, 1))
+        cells = [draw(_NUMBER), draw(_NUMBER)]
+        cells[column] = draw(_BAD_CELL)
+        lines[at] = ",".join(cells[:1] if cells[1] == "" else cells)
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + text).encode(), draw(st.sampled_from([".csv", ".csv.gz"]))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(_csv_files())
+def test_read_columns_reads_as_the_handle_reader(case):
+    # against the reader that parsed every file from its open handle:
+    # the same arrays, or a ValueError naming the same row; a `.gz` name
+    # takes the branch that pipes take
+    data, suffix = case
+    with tempfile.TemporaryDirectory() as folder:
+        path = Path(folder) / ("shift" + suffix)
+        path.write_bytes(data)
+        outcomes = []
+        for read in (coupling.read_columns, read_columns_reference):
+            try:
+                outcomes.append(read(path, _SHIFT_NAMES))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+    got, expected = outcomes
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and got.shape == expected.shape
+        assert np.array_equal(got, expected)
 
 
 def test_comment_line_is_a_malformed_row(tmp_path, capsys):

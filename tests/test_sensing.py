@@ -192,6 +192,12 @@ def test_response_coefficient_requires_positive_rates(g_pump, g_probe):
                              g_pump * HZ_PER_NM, g_probe * HZ_PER_NM)
 
 
+@pytest.mark.parametrize("a1", [-1.0, 0.0, math.nan])
+def test_g_eff_requires_positive_a1(a1):
+    with pytest.raises(ValueError, match=r"require a1 > 0, got"):
+        g_eff_from_a1(make_cavity(), make_mode(), a1)
+
+
 def test_response_model_limits():
     mode = make_mode()
     a1 = 5e12

@@ -87,6 +87,8 @@ class NanoOscillator:
                 raise ValueError(f"require {name} > 0")
         if self.Q <= 1:
             raise ValueError("require Q > 1")
+        if self.n_nano < 1:     # below 1 the shift turns blue and g < 0
+            raise ValueError("require n_nano >= 1")
         if self.kind not in ("string", "sheet"):
             raise ValueError(f"unknown oscillator kind {self.kind!r}")
 

@@ -38,49 +38,55 @@ REQUIRED, OPTIONAL = object(), object()
 POSITIVE, NON_NEGATIVE = "a finite number > 0", "a finite number >= 0"
 
 
-def _numbers(*keys: str, kind=float) -> dict:
-    return dict.fromkeys(keys, (kind, REQUIRED))
+def _fields(kind, **fields: str) -> dict:
+    """SCHEMA entries of required keys of `kind`, from field=key: the
+    record field that each key fills."""
+    return {key: (kind, REQUIRED, field) for field, key in fields.items()}
 
 
-# The config, described once: key -> (kind, default). A kind is `float`
-# (a finite JSON number, never a bool or a string), POSITIVE or
-# NON_NEGATIVE (such a number with its bound), `str`, a `range` of
-# allowed integers, a frozenset of allowed strings or integers, or the
-# table of a nested section. Enumerations and relations that a record
-# checks (oscillator kind, readout; R > r, Q > 1) are left to it.
+# The config, described once: key -> (kind, default), and in a section
+# built into a record (kind, default, the record field that the key fills).
+# A kind is `float` (a finite JSON number, never a bool or a string),
+# POSITIVE or NON_NEGATIVE (such a number with its bound), `str`, a `range`
+# of allowed integers, a frozenset of allowed strings or integers, or the
+# table of a nested section. Only what no kind states is left to a record:
+# relations between keys (R > r, D_mode < 2r), other bounds (xi <= 1,
+# Q > 1, n_nano >= 1) and enumerations (oscillator kind, readout).
 SCHEMA = {
     "schema_version": (range(1, 2), REQUIRED),
     "analysis": (str, REQUIRED),
     "name": (str, ""),
     "description": (str, OPTIONAL),
     "cavity": ({
-        **_numbers("major_radius_m", "minor_radius_m", "wavelength_m",
-                   "refractive_index", "effective_index", "kappa_hz",
-                   "mode_diameter_m", "surface_field_fraction", kind=POSITIVE),
-        "kerr_coefficient_m2_per_w": (float, 3e-20)}, OPTIONAL),
+        **_fields(POSITIVE, R="major_radius_m", r="minor_radius_m",
+                  wavelength="wavelength_m", n="refractive_index",
+                  n_eff="effective_index", kappa="kappa_hz",
+                  D_mode="mode_diameter_m", xi="surface_field_fraction"),
+        "kerr_coefficient_m2_per_w": (float, 3e-20, "n2")}, OPTIONAL),
     "oscillator": ({
-        "kind": (str, REQUIRED),
-        **_numbers("length_m", "width_m", "thickness_m", "density_kg_per_m3",
-                   "stress_pa", kind=POSITIVE),
-        **_numbers("refractive_index", "quality_factor"),
+        "kind": (str, REQUIRED, "kind"),
+        **_fields(POSITIVE, L="length_m", w="width_m", t="thickness_m",
+                  rho="density_kg_per_m3", stress="stress_pa"),
+        **_fields(float, n_nano="refractive_index", Q="quality_factor"),
         "mode_index": (range(1, 101), 1)}, OPTIONAL),
-    "geometry": ({**_numbers("separation_m"), "orientation": (str, REQUIRED)},
-                 OPTIONAL),
-    "drive": ({**_numbers("input_power_w"), "detuning_hz": (float, 0.0),
-               "temperature_k": (float, 300.0), "readout": (str, "homodyne")},
-              OPTIONAL),
-    "mode": (_numbers("frequency_hz", "quality_factor", "effective_mass_kg",
-                      kind=POSITIVE), OPTIONAL),
-    "grid": ({**_numbers("f_min_hz", "f_max_hz"),
+    "geometry": ({**_fields(NON_NEGATIVE, x0="separation_m"),
+                  "orientation": (str, REQUIRED, "orientation")}, OPTIONAL),
+    "drive": ({**_fields(NON_NEGATIVE, p_in="input_power_w"),
+               "detuning_hz": (float, 0.0, "detuning"),
+               "temperature_k": (POSITIVE, 300.0, "temperature"),
+               "readout": (str, "homodyne", "readout")}, OPTIONAL),
+    "mode": (_fields(POSITIVE, omega_m="frequency_hz", Q="quality_factor",
+                     m_eff="effective_mass_kg"), OPTIONAL),
+    "grid": ({"f_min_hz": (float, REQUIRED), "f_max_hz": (float, REQUIRED),
               "points": (range(2, MAX_POINTS + 1), REQUIRED),
               "spacing": (frozenset({"linear"}), "linear")}, OPTIONAL),
     "response": ({"g_pump_hz_per_nm": (POSITIVE, REQUIRED),
                   "g_probe_hz_per_nm": (POSITIVE, REQUIRED)}, OPTIONAL),
     "backaction_g_grid": ({"g_min_hz_per_nm": (NON_NEGATIVE, REQUIRED),
-                           **_numbers("g_max_hz_per_nm"),
+                           "g_max_hz_per_nm": (float, REQUIRED),
                            "points": (range(2, MAX_POINTS + 1), 25)},
                           OPTIONAL),
-    "standing_wave": ({**_numbers("mean_shift_hz"),
+    "standing_wave": ({"mean_shift_hz": (float, REQUIRED),
                        "lateral_position_m": (float, 0.0),
                        "branch": (frozenset({-1, 1}), 1)}, OPTIONAL),
     "coupling_rate_hz_per_nm": (POSITIVE, OPTIONAL),
@@ -106,7 +112,7 @@ def _check(raw, kind, where: str):
             if key not in kind:
                 raise ConfigError(f"unknown key `{_at(where, key)}`")
         checked = {}
-        for key, (sub, default) in kind.items():
+        for key, (sub, default, *_) in kind.items():
             if key in raw:
                 checked[key] = _check(raw[key], sub, _at(where, key))
             elif default is REQUIRED:
@@ -142,47 +148,30 @@ def _check(raw, kind, where: str):
     return float(raw) if number else raw
 
 
-def build_cavity(cfg: dict) -> Microcavity:
-    c = cfg["cavity"]
-    return Microcavity(
-        R=c["major_radius_m"], r=c["minor_radius_m"],
-        wavelength=c["wavelength_m"], n=c["refractive_index"],
-        n_eff=c["effective_index"], kappa=TWO_PI * c["kappa_hz"],
-        D_mode=c["mode_diameter_m"], xi=c["surface_field_fraction"],
-        n2=c["kerr_coefficient_m2_per_w"])
+def _record(section: str, make):
+    """The builder of `section`'s record: `make` called with every record
+    field that SCHEMA names there, a `_hz` key's value in rad/s."""
+    fields = [(key, entry[2], key.endswith("_hz"))
+              for key, entry in SCHEMA[section][0].items() if len(entry) == 3]
+
+    def build(cfg: dict):
+        c = cfg[section]
+        return make(**{field: TWO_PI * c[key] if is_hz else c[key]
+                       for key, field, is_hz in fields})
+    return build
 
 
-def build_oscillator(cfg: dict) -> NanoOscillator:
-    o = cfg["oscillator"]
-    return NanoOscillator(
-        kind=o["kind"], L=o["length_m"], w=o["width_m"], t=o["thickness_m"],
-        rho=o["density_kg_per_m3"], stress=o["stress_pa"],
-        n_nano=o["refractive_index"], Q=o["quality_factor"])
-
-
-def build_geometry(cfg: dict) -> CouplingGeometry:
-    g = cfg["geometry"]
-    return CouplingGeometry(x0=g["separation_m"], orientation=g["orientation"])
-
-
-def build_drive(cfg: dict) -> DriveCondition:
-    d = cfg["drive"]
-    return DriveCondition(
-        p_in=d["input_power_w"], detuning=TWO_PI * d["detuning_hz"],
-        temperature=d["temperature_k"], readout=d["readout"])
+build_cavity = _record("cavity", Microcavity)
+build_oscillator = _record("oscillator", NanoOscillator)
+build_geometry = _record("geometry", CouplingGeometry)
+build_drive = _record("drive", DriveCondition)
+build_mode = _record("mode", MechanicalMode.from_quality_factor)
 
 
 def _probe(cav: Microcavity) -> ProbeProfile:
     """The Gaussian probe that the cavity sets."""
     _, l_y = devices.sampling_lengths(cav)
     return ProbeProfile(shape="gaussian", l_y=l_y)
-
-
-def build_mode(cfg: dict) -> MechanicalMode:
-    m = cfg["mode"]
-    return MechanicalMode.from_quality_factor(
-        omega_m=TWO_PI * m["frequency_hz"], Q=m["quality_factor"],
-        m_eff=m["effective_mass_kg"])
 
 
 def _spaced(lo, hi, points: int, floor, order: str, repeat: str) -> np.ndarray:

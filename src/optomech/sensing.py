@@ -111,8 +111,11 @@ def shot_noise_floor(cav: Microcavity, g: float, drive: DriveCondition,
         raise ZeroPower("shot-noise floor undefined at zero input power")
     if not g > 0:
         raise ValueError("require g > 0")
+    # math on a number: a scalar run need not load numpy
+    if not (math.isfinite(omega) if isinstance(omega, (int, float))
+            else np.isfinite(omega).all()):
+        raise ValueError("require finite omega")
     lorentz = 1.0 + detuning_sq(cav, omega)
-    # math.sqrt on a number: a scalar run need not load numpy
     base = (cav.kappa / (4.0 * g)) \
         * math.sqrt(HBAR * cav.omega0 / drive.p_in) \
         * (math.sqrt(lorentz) if isinstance(lorentz, float)

@@ -1,4 +1,6 @@
+import collections
 import csv
+import inspect
 import json
 import math
 import os
@@ -12,9 +14,11 @@ import pytest
 
 from optomech import devices, runner, scenarios, sensing
 from optomech.cli import main
-from optomech.mechanics import ProbeProfile, effective_mass
+from optomech.devices import CouplingGeometry, Microcavity, NanoOscillator
+from optomech.mechanics import MechanicalMode, ProbeProfile, effective_mass
 from optomech.runner import (CSV_CHUNK_ROWS, HZ_PER_NM, ConfigError,
                              _write_tables, run_scenario)
+from optomech.sensing import DriveCondition
 from optomech.units import TWO_PI
 
 from conftest import approx_rel
@@ -368,6 +372,11 @@ def _one_line_error(capsys) -> str:
     ("paper_eq26_unity_ratio", None, "coupling_rate_hz_per_nm", 1e300),
     ("paper_response_interference", "response", "g_pump_hz_per_nm", 1e300),
     ("paper_standing_wave", "standing_wave", "mean_shift_hz", 1e308),
+    # exited 2 naming only the section, e.g. "`$.drive`: require
+    # temperature > 0"
+    ("paper_fig2c_thermal", "drive", "temperature_k", -1),
+    ("paper_fig4_backaction", "drive", "input_power_w", -1e-3),
+    ("paper_si_horizontal_g", "geometry", "separation_m", -1e-9),
 ])
 def test_invalid_value_exits_2(name, section, key, value, tmp_path, capsys):
     path = _write_config(tmp_path, name, section, key, value)
@@ -381,6 +390,12 @@ def test_invalid_value_exits_2(name, section, key, value, tmp_path, capsys):
     if key == "length_m":   # was "require L > 0", a record field
         assert message == ("error: `$.oscillator.length_m` must be a finite "
                            "number > 0, got -2.5e-05")
+    if key == "temperature_k":
+        assert message == ("error: `$.drive.temperature_k` must be a finite "
+                           "number > 0, got -1")
+    if key == "separation_m":
+        assert message == ("error: `$.geometry.separation_m` must be a "
+                           "finite number >= 0, got -1e-09")
     if key == "mean_shift_hz":
         assert message == ("error: `$.standing_wave.mean_shift_hz` must be a "
                            "finite number of magnitude <= 2.861e+307, got "
@@ -900,6 +915,26 @@ def test_each_section_built_once(name, derived, monkeypatch):
     assert calls == {section: int(section in config) for section in BUILDERS}
 
 
+@pytest.mark.parametrize("section, make", [
+    ("cavity", Microcavity), ("oscillator", NanoOscillator),
+    ("geometry", CouplingGeometry), ("drive", DriveCondition),
+    ("mode", MechanicalMode.from_quality_factor)])
+def test_schema_names_each_record_field_once(section, make):
+    # a record field without a config key fails here, not at a user's run
+    if isinstance(make, type):
+        has_default = {f: hasattr(make, f) for f in make.__match_args__}
+    else:
+        has_default = {name: p.default is not p.empty for name, p
+                       in inspect.signature(make).parameters.items()}
+    named = collections.Counter(
+        entry[2] for entry in runner.SCHEMA[section][0].values()
+        if len(entry) == 3)
+    assert named.keys() <= has_default.keys()
+    assert set(named.values()) == {1}
+    assert {f for f, default in has_default.items() if not default} \
+        <= named.keys()
+
+
 @pytest.mark.parametrize("name, section, key, value, path", [
     ("paper_fig2c_thermal", "drive", "temprature_k", 4,
      "$.drive.temprature_k"),
@@ -1025,6 +1060,9 @@ def test_one_exit_code_per_input_under_every_analysis(
      "require 0 < D_mode < 2r"),
     ("paper_si_horizontal_g", "oscillator", "quality_factor", 0.5,
      "require Q > 1"),
+    # exited 0 with a blue shift and g < 0
+    ("paper_si_horizontal_g", "oscillator", "refractive_index", 0.5,
+     "require n_nano >= 1"),
     # a spectrum run with an explicit mode never reads the geometry
     ("paper_fig2c_thermal", "geometry", "orientation", "sideways",
      "unknown orientation 'sideways'"),

@@ -8,8 +8,10 @@ from optomech import (
     NanoOscillator,
     NonEvanescent,
     NotAString,
+    coupling_rate,
     decay_constant,
     finesse,
+    frequency_shift,
     index_for_decay_length,
     infer_stress,
     mode_volume,
@@ -109,6 +111,16 @@ def test_cavity_invariants(bad):
 def test_oscillator_invariants(bad):
     with pytest.raises(ValueError):
         make_string(**bad)
+
+
+def test_oscillator_index_below_one_rejected():
+    # a blue shift and g < 0 against the red shift coupling promises
+    with pytest.raises(ValueError, match="require n_nano >= 1"):
+        make_string(n_nano=1.0 - 1e-15)
+    geom = CouplingGeometry(300e-9, "horizontal")
+    osc = make_string(n_nano=1.0)   # index matched to vacuum: no coupling
+    assert frequency_shift(make_cavity(), osc, geom) == 0.0
+    assert coupling_rate(make_cavity(), osc, geom) == 0.0
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -83,6 +83,16 @@ def test_shot_noise_scaling_properties(rng):
                    s / scale, 1e-12)
 
 
+@pytest.mark.parametrize("omega", [
+    math.nan, math.inf, -math.inf,
+    np.array([TWO_PI * 8e6, math.nan]), np.array([math.inf])],
+    ids=["nan", "inf", "-inf", "array nan", "array inf"])
+def test_shot_noise_rejects_non_finite_omega(omega):
+    # returned nan or inf, or an array with a NaN entry
+    with pytest.raises(ValueError, match="omega"):
+        shot_noise_floor(make_cavity(), 1e6 * HZ_PER_NM, make_drive(), omega)
+
+
 def test_zero_power_raises():
     cav = make_cavity()
     with pytest.raises(ZeroPower):

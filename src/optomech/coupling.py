@@ -316,14 +316,20 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
     if np.any(y <= 0):
         raise IllConditioned("zero-magnitude shifts cannot seed the log fit")
 
+    # the seed and the residuals in units of 2**k near max |dw0|: an exact
+    # change of scale, so the fit commutes with any power-of-two unit of
+    # the shifts, and ||r||^2 and J^T J stay in range for shifts far from
+    # rad/s, as MINPACK's scaled norms did
+    k = math.frexp(y.max())[1]
+
     # log-domain seed: the line log y = log A - x/l through the centroid
-    log_y = np.log(y)
+    log_y = np.log(np.ldexp(y, -k))
     with np.errstate(all="ignore"):
         xc = x - x.mean()
         sxx, sxy = np.stack((xc, log_y - log_y.mean())) @ xc
         slope = sxy / sxx
         intercept = log_y.mean() - slope * x.mean()
-        scales = np.array([np.exp(intercept), -1.0 / slope])
+        scales = np.array([np.ldexp(np.exp(intercept), k), -1.0 / slope])
     if not sxx > 0:
         raise IllConditioned("x0 values too small to seed the log fit")
     if not sxx < math.inf:
@@ -333,18 +339,13 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
     if not np.isfinite(scales).all():
         raise IllConditioned("log-domain seed is not finite")
 
-    # residuals in units of a power of two near max |dw0|: an exact change
-    # of scale that keeps ||r||^2 and J^T J in range for shifts far from
-    # rad/s, as MINPACK's scaled norms did
-    unit = 2.0 ** -math.frexp(y.max())[1]
-
     def residual_and_jacobian(p):
         # dr/dp = (e, A*e*x/l^2) * scales, written so that no factor
         # leaves the range of the shifts
         amp, ell = p * scales
         e = np.exp(-x / ell)
-        jac = np.array((scales[0] * e, amp * e * (x / ell) / p[1])).T * unit
-        return (amp * e - y) * unit, jac
+        jac = np.array((scales[0] * e, amp * e * (x / ell) / p[1])).T
+        return np.ldexp(amp * e - y, -k), np.ldexp(jac, -k)
 
     sol = least_squares(residual_and_jacobian, np.ones(2))
     if sol.status <= 0:
@@ -354,7 +355,7 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
     if ell <= 0:
         raise IllConditioned("fitted decay length non-positive")
     return ExpFit(amplitude=float(amp), decay_length=float(ell),
-                  residual_norm=math.sqrt(sol.fsq) / unit)
+                  residual_norm=math.ldexp(math.sqrt(sol.fsq), k))
 
 
 @record

@@ -10,8 +10,8 @@ from __future__ import annotations
 import math
 from typing import Literal
 
-from .errors import NonEvanescent, NotAString, require_finite
-from .units import C_LIGHT, TWO_PI, record
+from .errors import NonEvanescent, NotAString
+from .units import C_LIGHT, TWO_PI, Finite, NonNegative, Positive, record
 
 Orientation = Literal["horizontal", "vertical", "sheet"]
 OscillatorKind = Literal["string", "sheet"]
@@ -26,31 +26,23 @@ class Microcavity:
     coefficient in m^2/W.
     """
 
-    R: float          # major radius
-    r: float          # minor radius
-    wavelength: float
-    n: float          # material refractive index
-    n_eff: float      # effective mode index
-    kappa: float      # energy decay rate, rad/s
-    D_mode: float     # optical mode diameter
-    xi: float         # surface field fraction
-    n2: float = 3e-20  # Kerr coefficient of silica, m^2/W
+    R: Positive           # major radius
+    r: Positive           # minor radius
+    wavelength: Positive
+    n: Positive           # material refractive index
+    n_eff: Positive       # effective mode index
+    kappa: Positive       # energy decay rate, rad/s
+    D_mode: Positive      # optical mode diameter
+    xi: Positive          # surface field fraction
+    n2: Finite = 3e-20    # Kerr coefficient of silica, m^2/W
 
     def __post_init__(self):
-        require_finite(self, "R", "r", "wavelength", "n", "n_eff", "kappa",
-                       "D_mode", "xi", "n2")
-        if not (self.R > self.r > 0):
+        if self.R <= self.r:
             raise ValueError("require R > r > 0")
-        if self.n <= 0 or self.n_eff <= 0:
-            raise ValueError("require n > 0 and n_eff > 0")
-        if not (0 < self.xi <= 1):
+        if self.xi > 1:
             raise ValueError("require 0 < xi <= 1")
-        if self.kappa <= 0:
-            raise ValueError("require kappa > 0")
-        if not (0 < self.D_mode < 2 * self.r):
+        if self.D_mode >= 2 * self.r:
             raise ValueError("require 0 < D_mode < 2r")
-        if self.wavelength <= 0:
-            raise ValueError("require wavelength > 0")
 
     @property
     def omega0(self) -> float:
@@ -72,19 +64,15 @@ class NanoOscillator:
     """
 
     kind: OscillatorKind
-    L: float
-    w: float
-    t: float
-    rho: float
-    stress: float
-    n_nano: float
-    Q: float
+    L: Positive
+    w: Positive
+    t: Positive
+    rho: Positive
+    stress: Positive
+    n_nano: Finite
+    Q: Finite
 
     def __post_init__(self):
-        require_finite(self, "L", "w", "t", "rho", "stress", "n_nano", "Q")
-        for name in ("L", "w", "t", "rho", "stress"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"require {name} > 0")
         if self.Q <= 1:
             raise ValueError("require Q > 1")
         if self.n_nano < 1:     # below 1 the shift turns blue and g < 0
@@ -102,13 +90,10 @@ class NanoOscillator:
 class CouplingGeometry:
     """Separation and orientation of the oscillator in the near field."""
 
-    x0: float
+    x0: NonNegative
     orientation: Orientation
 
     def __post_init__(self):
-        require_finite(self, "x0")
-        if self.x0 < 0:
-            raise ValueError("require x0 >= 0")
         if self.orientation not in ("horizontal", "vertical", "sheet"):
             raise ValueError(f"unknown orientation {self.orientation!r}")
 

@@ -1,18 +1,6 @@
-"""Exception hierarchy and the finiteness check shared across the package."""
-
-from __future__ import annotations
-
-import math
-
-
-def require_finite(obj, *names: str) -> None:
-    """Raise ValueError naming the first field of `obj` in `names` that is
-    NaN or infinite. NaN passes every `<=` check, and a NaN integrand keeps
-    the adaptive quadrature bisecting to its maximum depth."""
-    for name in names:
-        value = getattr(obj, name)
-        if not math.isfinite(value):
-            raise ValueError(f"require finite {name}, got {value!r}")
+"""The package's exception hierarchy: each domain error is an
+`OptomechError`. A bad argument raises ValueError; a record's bounded
+field (`units.record`) raises it as `require finite x > 0, got -1.0`."""
 
 
 class OptomechError(Exception):

@@ -17,9 +17,10 @@ import math
 from typing import Literal
 
 from .devices import NanoOscillator, string_mode_frequency
-from .errors import DivergentMass, OutOfDomain, require_finite
+from .errors import DivergentMass, OutOfDomain
 from .quadrature import adaptive_quadrature
-from .units import HBAR, K_B, TWO_PI, SpectralDensity, np, record
+from .units import (HBAR, K_B, TWO_PI, Finite, Positive, SpectralDensity, np,
+                    record)
 
 ProbeShape = Literal["gaussian", "delta"]
 
@@ -31,16 +32,9 @@ _TRIG = (math.sin, math.cos)  # the string's mode pattern by parity of n
 class MechanicalMode:
     """Mechanical mode parameters: angular frequency, damping, mass."""
 
-    omega_m: float    # rad/s
-    gamma_m: float    # rad/s
-    m_eff: float      # kg
-
-    def __post_init__(self):
-        require_finite(self, "omega_m", "gamma_m", "m_eff")
-        if self.omega_m <= 0 or self.gamma_m <= 0:
-            raise ValueError("require omega_m > 0 and gamma_m > 0")
-        if self.m_eff <= 0:
-            raise ValueError("require m_eff > 0")
+    omega_m: Positive     # rad/s
+    gamma_m: Positive     # rad/s
+    m_eff: Positive       # kg
 
     @property
     def quality_factor(self) -> float:
@@ -64,11 +58,10 @@ class ProbeProfile:
     """
 
     shape: ProbeShape
-    l_y: float = 0.0
-    center_offset: float = 0.0
+    l_y: Finite = 0.0
+    center_offset: Finite = 0.0
 
     def __post_init__(self):
-        require_finite(self, "l_y", "center_offset")
         if self.shape not in ("gaussian", "delta"):
             raise ValueError(f"unknown probe shape {self.shape!r}")
         if self.shape == "gaussian" and self.l_y <= 0:

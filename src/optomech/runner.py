@@ -18,7 +18,7 @@ from . import coupling, devices, mechanics, qba, sensing
 from .devices import CouplingGeometry, Microcavity, NanoOscillator
 from .mechanics import MechanicalMode, ProbeProfile
 from .sensing import DriveCondition
-from .units import HBAR, TWO_PI, SpectralDensity, np
+from .units import BOUNDS, HBAR, TWO_PI, SpectralDensity, np
 
 # file name -> (header, float columns, constant text fields of every row)
 Tables = dict[str, tuple[list[str], tuple, list[str]]]
@@ -34,60 +34,65 @@ class ConfigError(Exception):
 
 # SCHEMA defaults for a key that must be given and one with no default
 REQUIRED, OPTIONAL = object(), object()
-# SCHEMA kinds of finite numbers bounded below, named by what they require
-POSITIVE, NON_NEGATIVE = "a finite number > 0", "a finite number >= 0"
+# SCHEMA kinds of finite numbers: a record field's bounds (units.BOUNDS)
+FINITE, POSITIVE, NON_NEGATIVE = BOUNDS.values()
 
 
-def _fields(kind, **fields: str) -> dict:
-    """SCHEMA entries of required keys of `kind`, from field=key: the
-    record field that each key fills."""
-    return {key: (kind, REQUIRED, field) for field, key in fields.items()}
+def _fields(cls, **fields: str) -> dict:
+    """SCHEMA entries of record `cls`'s fields, from field=key: the config
+    key that fills each. A key's kind is its field's bound, or `str`, and
+    it is OPTIONAL where the field has a default."""
+    return {key: (cls._bounds.get(field, str),
+                  OPTIONAL if field in vars(cls) else REQUIRED, field)
+            for field, key in fields.items()}
 
 
 # The config, described once: key -> (kind, default), and in a section
 # built into a record (kind, default, the record field that the key fills).
-# A kind is `float` (a finite JSON number, never a bool or a string),
-# POSITIVE or NON_NEGATIVE (such a number with its bound), `str`, a `range`
-# of allowed integers, a frozenset of allowed strings or integers, or the
-# table of a nested section. Only what no kind states is left to a record:
-# relations between keys (R > r, D_mode < 2r), other bounds (xi <= 1,
-# Q > 1, n_nano >= 1) and enumerations (oscillator kind, readout).
+# A kind is FINITE, POSITIVE or NON_NEGATIVE (a finite JSON number, never
+# a bool or a string, within that bound), `str`, a `range` of allowed
+# integers, a frozenset of allowed strings or integers, or the table of a
+# nested section. A record field gives its key's bound and default, and
+# the record checks what no kind states: relations between keys (R > r,
+# D_mode < 2r), other bounds (xi <= 1, Q > 1, n_nano >= 1) and
+# enumerations (oscillator kind, readout).
 SCHEMA = {
     "schema_version": (range(1, 2), REQUIRED),
     "analysis": (str, REQUIRED),
     "name": (str, ""),
     "description": (str, OPTIONAL),
-    "cavity": ({
-        **_fields(POSITIVE, R="major_radius_m", r="minor_radius_m",
-                  wavelength="wavelength_m", n="refractive_index",
-                  n_eff="effective_index", kappa="kappa_hz",
-                  D_mode="mode_diameter_m", xi="surface_field_fraction"),
-        "kerr_coefficient_m2_per_w": (float, 3e-20, "n2")}, OPTIONAL),
+    "cavity": (_fields(
+        Microcavity, R="major_radius_m", r="minor_radius_m",
+        wavelength="wavelength_m", n="refractive_index",
+        n_eff="effective_index", kappa="kappa_hz", D_mode="mode_diameter_m",
+        xi="surface_field_fraction", n2="kerr_coefficient_m2_per_w"),
+        OPTIONAL),
     "oscillator": ({
-        "kind": (str, REQUIRED, "kind"),
-        **_fields(POSITIVE, L="length_m", w="width_m", t="thickness_m",
-                  rho="density_kg_per_m3", stress="stress_pa"),
-        **_fields(float, n_nano="refractive_index", Q="quality_factor"),
+        **_fields(NanoOscillator, kind="kind", L="length_m", w="width_m",
+                  t="thickness_m", rho="density_kg_per_m3", stress="stress_pa",
+                  n_nano="refractive_index", Q="quality_factor"),
         "mode_index": (range(1, 101), 1)}, OPTIONAL),
-    "geometry": ({**_fields(NON_NEGATIVE, x0="separation_m"),
-                  "orientation": (str, REQUIRED, "orientation")}, OPTIONAL),
-    "drive": ({**_fields(NON_NEGATIVE, p_in="input_power_w"),
-               "detuning_hz": (float, 0.0, "detuning"),
-               "temperature_k": (POSITIVE, 300.0, "temperature"),
-               "readout": (str, "homodyne", "readout")}, OPTIONAL),
-    "mode": (_fields(POSITIVE, omega_m="frequency_hz", Q="quality_factor",
-                     m_eff="effective_mass_kg"), OPTIONAL),
-    "grid": ({"f_min_hz": (float, REQUIRED), "f_max_hz": (float, REQUIRED),
+    "geometry": (_fields(CouplingGeometry, x0="separation_m",
+                         orientation="orientation"), OPTIONAL),
+    "drive": (_fields(DriveCondition, p_in="input_power_w",
+                      detuning="detuning_hz", temperature="temperature_k",
+                      readout="readout"), OPTIONAL),
+    # Q fills an argument of MechanicalMode.from_quality_factor, no field
+    "mode": ({**_fields(MechanicalMode, omega_m="frequency_hz"),
+              "quality_factor": (POSITIVE, REQUIRED, "Q"),
+              **_fields(MechanicalMode, m_eff="effective_mass_kg")},
+             OPTIONAL),
+    "grid": ({"f_min_hz": (FINITE, REQUIRED), "f_max_hz": (FINITE, REQUIRED),
               "points": (range(2, MAX_POINTS + 1), REQUIRED),
               "spacing": (frozenset({"linear"}), "linear")}, OPTIONAL),
     "response": ({"g_pump_hz_per_nm": (POSITIVE, REQUIRED),
                   "g_probe_hz_per_nm": (POSITIVE, REQUIRED)}, OPTIONAL),
     "backaction_g_grid": ({"g_min_hz_per_nm": (NON_NEGATIVE, REQUIRED),
-                           "g_max_hz_per_nm": (float, REQUIRED),
+                           "g_max_hz_per_nm": (FINITE, REQUIRED),
                            "points": (range(2, MAX_POINTS + 1), 25)},
                           OPTIONAL),
-    "standing_wave": ({"mean_shift_hz": (float, REQUIRED),
-                       "lateral_position_m": (float, 0.0),
+    "standing_wave": ({"mean_shift_hz": (FINITE, REQUIRED),
+                       "lateral_position_m": (FINITE, 0.0),
                        "branch": (frozenset({-1, 1}), 1)}, OPTIONAL),
     "coupling_rate_hz_per_nm": (POSITIVE, OPTIONAL),
     "detector_floor_m_per_sqrt_hz": (NON_NEGATIVE, 0.0),
@@ -122,15 +127,12 @@ def _check(raw, kind, where: str):
                 checked[key] = default
         return checked
     is_int = isinstance(raw, int) and not isinstance(raw, bool)
-    number = kind in (float, POSITIVE, NON_NEGATIVE)
-    if number:
-        expected = "a finite number" if kind is float else kind
-        try:    # an integer beyond the float range overflows
-            ok = (is_int or isinstance(raw, float)) and math.isfinite(raw)
-        except OverflowError:
-            ok = False
-        if ok and kind is not float:
-            ok = raw > 0 or kind is NON_NEGATIVE and raw == 0
+    number = kind in BOUNDS.values()
+    if number:      # as a record checks a bound; int and float compare exactly
+        words, least = kind
+        expected = "a finite number" + words
+        ok = ((is_int or isinstance(raw, float))
+              and least <= raw <= sys.float_info.max)
         scale = {"_hz": TWO_PI, "_nm": HZ_PER_NM}.get(where[-3:], 1.0)
         if ok and not math.isfinite(raw * scale):
             ok = False
@@ -150,14 +152,15 @@ def _check(raw, kind, where: str):
 
 def _record(section: str, make):
     """The builder of `section`'s record: `make` called with every record
-    field that SCHEMA names there, a `_hz` key's value in rad/s."""
+    field that SCHEMA names there and the config gives, a `_hz` key's value
+    in rad/s."""
     fields = [(key, entry[2], key.endswith("_hz"))
               for key, entry in SCHEMA[section][0].items() if len(entry) == 3]
 
     def build(cfg: dict):
         c = cfg[section]
         return make(**{field: TWO_PI * c[key] if is_hz else c[key]
-                       for key, field, is_hz in fields})
+                       for key, field, is_hz in fields if key in c})
     return build
 
 

@@ -25,11 +25,10 @@ from typing import Literal
 
 from .coupling import least_squares, read_columns
 from .devices import Microcavity, detuning_sq
-from .errors import (IllConditioned, NoResonanceInWindow, ZeroPower,
-                     require_finite)
+from .errors import IllConditioned, NoResonanceInWindow, ZeroPower
 from .mechanics import MechanicalMode, mechanical_denominator, thermal_spectrum
-from .units import (C_LIGHT, HBAR, TWO_PI, SpectralDensity, np,
-                    record)
+from .units import (C_LIGHT, HBAR, TWO_PI, Finite, NonNegative, Positive,
+                    SpectralDensity, np, record)
 
 Readout = Literal["homodyne", "pdh"]
 
@@ -40,17 +39,12 @@ PDH_PENALTY = 1.73  # constant amplitude factor for PDH readout
 class DriveCondition:
     """Optical drive: input power, detuning, bath temperature, readout."""
 
-    p_in: float               # W
-    detuning: float = 0.0     # rad/s, Delta = omega - omega0
-    temperature: float = 300.0  # K
+    p_in: NonNegative             # W
+    detuning: Finite = 0.0        # rad/s, Delta = omega - omega0
+    temperature: Positive = 300.0  # K
     readout: Readout = "homodyne"
 
     def __post_init__(self):
-        require_finite(self, "p_in", "detuning", "temperature")
-        if self.p_in < 0:
-            raise ValueError("require p_in >= 0")
-        if self.temperature <= 0:
-            raise ValueError("require temperature > 0")
         if self.readout not in ("homodyne", "pdh"):
             raise ValueError(f"unknown readout {self.readout!r}")
 

@@ -1,5 +1,6 @@
 """Physical constants, sidedness-tagged spectral densities, and what
-every module takes from here: the lazy `np` handle and `record`.
+every module takes from here: the lazy `np` handle, `record` and the
+bounds of its fields.
 
 Single-sided spectral densities (defined for positive Fourier frequencies)
 carry twice the density of the double-sided convention.
@@ -8,6 +9,7 @@ carry twice the density of the double-sided convention.
 from __future__ import annotations
 
 import math
+import sys
 from typing import Literal
 
 # CODATA 2018 values
@@ -18,6 +20,17 @@ C_LIGHT = 299792458.0   # m / s
 TWO_PI = 2.0 * math.pi
 
 Sidedness = Literal["single", "double"]
+
+# A record field's bound, named by its annotation; to a type checker each
+# is `float`. Name -> (its words in "require finite x > 0, got ...", the
+# least float that meets it). No bound admits a float above _MAX, so NaN
+# and both infinities fail each one, and math.ulp(0.0) is the least
+# float > 0.
+Finite = Positive = NonNegative = float
+_MAX = sys.float_info.max
+BOUNDS = {"Finite": ("", -_MAX),
+          "Positive": (" > 0", math.ulp(0.0)),
+          "NonNegative": (" >= 0", 0.0)}
 
 
 class _Numpy:
@@ -70,6 +83,10 @@ def _init(self, *args, **kwargs):
         else:
             raise TypeError(f"{cls.__name__}() missing required argument "
                             f"{name!r}")
+    for name, (words, least) in cls._bounds.items():
+        value = getattr(self, name)
+        if not least <= value <= _MAX:
+            raise ValueError(f"require finite {name}{words}, got {value!r}")
     if hasattr(cls, "__post_init__"):
         self.__post_init__()
 
@@ -100,14 +117,22 @@ def record(cls):
 
     Installs shared methods in place of generated ones: `__match_args__`
     (the field names); an `__init__` taking fields by position or keyword,
-    with class-attribute defaults, that then calls `__post_init__` if the
-    class has one; `__eq__`, `__hash__` and a `Name(field=value, ...)`
-    `__repr__` over the field values; and a `__setattr__` and
+    with class-attribute defaults, that then checks the bound of each field
+    annotated `Finite`, `Positive` or `NonNegative` (in `_bounds`, field ->
+    its BOUNDS entry) and calls `__post_init__` if the class has one;
+    `__eq__`, `__hash__` and a `Name(field=value, ...)` `__repr__` over the
+    field values; and a `__setattr__` and
     `__delattr__` that raise AttributeError. That is all the package used
     of `dataclass(frozen=True)`, which `exec`s six methods per class and
     whose import loads `inspect`: 5-7% of a cold run together.
+
+    The annotations are read as text, which `from __future__ import
+    annotations` makes them, and never evaluated: that would import numpy
+    for `SpectralDensity`'s `np.ndarray`.
     """
     cls.__match_args__ = tuple(cls.__annotations__)
+    cls._bounds = {name: BOUNDS[text] for name, text
+                   in cls.__annotations__.items() if text in BOUNDS}
     cls.__init__, cls.__eq__, cls.__hash__ = _init, _eq, _hash
     cls.__repr__ = _repr
     cls.__setattr__ = cls.__delattr__ = _frozen

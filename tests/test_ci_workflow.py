@@ -76,6 +76,6 @@ def test_dependency_floors_match_pyproject():
     pins = floors["pins"].strip("'").split()
     requirements = (project["dependencies"]
                     + project["optional-dependencies"]["test"])
-    for package in ("numpy", "scipy"):
+    for package in ("numpy", "scipy", "mpmath"):
         floor = next(r for r in requirements if r.startswith(package + ">="))
         assert f'"{package}=={floor.split(">=")[1]}.*"' in pins, package

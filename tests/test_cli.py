@@ -19,7 +19,7 @@ from optomech.mechanics import MechanicalMode, ProbeProfile, effective_mass
 from optomech.runner import (CSV_CHUNK_ROWS, HZ_PER_NM, ConfigError,
                              _write_tables, run_scenario)
 from optomech.sensing import DriveCondition
-from optomech.units import TWO_PI
+from optomech.units import BOUNDS, TWO_PI
 
 from conftest import approx_rel
 
@@ -933,6 +933,15 @@ def test_schema_names_each_record_field_once(section, make):
     assert set(named.values()) == {1}
     assert {f for f, default in has_default.items() if not default} \
         <= named.keys()
+    # a record field, not SCHEMA, states its key's bound and default;
+    # mode.quality_factor fills an argument of from_quality_factor instead
+    cls = make if isinstance(make, type) else make.__self__
+    for key, entry in runner.SCHEMA[section][0].items():
+        if entry[2:] and entry[2] in cls.__match_args__:
+            kind, default, field = entry
+            assert kind == BOUNDS.get(cls.__annotations__[field], str), key
+            assert default is (runner.OPTIONAL if hasattr(cls, field)
+                               else runner.REQUIRED), key
 
 
 @pytest.mark.parametrize("name, section, key, value, path", [

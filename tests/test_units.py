@@ -8,6 +8,7 @@ import pytest
 
 import optomech
 from optomech import SpectralDensity
+from optomech.units import BOUNDS
 from conftest import make_cavity, make_string, to_sidedness
 
 
@@ -102,7 +103,7 @@ def _sample(name: str) -> dict:
     }[name]
 
 
-# a value that __post_init__ rejects, for each record that has one
+# a value that each record rejects, in its __post_init__ or a field's bound
 BAD = {
     "SpectralDensity": ("sidedness", "sideways"),
     "Microcavity": ("xi", 2.0),
@@ -116,12 +117,37 @@ BAD = {
 }
 
 
+# every field that a record bounds, by its bound
+BOUNDED = {
+    "Microcavity": {"R": "Positive", "r": "Positive",
+                    "wavelength": "Positive", "n": "Positive",
+                    "n_eff": "Positive", "kappa": "Positive",
+                    "D_mode": "Positive", "xi": "Positive", "n2": "Finite"},
+    "NanoOscillator": {"L": "Positive", "w": "Positive", "t": "Positive",
+                       "rho": "Positive", "stress": "Positive",
+                       "n_nano": "Finite", "Q": "Finite"},
+    "CouplingGeometry": {"x0": "NonNegative"},
+    "DriveCondition": {"p_in": "NonNegative", "detuning": "Finite",
+                       "temperature": "Positive"},
+    "MechanicalMode": {"omega_m": "Positive", "gamma_m": "Positive",
+                       "m_eff": "Positive"},
+    "ProbeProfile": {"l_y": "Finite", "center_offset": "Finite"},
+}
+
+
+def _bounded(cls) -> dict:
+    return {field: text for field, text in cls.__annotations__.items()
+            if text in BOUNDS}
+
+
 def test_records_are_found():
     assert len(RECORDS) == 16
     for name in RECORDS:
         _sample(name)
     assert set(BAD) == {name for name, cls in RECORDS.items()
-                        if hasattr(cls, "__post_init__")}
+                        if hasattr(cls, "__post_init__") or _bounded(cls)}
+    assert {name: _bounded(cls) for name, cls in RECORDS.items()
+            if _bounded(cls)} == BOUNDED
     # the benchmark's tracer wraps these as class methods
     for cls in (optomech.ShiftCurve, optomech.ResponseCurve):
         assert isinstance(cls.__dict__["from_csv"], classmethod)
@@ -132,6 +158,8 @@ def test_record_contract(name):
     cls = RECORDS[name]
     fields = cls.__match_args__
     assert fields == tuple(cls.__annotations__)
+    # read as text: an evaluated `Positive` is `float`, and its bound lost
+    assert all(isinstance(a, str) for a in cls.__annotations__.values())
     obj = cls(**_sample(name))
     values = [getattr(obj, field) for field in fields]
     twin = cls(*values)
@@ -187,3 +215,21 @@ def test_record_post_init_rejects(name):
               for f in cls.__match_args__]
     with pytest.raises(ValueError):
         cls(*values)
+
+
+# each bound's words in the message, and the nearest floats outside it
+# besides NaN and both infinities
+OUTSIDE = {"Finite": ("", ()), "Positive": (" > 0", (0.0,)),
+           "NonNegative": (" >= 0", (-5e-324,))}
+
+
+@pytest.mark.parametrize("name, field, bound", [
+    (name, field, bound) for name, fields in BOUNDED.items()
+    for field, bound in fields.items()])
+def test_record_rejects_a_value_outside_its_field_bound(name, field, bound):
+    words, nearest = OUTSIDE[bound]
+    for value in (math.nan, math.inf, -math.inf, *nearest):
+        with pytest.raises(ValueError) as info:
+            RECORDS[name](**{**_sample(name), field: value})
+        assert str(info.value) == \
+            f"require finite {field}{words}, got {value!r}"

@@ -145,21 +145,35 @@ def test_exponential_fit_with_noise(rng):
     assert worst < 0.05
 
 
-def test_exponential_fit_is_independent_of_the_shift_unit(rng):
-    # the fit seeds and works in units of a power of two near max |dw0|:
-    # dw0 -> 2**k * dw0 scales the amplitude and the residual by 2**k and
-    # rounds nothing, bit for bit, while every shift stays a normal double
+def _noisy_shift_fit(rng):
     x = np.linspace(0.0, 500e-9, 40)
     dw = -TWO_PI * 5e9 * np.exp(-x / 110e-9) \
         * (1.0 + 0.01 * rng.standard_normal(x.size))
-    fit = fit_exponential(ShiftCurve(np.column_stack((x, dw))))
+    return x, dw, fit_exponential(ShiftCurve(np.column_stack((x, dw))))
+
+
+def _assert_fit_scales_exactly(x, dw, fit, k):
+    scaled = fit_exponential(ShiftCurve(np.column_stack((x, np.ldexp(dw, k)))))
+    assert (scaled.amplitude, scaled.decay_length, scaled.residual_norm) \
+        == (math.ldexp(fit.amplitude, k), fit.decay_length,
+            math.ldexp(fit.residual_norm, k)), k
+
+
+@pytest.mark.parametrize("k", [-600, 300], ids=["2**-600", "2**300"])
+def test_exponential_fit_is_independent_of_the_shift_unit(k, rng):
+    # the fit seeds and works in units of a power of two near max |dw0|:
+    # dw0 -> 2**k * dw0 scales the amplitude and the residual by 2**k and
+    # rounds nothing, bit for bit, so ||r||^2 neither underflows nor
+    # overflows for shifts far from rad/s
+    _assert_fit_scales_exactly(*_noisy_shift_fit(rng), k)
+
+
+def test_exponential_fit_scales_exactly_over_the_double_range(rng):
+    # the same, for every 20th power of two while each shift stays a
+    # normal double
+    x, dw, fit = _noisy_shift_fit(rng)
     for k in range(-1000, 941, 20):
-        scaled = fit_exponential(
-            ShiftCurve(np.column_stack((x, np.ldexp(dw, k)))))
-        assert (scaled.amplitude, scaled.decay_length,
-                scaled.residual_norm) \
-            == (math.ldexp(fit.amplitude, k), fit.decay_length,
-                math.ldexp(fit.residual_norm, k)), k
+        _assert_fit_scales_exactly(x, dw, fit, k)
     # subnormal shifts, whose unit 2**-k lies past the largest double
     tiny = fit_exponential(_model_curve(1e-310, 100e-9, x))
     approx_rel(tiny.decay_length, 100e-9, 1e-9)

@@ -33,7 +33,7 @@ from typing import Literal
 from .devices import Microcavity, detuning_sq
 from .mechanics import MechanicalMode, zero_point
 from .sensing import DriveCondition
-from .units import HBAR, TWO_PI, np, record
+from .units import HBAR, TWO_PI, np, record, require
 
 Regime = Literal["cooling", "amplification", "neutral", "above_threshold"]
 
@@ -63,17 +63,11 @@ def _line(cav: Microcavity, d: float) -> float:
         return math.inf
 
 
-def _require_finite_g(g: float) -> None:
-    # an infinite g makes inf*0 of a vanishing Lorentzian difference or
-    # swing, and NaN passes every comparison
-    if not math.isfinite(g):
-        raise ValueError(f"require finite g, got {g!r}")
-
-
 def backaction_rate(cav: Microcavity, mode: MechanicalMode, g: float,
                     drive: DriveCondition) -> BackactionResult:
     """Dynamical backaction rate at the drive detuning (rad/s)."""
-    _require_finite_g(g)
+    # an infinite g makes inf*0 of a vanishing Lorentzian difference
+    require("Finite", g=g)
     x_zp, _ = zero_point(mode)
     kappa = cav.kappa
     delta = drive.detuning
@@ -110,8 +104,7 @@ def threshold_power(cav: Microcavity, mode: MechanicalMode, g: float) -> float:
     """Parametric instability threshold power at Delta = +kappa/2 (W): the
     input power at which blue_detuned_rate cancels Gamma_m. The rate is
     linear in power, so this is -Gamma_m over the rate at 1 W."""
-    if not g > 0:
-        raise ValueError("require g > 0")
+    require("Positive", g=g)
     return -mode.gamma_m / blue_detuned_rate(cav, mode, g, 1.0)
 
 
@@ -157,9 +150,8 @@ def transmission_modulation(cav: Microcavity, g: float, amplitude: float,
     (hi - lo)*(hi + lo)/hi^2: no two dips near 1 are subtracted far off
     resonance, and no square leaves the float range.
     """
-    _require_finite_g(g)
-    if not math.isfinite(delta):
-        raise ValueError(f"require finite delta, got {delta!r}")
+    require("Finite", g=g, delta=delta)
+    # not `require`: amplitude = inf is the far limit, a depth of 0 or 1
     if not amplitude >= 0:
         raise ValueError("require amplitude >= 0")
     # T is even in d: sweep |delta| +- swing

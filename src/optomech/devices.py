@@ -11,7 +11,8 @@ import math
 from typing import Literal
 
 from .errors import NonEvanescent, NotAString
-from .units import C_LIGHT, TWO_PI, Finite, NonNegative, Positive, record
+from .units import (C_LIGHT, TWO_PI, Finite, NonNegative, Positive, record,
+                    require)
 
 Orientation = Literal["horizontal", "vertical", "sheet"]
 OscillatorKind = Literal["string", "sheet"]
@@ -111,8 +112,7 @@ def decay_constant(cav: Microcavity) -> float:
 
 def index_for_decay_length(wavelength: float, decay_length: float) -> float:
     """Refractive index giving a target field decay length 1/alpha."""
-    if not (wavelength > 0 and decay_length > 0):
-        raise ValueError("require positive wavelength and decay length")
+    require("Positive", wavelength=wavelength, decay_length=decay_length)
     return math.sqrt(1.0 + (wavelength / (TWO_PI * decay_length)) ** 2)
 
 
@@ -144,17 +144,21 @@ def sampling_lengths(cav: Microcavity) -> tuple[float, float]:
     return l_x, l_y
 
 
+def require_mode_index(n: int) -> None:
+    # the parity of n picks the pattern: n = -1 would pass for mode 1
+    if not n >= 1:
+        raise ValueError(f"require mode index n >= 1, got {n!r}")
+
+
 def string_mode_frequency(osc: NanoOscillator, n: int) -> float:
     """Stress-dominated string eigenfrequency f_n = (n/2L)*sqrt(S/rho) (Hz)."""
     if osc.kind != "string":
         raise NotAString("mode frequencies defined for string oscillators only")
-    if not n >= 1:
-        raise ValueError(f"require mode index n >= 1, got {n!r}")
+    require_mode_index(n)
     return (n / (2.0 * osc.L)) * math.sqrt(osc.stress / osc.rho)
 
 
 def infer_stress(osc: NanoOscillator, measured_f1: float) -> float:
     """Invert the fundamental frequency for tensile stress S = rho*(2L*f1)^2."""
-    if not measured_f1 >= 0:
-        raise ValueError("require measured_f1 >= 0")
+    require("NonNegative", measured_f1=measured_f1)
     return osc.rho * (2.0 * osc.L * measured_f1) ** 2

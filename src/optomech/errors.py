@@ -1,6 +1,7 @@
 """The package's exception hierarchy: each domain error is an
 `OptomechError`. A bad argument raises ValueError; a record's bounded
-field (`units.record`) raises it as `require finite x > 0, got -1.0`."""
+field (`units.record`) and a float argument's bound (`units.require`)
+raise it in one form, `require finite x > 0, got -1.0`."""
 
 
 class OptomechError(Exception):

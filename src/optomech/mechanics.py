@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from typing import Literal
 
-from .devices import NanoOscillator, string_mode_frequency
+from .devices import NanoOscillator, require_mode_index, string_mode_frequency
 from .errors import DivergentMass, OutOfDomain
 from .quadrature import adaptive_quadrature
 from .units import (HBAR, K_B, TWO_PI, Finite, Positive, SpectralDensity, np,
-                    record)
+                    record, require)
 
 ProbeShape = Literal["gaussian", "delta"]
 
@@ -43,8 +43,7 @@ class MechanicalMode:
     @classmethod
     def from_quality_factor(cls, omega_m: float, Q: float, m_eff: float
                             ) -> "MechanicalMode":
-        if not Q > 0:   # NaN fails too
-            raise ValueError(f"require Q > 0, got {Q!r}")
+        require("Positive", Q=Q)
         return cls(omega_m=omega_m, gamma_m=omega_m / Q, m_eff=m_eff)
 
 
@@ -75,8 +74,7 @@ def mode_shape(osc: NanoOscillator, n: int, y: float) -> float:
     y = +/- L/2. Shapes beyond the fundamental extrapolate the
     stress-dominated (string) limit.
     """
-    if not n >= 1:
-        raise ValueError(f"require mode index n >= 1, got {n!r}")
+    require_mode_index(n)
     if not abs(y) <= osc.L / 2:
         raise OutOfDomain(f"|y| = {abs(y):g} exceeds L/2 = {osc.L / 2:g}")
     return _TRIG[n % 2](n * math.pi * y / osc.L)
@@ -91,8 +89,7 @@ def effective_mass(osc: NanoOscillator, probe: ProbeProfile, n: int) -> float:
     can all miss. For c = 0 the closure is exactly even about 0 for odd
     n, so the overlap is twice the right half, and exactly odd for even
     n, so the overlap is 0."""
-    if not n >= 1:
-        raise ValueError(f"require mode index n >= 1, got {n!r}")
+    require_mode_index(n)
     mean_sq = 0.5  # <u_n^2> = 1/2 exactly for the sinusoidal patterns
     c = probe.center_offset
     if c == 0.0 and n % 2 == 0:
@@ -118,15 +115,10 @@ def effective_mass(osc: NanoOscillator, probe: ProbeProfile, n: int) -> float:
     return osc.physical_mass * mean_sq / overlap ** 2
 
 
-def _require_temperature(T: float) -> None:
-    if not T >= 0:   # NaN fails too
-        raise ValueError(f"require T >= 0, got {T!r}")
-
-
 def thermal_force_psd(mode: MechanicalMode, T: float) -> float:
     """Thermal Langevin force PSD 2*m_eff*Gamma_m*k_B*T (double-sided,
     N^2/Hz)."""
-    _require_temperature(T)
+    require("NonNegative", T=T)
     return 2.0 * mode.m_eff * mode.gamma_m * K_B * T
 
 
@@ -163,7 +155,7 @@ def thermal_spectrum(mode: MechanicalMode, T: float,
 
 def thermal_rms(mode: MechanicalMode, T: float) -> float:
     """Analytic rms displacement sqrt(k_B*T/(m_eff*Omega_m^2)) (m)."""
-    _require_temperature(T)
+    require("NonNegative", T=T)
     return math.sqrt(K_B * T / (mode.m_eff * mode.omega_m ** 2))
 
 
@@ -216,7 +208,7 @@ def snr_requirement(mode: MechanicalMode, T: float) -> tuple[float, float]:
     Returns (sqrt(2*nbar), PSD ratio in dB) with nbar = k_B*T/(hbar*Omega_m);
     the dB figure is 10*log10 of the PSD ratio 2*nbar.
     """
-    _require_temperature(T)
+    require("NonNegative", T=T)
     two_nbar = 2.0 * K_B * T / (HBAR * mode.omega_m)
     db = 10.0 * math.log10(two_nbar) if two_nbar > 0 else -math.inf
     return math.sqrt(two_nbar), db

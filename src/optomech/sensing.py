@@ -28,7 +28,7 @@ from .devices import Microcavity, detuning_sq
 from .errors import IllConditioned, NoResonanceInWindow, ZeroPower
 from .mechanics import MechanicalMode, mechanical_denominator, thermal_spectrum
 from .units import (C_LIGHT, HBAR, TWO_PI, Finite, NonNegative, Positive,
-                    SpectralDensity, np, record)
+                    SpectralDensity, np, record, require)
 
 Readout = Literal["homodyne", "pdh"]
 
@@ -103,9 +103,8 @@ def shot_noise_floor(cav: Microcavity, g: float, drive: DriveCondition,
     """
     if drive.p_in == 0:
         raise ZeroPower("shot-noise floor undefined at zero input power")
-    if not g > 0:
-        raise ValueError("require g > 0")
-    # math on a number: a scalar run need not load numpy
+    require("Positive", g=g)
+    # not `require`: omega may be an array (math on a number loads no numpy)
     if not (math.isfinite(omega) if isinstance(omega, (int, float))
             else np.isfinite(omega).all()):
         raise ValueError("require finite omega")
@@ -127,8 +126,7 @@ def response_coefficient(cav: Microcavity, mode: MechanicalMode,
                          g_pump: float, g_probe: float) -> float:
     """Interference coefficient a1 relating the mechanical response to the
     Kerr background (rad^2/s^2)."""
-    if not (g_pump > 0 and g_probe > 0):
-        raise ValueError("require g_pump > 0 and g_probe > 0")
+    require("Positive", g_pump=g_pump, g_probe=g_probe)
     return (g_pump * g_probe / cav.omega0 ** 2
             * TWO_PI * cav.R * cav.n_eff ** 2 * cav.mode_area
             / (C_LIGHT * cav.n2) / mode.m_eff)
@@ -136,8 +134,7 @@ def response_coefficient(cav: Microcavity, mode: MechanicalMode,
 
 def g_eff_from_a1(cav: Microcavity, mode: MechanicalMode, a1: float) -> float:
     """Invert the a1 closed form for g_eff = sqrt(g_pump*g_probe)."""
-    if not a1 > 0:
-        raise ValueError(f"require a1 > 0, got {a1!r}")
+    require("Positive", a1=a1)
     return math.sqrt(a1 / response_coefficient(cav, mode, 1.0, 1.0))
 
 
@@ -254,8 +251,7 @@ def noise_budget(cav: Microcavity, mode: MechanicalMode, g: float,
     detector_floor is a flat amplitude spectral density in m/sqrt(Hz)
     (single-sided).
     """
-    if not detector_floor >= 0:
-        raise ValueError("require detector_floor >= 0")
+    require("NonNegative", detector_floor=detector_floor)
     f = np.asarray(grid_hz, dtype=float)
     signal = thermal_spectrum(mode, drive.temperature, f)
     shot = shot_noise_floor(cav, g, drive, TWO_PI * f, sidedness="single")

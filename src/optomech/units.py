@@ -1,6 +1,6 @@
 """Physical constants, sidedness-tagged spectral densities, and what
-every module takes from here: the lazy `np` handle, `record` and the
-bounds of its fields.
+every module takes from here: the lazy `np` handle, `record`, the bounds
+of its fields and `require`, which holds a float argument to one of them.
 
 Single-sided spectral densities (defined for positive Fourier frequencies)
 carry twice the density of the double-sided convention.
@@ -53,6 +53,20 @@ class _Numpy:
 np = _Numpy()
 
 
+def _outside(name: str, words: str, value) -> ValueError:
+    """The one error of a field or an argument outside its bound."""
+    return ValueError(f"require finite {name}{words}, got {value!r}")
+
+
+def require(bound: str, **values) -> None:
+    """Raise ValueError, as a record field would, for the first name=value
+    outside the BOUNDS entry `bound`: `require finite g > 0, got inf`."""
+    words, least = BOUNDS[bound]
+    for name, value in values.items():
+        if not least <= value <= _MAX:
+            raise _outside(name, words, value)
+
+
 def _values(obj) -> tuple:
     return tuple(getattr(obj, name) for name in type(obj).__match_args__)
 
@@ -86,7 +100,7 @@ def _init(self, *args, **kwargs):
     for name, (words, least) in cls._bounds.items():
         value = getattr(self, name)
         if not least <= value <= _MAX:
-            raise ValueError(f"require finite {name}{words}, got {value!r}")
+            raise _outside(name, words, value)
     if hasattr(cls, "__post_init__"):
         self.__post_init__()
 

@@ -23,6 +23,12 @@ from optomech.units import C_LIGHT, HBAR, K_B, TWO_PI, SpectralDensity
 HZ_PER_NM = TWO_PI * 1e9
 
 
+# each bound's words in `require finite x > 0, got -1.0`, and the nearest
+# floats outside it besides NaN and both infinities
+OUTSIDE = {"Finite": ("", ()), "Positive": (" > 0", (0.0,)),
+           "NonNegative": (" >= 0", (-5e-324,))}
+
+
 def make_cavity(**overrides) -> Microcavity:
     params = dict(
         R=30e-6,

@@ -289,7 +289,9 @@ def test_run_scenario_requires_string_name():
 
 
 def _write_config(tmp_path, name, section, key, value):
-    config = scenarios.get_scenario(name)
+    """`name`, a bundled scenario or a config, with one value set."""
+    config = (scenarios.get_scenario(name) if isinstance(name, str)
+              else json.loads(json.dumps(name)))
     (config if section is None else config[section])[key] = value
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -1128,7 +1130,23 @@ def test_backaction_g_grid_that_does_not_increase_exits_2(
     assert list(out.iterdir()) == []
 
 
+def _g_from_string(name: str) -> dict:
+    """Scenario `name` with g derived, not given: from the string of
+    `paper_si_horizontal_g` at contact."""
+    config = scenarios.get_scenario(name)
+    del config["coupling_rate_hz_per_nm"]
+    config["oscillator"] = scenarios.get_scenario(
+        "paper_si_horizontal_g")["oscillator"]
+    config["geometry"] = {"separation_m": 0.0, "orientation": "horizontal"}
+    return config
+
+
 @pytest.mark.parametrize("name, section, key, value, message", [
+    # a string 1e300 m wide makes g inf: the sensitivity run exited 0 with
+    # a shot floor of 0.0, and the qba run blamed `s_ff_qba`
+    *(pytest.param(_g_from_string(name), "oscillator", "width_m", 1e300,
+                   "require finite g > 0, got inf", id=f"{name}-inf-g")
+      for name in ("paper_fig3_sensitivity", "paper_eq26_unity_ratio")),
     # g^2 overflows on the external axis: exited 0 with 24 `inf` rows
     ("paper_fig4_backaction", "backaction_g_grid", "g_max_hz_per_nm", 1e200,
      "`linewidth_vs_g2.csv` column `g2_hz2_per_nm2` is not finite"),

@@ -26,9 +26,9 @@ from optomech import backaction, devices, mechanics, runner, scenarios, \
 from optomech.quadrature import adaptive_quadrature
 from optomech.units import HBAR, K_B, TWO_PI, SpectralDensity
 
-from conftest import (HZ_PER_NM, adaptive_quadrature_reference, approx_rel,
-                      make_cavity, make_drive, make_mode, make_string,
-                      random_string, rng, resonance_grid_sorted,
+from conftest import (HZ_PER_NM, OUTSIDE, adaptive_quadrature_reference,
+                      approx_rel, make_cavity, make_drive, make_mode,
+                      make_string, random_string, rng, resonance_grid_sorted,
                       susceptibility, thermal_spectrum_values)
 
 
@@ -212,44 +212,84 @@ def test_susceptibility_peak_value():
     lambda mode, T: thermal_spectrum(mode, T, np.array([1e6, 2e6])),
 ])
 def test_nan_and_negative_temperature_raise(func, T):
-    with pytest.raises(ValueError, match="require T >= 0"):
+    with pytest.raises(ValueError) as info:
         func(make_mode(), T)
+    assert str(info.value) == f"require finite T >= 0, got {T!r}"
 
 
 _G = 3.8e6 * HZ_PER_NM
 
 
-@pytest.mark.parametrize("error, match, call", [
-    (ValueError, "measured_f1 >= 0",
-     lambda: devices.infer_stress(make_string(), math.nan)),
-    (ValueError, "positive wavelength and decay length",
-     lambda: devices.index_for_decay_length(1.55e-6, math.nan)),
-    (OutOfDomain, "exceeds L/2",
-     lambda: mode_shape(make_string(), 1, math.nan)),
-    (ValueError, "require g > 0",
-     lambda: sensing.shot_noise_floor(make_cavity(), math.nan, make_drive(),
-                                      1e6)),
-    (ValueError, "g_pump > 0 and g_probe > 0",
-     lambda: sensing.response_coefficient(make_cavity(), make_mode(), _G,
-                                          math.nan)),
-    (ValueError, "detector_floor >= 0",
-     lambda: sensing.noise_budget(make_cavity(), make_mode(), _G,
-                                  make_drive(), np.linspace(10e6, 11e6, 11),
-                                  detector_floor=math.nan)),
-    (ValueError, "require g > 0",
-     lambda: backaction.threshold_power(make_cavity(), make_mode(),
-                                        math.nan)),
-    (ValueError, "amplitude >= 0",
-     lambda: backaction.transmission_modulation(make_cavity(), _G, math.nan,
-                                                0.0)),
-], ids=["infer_stress", "index_for_decay_length", "mode_shape",
-        "shot_noise_floor", "response_coefficient", "noise_budget",
-        "threshold_power", "transmission_modulation"])
-def test_nan_argument_is_rejected_by_its_guard(error, match, call):
-    # NaN passes a guard written `x <= 0` or `x < 0`, so each is written
-    # `not x > 0` or `not x >= 0`
-    with pytest.raises(error, match=match):
-        call()
+def _outside(name, bound):
+    """(value, error, message) for NaN, both infinities and the nearest
+    float outside `bound`, each rejected in a record field's form."""
+    words, nearest = OUTSIDE[bound]
+    return [(value, ValueError, f"require finite {name}{words}, got {value!r}")
+            for value in (math.nan, math.inf, -math.inf, *nearest)]
+
+
+# (id, call of the value, its cases): every float argument with a bound,
+# then the two guards of another form. omega's form is tested in
+# test_sensing.py
+_ARGUMENTS = [
+    ("backaction_rate", lambda v: backaction.backaction_rate(
+        make_cavity(), make_mode(), v, make_drive()), _outside("g", "Finite")),
+    ("transmission_modulation", lambda v: backaction.transmission_modulation(
+        make_cavity(), v, 1e-12, 0.0), _outside("g", "Finite")),
+    ("transmission_modulation-delta",
+     lambda v: backaction.transmission_modulation(make_cavity(), _G, 1e-12, v),
+     _outside("delta", "Finite")),
+    ("threshold_power", lambda v: backaction.threshold_power(
+        make_cavity(), make_mode(), v), _outside("g", "Positive")),
+    ("shot_noise_floor", lambda v: sensing.shot_noise_floor(
+        make_cavity(), v, make_drive(), 1e6), _outside("g", "Positive")),
+    ("response_coefficient-g_pump", lambda v: sensing.response_coefficient(
+        make_cavity(), make_mode(), v, _G), _outside("g_pump", "Positive")),
+    ("response_coefficient", lambda v: sensing.response_coefficient(
+        make_cavity(), make_mode(), _G, v), _outside("g_probe", "Positive")),
+    ("g_eff_from_a1", lambda v: sensing.g_eff_from_a1(
+        make_cavity(), make_mode(), v), _outside("a1", "Positive")),
+    ("noise_budget", lambda v: sensing.noise_budget(
+        make_cavity(), make_mode(), _G, make_drive(),
+        np.linspace(10e6, 11e6, 11), detector_floor=v),
+     _outside("detector_floor", "NonNegative")),
+    ("infer_stress", lambda v: devices.infer_stress(make_string(), v),
+     _outside("measured_f1", "NonNegative")),
+    ("index_for_decay_length-wavelength",
+     lambda v: devices.index_for_decay_length(v, 235e-9),
+     _outside("wavelength", "Positive")),
+    ("index_for_decay_length",
+     lambda v: devices.index_for_decay_length(1.55e-6, v),
+     _outside("decay_length", "Positive")),
+    ("from_quality_factor", lambda v: MechanicalMode.from_quality_factor(
+        omega_m=1e6, Q=v, m_eff=1e-15), _outside("Q", "Positive")),
+    ("thermal_force_psd", lambda v: thermal_force_psd(make_mode(), v),
+     _outside("T", "NonNegative")),
+    ("thermal_rms", lambda v: thermal_rms(make_mode(), v),
+     _outside("T", "NonNegative")),
+    ("snr_requirement", lambda v: snr_requirement(make_mode(), v),
+     _outside("T", "NonNegative")),
+    # a coordinate, not an argument with a bound
+    ("mode_shape", lambda v: mode_shape(make_string(), 1, v),
+     [(v, OutOfDomain, f"|y| = {abs(v):g} exceeds L/2 = 1.25e-05")
+      for v in (math.nan, math.inf, -math.inf)]),
+    # amplitude = inf is the far limit, a depth of 0 or 1
+    ("transmission_modulation-amplitude",
+     lambda v: backaction.transmission_modulation(make_cavity(), _G, v, 0.0),
+     [(v, ValueError, "require amplitude >= 0")
+      for v in (math.nan, -math.inf, -5e-324)]),
+]
+
+
+@pytest.mark.parametrize("call, cases", [row[1:] for row in _ARGUMENTS],
+                         ids=[row[0] for row in _ARGUMENTS])
+def test_nan_argument_is_rejected_by_its_guard(call, cases):
+    # NaN passes a guard written `x <= 0`, and inf one written `x > 0`;
+    # `units.require` fails both, as a record field does
+    for value, error, message in cases:
+        with pytest.raises(error) as info:
+            call(value)
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -280,8 +320,9 @@ def test_non_finite_probe_and_mode_raise(value):
 @pytest.mark.parametrize("Q", [0.0, -5.0, math.nan])
 def test_mode_from_non_positive_quality_factor_raises(Q):
     # Q = 0 divided by zero, and Q = -5 blamed gamma_m
-    with pytest.raises(ValueError, match=r"require Q > 0, got"):
+    with pytest.raises(ValueError) as info:
         MechanicalMode.from_quality_factor(omega_m=1e6, Q=Q, m_eff=1e-15)
+    assert str(info.value) == f"require finite Q > 0, got {Q!r}"
 
 
 @pytest.mark.parametrize("shape", ["Gaussian", "point", ""])

@@ -197,15 +197,19 @@ def test_response_coefficient_round_trip():
 ])
 def test_response_coefficient_requires_positive_rates(g_pump, g_probe):
     # two negative rates once gave a positive a1 and a positive g_eff
-    with pytest.raises(ValueError, match="g_pump > 0 and g_probe > 0"):
+    name, value = ("g_pump", g_pump) if g_pump <= 0 else ("g_probe", g_probe)
+    with pytest.raises(ValueError) as info:
         response_coefficient(make_cavity(), make_mode(),
                              g_pump * HZ_PER_NM, g_probe * HZ_PER_NM)
+    assert str(info.value) == \
+        f"require finite {name} > 0, got {value * HZ_PER_NM!r}"
 
 
 @pytest.mark.parametrize("a1", [-1.0, 0.0, math.nan])
 def test_g_eff_requires_positive_a1(a1):
-    with pytest.raises(ValueError, match=r"require a1 > 0, got"):
+    with pytest.raises(ValueError) as info:
         g_eff_from_a1(make_cavity(), make_mode(), a1)
+    assert str(info.value) == f"require finite a1 > 0, got {a1!r}"
 
 
 def test_response_model_limits():

@@ -1,15 +1,21 @@
+import ast
 import dataclasses
+import functools
 import importlib
 import math
 import pkgutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import optomech
-from optomech import SpectralDensity
+from optomech import SpectralDensity, runner, scenarios
 from optomech.units import BOUNDS
-from conftest import make_cavity, make_string, to_sidedness
+from conftest import OUTSIDE, make_cavity, make_string, to_sidedness
 
 
 def test_sidedness_involution_and_factor_two():
@@ -60,11 +66,14 @@ def test_spectral_density_requires_strictly_increasing(freqs, increasing):
             SpectralDensity(f, np.ones_like(f), "double")
 
 
+MODULES = [importlib.import_module(f"optomech.{info.name}")
+           for info in pkgutil.iter_modules(optomech.__path__)]
+
+
 def _record_classes() -> dict:
     """Every class that a module of the package defines as a record."""
     classes = {}
-    for info in pkgutil.iter_modules(optomech.__path__):
-        module = importlib.import_module(f"optomech.{info.name}")
+    for module in MODULES:
         for obj in vars(module).values():
             if (isinstance(obj, type) and obj.__module__ == module.__name__
                     and "__match_args__" in vars(obj)):
@@ -217,12 +226,6 @@ def test_record_post_init_rejects(name):
         cls(*values)
 
 
-# each bound's words in the message, and the nearest floats outside it
-# besides NaN and both infinities
-OUTSIDE = {"Finite": ("", ()), "Positive": (" > 0", (0.0,)),
-           "NonNegative": (" >= 0", (-5e-324,))}
-
-
 @pytest.mark.parametrize("name, field, bound", [
     (name, field, bound) for name, fields in BOUNDED.items()
     for field, bound in fields.items()])
@@ -233,3 +236,126 @@ def test_record_rejects_a_value_outside_its_field_bound(name, field, bound):
             RECORDS[name](**{**_sample(name), field: value})
         assert str(info.value) == \
             f"require finite {field}{words}, got {value!r}"
+
+
+def test_bound_message_is_formatted_only_in_units():
+    # `require finite x > 0, got -1.0` is one f-string, in units.py: a
+    # module that formats it itself forks the form
+    found = []
+    for path in sorted(Path(optomech.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.JoinedStr) and node.values
+                    and isinstance(node.values[0], ast.Constant)
+                    and node.values[0].value.startswith("require finite")):
+                found.append(path.name)
+    assert found == ["units.py"]
+
+
+# A change of units: m, s, kg and K become 2^a, 2^b, 2^c and 2^d of
+# themselves. Power-of-two factors commute exactly with + - * / and sqrt,
+# barring overflow and subnormals, so a program correct in its units
+# returns every value times the factor of its unit string, bit for bit.
+# b is even, so that Hz^0.5 scales by a power of two too.
+
+# a config key's or CSV column's unit, by suffix; the longest suffix first
+SUFFIX_UNITS = {"_m2_per_w": "m^2/W", "_m_per_sqrt_hz": "m/Hz^0.5",
+                "_hz2_per_nm2": "Hz^2/nm^2", "_hz_per_nm": "Hz/nm",
+                "_kg_per_m3": "kg/m^3", "_kg": "kg", "_hz": "Hz", "_pa": "Pa",
+                "_w": "W", "_k": "K", "_m": "m"}
+DIMENSIONLESS = {"schema_version", "refractive_index", "effective_index",
+                 "surface_field_fraction", "quality_factor", "points",
+                 "mode_index", "branch", "h_mag"}
+# the constants in SI units, rebound in every module that imports them
+CONSTANT_UNITS = {"HBAR": "kg*m^2/s", "K_B": "kg*m^2/(s^2*K)",
+                  "C_LIGHT": "m/s"}
+
+
+def _factor(unit: str, scale) -> float:
+    """The factor of a unit string such as `Hz/(Hz/nm)^2` under `scale`,
+    the exponents (a, b, c, d) of m, s, kg and K."""
+    m, s, kg, k = (2.0 ** e for e in scale)
+    names = {"m": m, "nm": m, "s": s, "Hz": 1 / s, "kg": kg, "K": k,
+             "N": kg * m / s ** 2, "Pa": kg / (m * s ** 2),
+             "W": kg * m ** 2 / s ** 3, "rad": 1.0, "dB": 1.0}
+    return eval(unit.replace("^", "**"), {"__builtins__": {}}, names)
+
+
+def _unit(key: str, fallback: str | None = None) -> str:
+    unit = next((u for suffix, u in SUFFIX_UNITS.items()
+                 if key.endswith(suffix)), fallback)
+    if unit is None:
+        assert key in DIMENSIONLESS, f"no unit known for `{key}`"
+        unit = "1"
+    return unit
+
+
+def _scaled(config: dict, scale) -> dict:
+    """`config` with each number in the scaled units; the factor of `1` is
+    the int 1, so an integer stays an integer."""
+    scaled = {}
+    for key, value in config.items():
+        if isinstance(value, dict):
+            value = _scaled(value, scale)
+        elif type(value) in (int, float):
+            value *= _factor(_unit(key), scale)
+        scaled[key] = value
+    return scaled
+
+
+def _run(config: dict, scale) -> tuple[dict, dict]:
+    """run_scenario's results and tables (unwritten) in the scaled units,
+    the config's values given in them."""
+    tables = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for module in MODULES:
+            for name, unit in CONSTANT_UNITS.items():
+                if name in vars(module):
+                    mp.setattr(module, name,
+                               vars(module)[name] * _factor(unit, scale))
+        mp.setattr(runner, "_write_tables", lambda _, t: tables.update(t))
+        results = runner.run_scenario(_scaled(config, scale), Path())
+    return results["results"], tables
+
+
+def _response_fit(scale) -> tuple[dict, dict]:
+    """The fit-response run on the response scenario's own curve, both in
+    the scaled units."""
+    config = scenarios.get_scenario("paper_response_interference")
+    _, tables = _run(config, scale)
+    with tempfile.TemporaryDirectory() as tmp:
+        runner._write_tables(Path(tmp), tables)
+        config.update(analysis="fit-response",
+                      data_csv=str(Path(tmp) / "response.csv"))
+        # `_run` scales the config's numbers; the curve is scaled already
+        return _run(config, scale)
+
+
+@functools.cache
+def _unscaled() -> dict:
+    """Each bundled scenario's and the response fit's run in SI units."""
+    runs = {name: _run(scenarios.get_scenario(name), (0, 0, 0, 0))
+            for name in scenarios.SCENARIOS}
+    runs["fit-response"] = _response_fit((0, 0, 0, 0))
+    return runs
+
+
+@settings(max_examples=80, derandomize=True, deadline=None, database=None)
+@given(st.tuples(st.integers(-40, 40),
+                 st.integers(-20, 20).map(lambda k: 2 * k),
+                 st.integers(-40, 40), st.integers(-40, 40)))
+def test_results_rescale_exactly_with_the_units(scale):
+    for name, (results, tables) in _unscaled().items():
+        got, got_tables = (_response_fit(scale) if name == "fit-response"
+                           else _run(scenarios.get_scenario(name), scale))
+        for key, q in results.items():
+            expected = (q["value"] if q["unit"] == "enum"
+                        else q["value"] * _factor(q["unit"], scale))
+            assert got[key]["value"] == expected, (name, key, q["unit"])
+        for file, (header, columns, text) in tables.items():
+            # a column without a unit in its name has the table's `unit`
+            unit = dict(zip(header[len(columns):], text)).get("unit")
+            for head, column, got_column in zip(header, columns,
+                                                got_tables[file][1]):
+                factor = _factor(_unit(head, unit), scale)
+                assert np.array_equal(got_column, column * factor), \
+                    (name, file, head)

@@ -22,12 +22,14 @@ Above threshold the oscillation saturates near (kappa/2)/g; the
 square-root interpolation between threshold and asymptote is
 phenomenological. Transmission modulation uses the quasi-static Lorentzian
 dip of a critically coupled cavity. The general rate and the dip take
-the cavity line from `devices.detuning_sq`, inf past the float range.
+the cavity line from `devices.detuning_sq`. Past the float range it is
+inf, so there the Lorentzian reads 0 and the dip 1, their far limits.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Literal
 
 from .devices import Microcavity, detuning_sq
@@ -55,14 +57,6 @@ class OscillationState:
     modulation_depth: float  # in [0, 1]
 
 
-def _line(cav: Microcavity, d: float) -> float:
-    """`detuning_sq` at one detuning, inf where the square overflows."""
-    try:
-        return detuning_sq(cav, d)
-    except OverflowError:
-        return math.inf
-
-
 def backaction_rate(cav: Microcavity, mode: MechanicalMode, g: float,
                     drive: DriveCondition) -> BackactionResult:
     """Dynamical backaction rate at the drive detuning (rad/s)."""
@@ -73,7 +67,7 @@ def backaction_rate(cav: Microcavity, mode: MechanicalMode, g: float,
     delta = drive.detuning
     om = mode.omega_m
     photon_flux = drive.p_in / (HBAR * cav.omega0)
-    lor = lambda d: 1.0 / (1.0 + _line(cav, d))
+    lor = lambda d: 1.0 / (1.0 + detuning_sq(cav, d))
     gamma_ba = ((g * x_zp / kappa) ** 2 * photon_flux
                 * 8.0 * lor(delta) * (lor(delta + om) - lor(delta - om)))
     gamma_total = mode.gamma_m + gamma_ba
@@ -154,12 +148,11 @@ def transmission_modulation(cav: Microcavity, g: float, amplitude: float,
     # not `require`: amplitude = inf is the far limit, a depth of 0 or 1
     if not amplitude >= 0:
         raise ValueError("require amplitude >= 0")
-    # T is even in d: sweep |delta| +- swing
+    # T is even in d: sweep |delta| +- swing; hi is capped at the float
+    # range, where T rounds to 1, so the ratios below stay finite
     swing = abs(g) * amplitude if g else 0.0
-    lo, hi = abs(delta) - swing, abs(delta) + swing
+    lo = abs(delta) - swing
+    hi = min(abs(delta) + swing, sys.float_info.max)
     if lo <= 0.0:
         return 1.0 if hi > 0.0 else 0.0
-    x_min = _line(cav, lo)
-    if x_min == math.inf:
-        return 0.0
-    return (hi - lo) / hi * (1.0 + lo / hi) / (1.0 + x_min)
+    return (hi - lo) / hi * (1.0 + lo / hi) / (1.0 + detuning_sq(cav, lo))

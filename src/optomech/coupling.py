@@ -33,7 +33,7 @@ from pathlib import Path
 from . import devices
 from .devices import CouplingGeometry, Microcavity, NanoOscillator
 from .errors import GeometryMismatch, IllConditioned
-from .units import TWO_PI, np, record
+from .units import TWO_PI, np, record, require
 
 
 # names that `np.loadtxt` opens decompressed (numpy's `_datasource`)
@@ -377,6 +377,7 @@ def standing_wave_shift(cav: Microcavity, y: float, mean_shift: float,
     antinodes the linear coupling g1 vanishes and the quadratic coupling
     g2 = -/+ 2*mean_shift*k_g^2*cos(2*k_g*y) is extremal.
     """
+    require("Finite", y=y, mean_shift=mean_shift)
     if branch not in (+1, -1):
         raise ValueError("branch must be +1 or -1")
     k_g = TWO_PI * cav.n / cav.wavelength

@@ -127,8 +127,10 @@ def finesse(cav: Microcavity) -> float:
 
 
 def detuning_sq(cav: Microcavity, delta):
-    """x = (2*delta/kappa)^2 of the cavity line 1/(1 + x); delta in rad/s."""
-    return (2.0 * delta / cav.kappa) ** 2
+    """x = (2*delta/kappa)^2 of the cavity line 1/(1 + x); delta in rad/s.
+    x is inf past the float range, for a scalar as for an array."""
+    x = 2.0 * delta / cav.kappa
+    return x * x  # a float's ** 2 raises OverflowError instead
 
 
 def sampling_lengths(cav: Microcavity) -> tuple[float, float]:

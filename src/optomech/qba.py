@@ -20,12 +20,14 @@ from __future__ import annotations
 from .devices import Microcavity, detuning_sq
 from .mechanics import MechanicalMode, thermal_force_psd
 from .sensing import DriveCondition
-from .units import HBAR
+from .units import HBAR, require
 
 
 def qba_force_psd(cav: Microcavity, g: float, drive: DriveCondition,
                   omega: float) -> float:
     """Quantum-backaction force PSD (double-sided, N^2/Hz)."""
+    require("Positive", g=g)
+    require("Finite", omega=omega)
     return (8.0 * (HBAR * g) ** 2 / cav.kappa ** 2
             * drive.p_in / (HBAR * cav.omega0)
             / (1.0 + detuning_sq(cav, omega)))

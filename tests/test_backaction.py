@@ -13,6 +13,9 @@ from optomech import (
     threshold_power,
     transmission_modulation,
 )
+from optomech.devices import detuning_sq
+from optomech.qba import qba_force_psd
+from optomech.sensing import shot_noise_floor
 from optomech.units import TWO_PI
 
 from conftest import (
@@ -205,6 +208,23 @@ def test_detuning_past_the_float_range_is_the_far_limit():
     assert transmission_modulation(cav, g, 1.0 / g, far) == 0.0
     assert transmission_modulation(cav, g, far / g, 0.0) == 1.0
     assert transmission_modulation(cav, g, math.inf, 0.0) == 1.0
+    # |delta| + swing past the float range, the whole sweep far off
+    # resonance: a depth of 0, not (inf - lo)/inf = nan
+    assert transmission_modulation(cav, 1.0, 1e308, 1.5e308) == 0.0
+
+
+@pytest.mark.parametrize("omega", [1e163, 1e300, -1e300])
+def test_one_cavity_line_past_the_float_range(omega):
+    # a float's `** 2` raised OverflowError where an array's gave inf; the
+    # line is now inf for both, and every Lorentzian on it reads 0
+    cav, _, g = _fig4_setup()
+    drive = make_drive()
+    with np.errstate(over="ignore"):
+        line = detuning_sq(cav, np.array([omega]))[0]
+        floor = shot_noise_floor(cav, g, drive, np.array([omega]))[0]
+    assert detuning_sq(cav, omega) == line == math.inf
+    assert qba_force_psd(cav, g, drive, omega) == 0.0
+    assert shot_noise_floor(cav, g, drive, omega) == floor == math.inf
 
 
 def test_depth_is_even_in_the_coupling_sign(rng):

@@ -1153,6 +1153,10 @@ def _g_from_string(name: str) -> dict:
     # exited 3 but left a thermal_spectrum.csv of `nan` rows behind
     ("paper_fig2c_thermal", "mode", "effective_mass_kg", 1e-320,
      "result `x_rms_integrated_m` is nan"),
+    # the cavity line overflowed a float's `** 2` in devices.detuning_sq;
+    # now s_ff_qba is 0 and the shot floor inf, so their product is nan
+    ("paper_eq26_unity_ratio", "mode", "frequency_hz", 1e300,
+     "result `heisenberg_product_over_hbar2` is nan"),
 ])
 def test_non_finite_output_exits_3_and_writes_nothing(
         name, section, key, value, message, tmp_path, capsys):

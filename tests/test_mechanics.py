@@ -21,8 +21,8 @@ from optomech import (
     thermal_spectrum,
     zero_point,
 )
-from optomech import backaction, devices, mechanics, runner, scenarios, \
-    sensing
+from optomech import backaction, coupling, devices, mechanics, qba, \
+    runner, scenarios, sensing
 from optomech.quadrature import adaptive_quadrature
 from optomech.units import HBAR, K_B, TWO_PI, SpectralDensity
 
@@ -269,6 +269,18 @@ _ARGUMENTS = [
      _outside("T", "NonNegative")),
     ("snr_requirement", lambda v: snr_requirement(make_mode(), v),
      _outside("T", "NonNegative")),
+    ("qba_force_psd", lambda v: qba.qba_force_psd(
+        make_cavity(), v, make_drive(), 1e6), _outside("g", "Positive")),
+    ("qba_force_psd-omega", lambda v: qba.qba_force_psd(
+        make_cavity(), _G, make_drive(), v), _outside("omega", "Finite")),
+    ("qba_thermal_ratio", lambda v: qba.qba_thermal_ratio(
+        make_cavity(), make_mode(), v, make_drive()),
+     _outside("g", "Positive")),
+    ("standing_wave_shift", lambda v: coupling.standing_wave_shift(
+        make_cavity(), v, -1e6), _outside("y", "Finite")),
+    ("standing_wave_shift-mean_shift",
+     lambda v: coupling.standing_wave_shift(make_cavity(), 0.0, v),
+     _outside("mean_shift", "Finite")),
     # a coordinate, not an argument with a bound
     ("mode_shape", lambda v: mode_shape(make_string(), 1, v),
      [(v, OutOfDomain, f"|y| = {abs(v):g} exceeds L/2 = 1.25e-05")

@@ -4,6 +4,7 @@ import functools
 import importlib
 import math
 import pkgutil
+import re
 import tempfile
 from pathlib import Path
 
@@ -359,3 +360,27 @@ def test_results_rescale_exactly_with_the_units(scale):
                 factor = _factor(_unit(head, unit), scale)
                 assert np.array_equal(got_column, column * factor), \
                     (name, file, head)
+
+
+def _documented_results() -> list:
+    """(analysis, key, unit) of each row of README's results reference."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("#### Results")[1]
+    rows, analysis = [], None
+    for line in section.split("\n## ")[0].splitlines():
+        if heading := re.fullmatch(r"`([a-z-]+)`", line):
+            analysis = heading[1]
+        elif row := re.match(r"\| `([^`]+)` \| `([^`]+)` \|", line):
+            rows.append((analysis, row[1], row[2]))
+    return sorted(rows)
+
+
+def test_readme_lists_every_result_key_with_its_unit():
+    # the bundled scenarios and the response fit with a cavity reach every
+    # key of every analysis; README documents each one once
+    emitted = set()
+    for name, (results, _) in _unscaled().items():
+        analysis = (name if name == "fit-response"
+                    else scenarios.get_scenario(name)["analysis"])
+        emitted |= {(analysis, key, q["unit"]) for key, q in results.items()}
+    assert _documented_results() == sorted(emitted)

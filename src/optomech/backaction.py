@@ -87,6 +87,8 @@ def blue_detuned_rate(cav: Microcavity, mode: MechanicalMode, g,
                       p_in: float):
     """Closed-form backaction rate at Delta = +kappa/2 (rad/s, negative)
     for a coupling rate g (scalar or array)."""
+    require("Finite", g=g)
+    require("NonNegative", p_in=p_in)
     x_zp, _ = zero_point(mode)
     kappa = cav.kappa
     om = mode.omega_m

@@ -14,15 +14,12 @@ transverse sampling length l_y.
 from __future__ import annotations
 
 import math
-from typing import Literal
 
 from .devices import NanoOscillator, require_mode_index, string_mode_frequency
 from .errors import DivergentMass, OutOfDomain
 from .quadrature import adaptive_quadrature
-from .units import (HBAR, K_B, TWO_PI, Finite, Positive, SpectralDensity, np,
-                    record, require)
-
-ProbeShape = Literal["gaussian", "delta"]
+from .units import (HBAR, K_B, TWO_PI, Finite, NonNegative, Positive,
+                    SpectralDensity, np, record, require)
 
 _OVERLAP_FLOOR = 1e-12
 _TRIG = (math.sin, math.cos)  # the string's mode pattern by parity of n
@@ -49,22 +46,13 @@ class MechanicalMode:
 
 @record
 class ProbeProfile:
-    """Optical probe profile sampling the string, normalized to
-    int v0(y)^2 dy = 1.
+    """Optical probe sampling the string: the Gaussian profile
+    v0(y)^2 = (1/l_y) * exp(-pi*(y - c)^2 / l_y^2), normalized to
+    int v0(y)^2 dy = 1, about the center offset c. Its limit l_y = 0 is
+    the point probe at c."""
 
-    gaussian: v0(y)^2 = (1/l_y) * exp(-pi*(y - c)^2 / l_y^2)
-    delta:    point-like probe at the center offset
-    """
-
-    shape: ProbeShape
-    l_y: Finite = 0.0
+    l_y: NonNegative
     center_offset: Finite = 0.0
-
-    def __post_init__(self):
-        if self.shape not in ("gaussian", "delta"):
-            raise ValueError(f"unknown probe shape {self.shape!r}")
-        if self.shape == "gaussian" and self.l_y <= 0:
-            raise ValueError("gaussian probe requires l_y > 0")
 
 
 def mode_shape(osc: NanoOscillator, n: int, y: float) -> float:
@@ -96,7 +84,7 @@ def effective_mass(osc: NanoOscillator, probe: ProbeProfile, n: int) -> float:
         raise DivergentMass(
             "probe overlap vanishes (antisymmetric mode, symmetric probe)")
 
-    if probe.shape == "delta":
+    if probe.l_y == 0.0:
         overlap = mode_shape(osc, n, c)
     else:
         trig, k, L = _TRIG[n % 2], n * math.pi, osc.L

@@ -174,7 +174,7 @@ build_mode = _record("mode", MechanicalMode.from_quality_factor)
 def _probe(cav: Microcavity) -> ProbeProfile:
     """The Gaussian probe that the cavity sets."""
     _, l_y = devices.sampling_lengths(cav)
-    return ProbeProfile(shape="gaussian", l_y=l_y)
+    return ProbeProfile(l_y=l_y)
 
 
 def _spaced(lo, hi, points: int, floor, order: str, repeat: str) -> np.ndarray:
@@ -381,8 +381,7 @@ def _run_sensitivity(cfg: dict, rec: dict) -> tuple[dict, Tables]:
     cav, mode, drive, g = rec["cavity"], rec["mode"], rec["drive"], rec["g"]
     floor = cfg["detector_floor_m_per_sqrt_hz"]
     shot_double = _homodyne_shot_floor(cav, mode, g, drive)
-    shot_pdh = sensing.shot_noise_floor(
-        cav, g, DriveCondition(drive.p_in, readout="pdh"), mode.omega_m)
+    shot_pdh = shot_double * sensing.PDH_PENALTY
     budget = sensing.noise_budget(cav, mode, g, drive, rec["grid"], floor)
     x_zp, s_sql = mechanics.zero_point(mode)
     results = {

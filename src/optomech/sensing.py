@@ -104,10 +104,7 @@ def shot_noise_floor(cav: Microcavity, g: float, drive: DriveCondition,
     if drive.p_in == 0:
         raise ZeroPower("shot-noise floor undefined at zero input power")
     require("Positive", g=g)
-    # not `require`: omega may be an array (math on a number loads no numpy)
-    if not (math.isfinite(omega) if isinstance(omega, (int, float))
-            else np.isfinite(omega).all()):
-        raise ValueError("require finite omega")
+    require("Finite", omega=omega)
     lorentz = 1.0 + detuning_sq(cav, omega)
     base = (cav.kappa / (4.0 * g)) \
         * math.sqrt(HBAR * cav.omega0 / drive.p_in) \

@@ -1,6 +1,6 @@
 """Physical constants, sidedness-tagged spectral densities, and what
 every module takes from here: the lazy `np` handle, `record`, the bounds
-of its fields and `require`, which holds a float argument to one of them.
+of its fields and `require`, which holds an argument to one of them.
 
 Single-sided spectral densities (defined for positive Fourier frequencies)
 carry twice the density of the double-sided convention.
@@ -60,11 +60,19 @@ def _outside(name: str, words: str, value) -> ValueError:
 
 def require(bound: str, **values) -> None:
     """Raise ValueError, as a record field would, for the first name=value
-    outside the BOUNDS entry `bound`: `require finite g > 0, got inf`."""
+    outside the BOUNDS entry `bound`: `require finite g > 0, got inf`. Any
+    value but a number (which loads no numpy) is an array, and the message
+    names its first element outside: `require finite omega, got nan`."""
     words, least = BOUNDS[bound]
     for name, value in values.items():
-        if not least <= value <= _MAX:
-            raise _outside(name, words, value)
+        if isinstance(value, (int, float)):
+            if not least <= value <= _MAX:
+                raise _outside(name, words, value)
+            continue
+        value = np.asarray(value)
+        inside = (value >= least) & (value <= _MAX)
+        if not inside.all():
+            raise _outside(name, words, value.flat[inside.argmin()].item())
 
 
 def _values(obj) -> tuple:

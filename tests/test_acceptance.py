@@ -139,9 +139,9 @@ def test_09_stress_inversion_0p9_gpa():
 
 def test_10_effective_mass_against_limits_and_trapezoid_oracle(rng):
     osc = make_string()
-    delta = ProbeProfile(shape="delta")
-    approx_rel(effective_mass(osc, delta, 1), osc.physical_mass / 2.0, 1e-9)
-    narrow = ProbeProfile(shape="gaussian", l_y=osc.L * 1e-3)
+    point = ProbeProfile(l_y=0.0)
+    approx_rel(effective_mass(osc, point, 1), osc.physical_mass / 2.0, 1e-9)
+    narrow = ProbeProfile(l_y=osc.L * 1e-3)
     approx_rel(effective_mass(osc, narrow, 1), osc.physical_mass / 2.0, 1e-4)
     checked = 0
     while checked < 20:
@@ -150,7 +150,7 @@ def test_10_effective_mass_against_limits_and_trapezoid_oracle(rng):
         if n % 2 == 0:
             continue
         l_y = rng.uniform(0.05, 0.6) * o.L
-        m_eff = effective_mass(o, ProbeProfile(shape="gaussian", l_y=l_y), n)
+        m_eff = effective_mass(o, ProbeProfile(l_y=l_y), n)
         y = np.linspace(-o.L / 2, o.L / 2, 1_000_000)
         overlap = np.trapezoid(
             np.cos(n * np.pi * y / o.L)

@@ -846,7 +846,7 @@ def test_mode_index_selects_the_probed_mode():
     config = _third_mode_config("coupling")
     osc = runner.build_oscillator(config)
     _, l_y = devices.sampling_lengths(runner.build_cavity(config))
-    probe = ProbeProfile(shape="gaussian", l_y=l_y)
+    probe = ProbeProfile(l_y=l_y)
     m_eff = effective_mass(osc, probe, 3)
     assert m_eff != effective_mass(osc, probe, 1)
     coupling_run = run_scenario(config)["results"]

@@ -45,13 +45,13 @@ def test_mode_shape_symmetry_and_domain():
 
 def test_delta_probe_fundamental_is_half_mass():
     osc = make_string()
-    probe = ProbeProfile(shape="delta")
+    probe = ProbeProfile(l_y=0.0)
     approx_rel(effective_mass(osc, probe, 1), osc.physical_mass / 2.0, 1e-9)
 
 
 def test_narrow_gaussian_approaches_point_probe_limit():
     osc = make_string()
-    probe = ProbeProfile(shape="gaussian", l_y=osc.L * 1e-3)
+    probe = ProbeProfile(l_y=osc.L * 1e-3)
     assert (math.pi * probe.l_y / osc.L) ** 2 < 1e-4
     approx_rel(effective_mass(osc, probe, 1), osc.physical_mass / 2.0, 1e-4)
 
@@ -61,7 +61,7 @@ def test_quadrature_against_trapezoid_oracle(rng):
         osc = random_string(rng)
         l_y = rng.uniform(0.05, 0.6) * osc.L
         n = int(rng.integers(1, 6))
-        probe = ProbeProfile(shape="gaussian", l_y=l_y)
+        probe = ProbeProfile(l_y=l_y)
         if n % 2 == 0:
             with pytest.raises(DivergentMass):
                 effective_mass(osc, probe, n)
@@ -82,7 +82,7 @@ def test_closed_form_ratio_matches_quadrature():
     # with b = (pi*l_y/L)^2, integrated here by a dense trapezoid rule
     osc = make_string(L=15e-6)
     l_y = 4.5e-6
-    probe = ProbeProfile(shape="gaussian", l_y=l_y)
+    probe = ProbeProfile(l_y=l_y)
     ratio = effective_mass(osc, probe, 1) / osc.physical_mass
     b = (math.pi * l_y / osc.L) ** 2
     u = np.linspace(-math.pi / 2.0, math.pi / 2.0, 1_000_001)
@@ -92,7 +92,7 @@ def test_closed_form_ratio_matches_quadrature():
 
 def test_effective_mass_grows_with_probe_width():
     osc = make_string()
-    masses = [effective_mass(osc, ProbeProfile(shape="gaussian", l_y=l), 1)
+    masses = [effective_mass(osc, ProbeProfile(l_y=l), 1)
               for l in (1e-6, 5e-6, 12e-6)]
     assert masses[0] < masses[1] < masses[2]
     assert masses[0] > osc.physical_mass / 2.0
@@ -100,20 +100,20 @@ def test_effective_mass_grows_with_probe_width():
 
 def test_antisymmetric_mode_with_symmetric_probe_diverges():
     osc = make_string()
-    probe = ProbeProfile(shape="gaussian", l_y=3e-6)
+    probe = ProbeProfile(l_y=3e-6)
     parity = re.escape("(antisymmetric mode, symmetric probe)")
     with pytest.raises(DivergentMass, match=parity):
         effective_mass(osc, probe, 2)
-    delta = ProbeProfile(shape="delta")
+    point = ProbeProfile(l_y=0.0)
     with pytest.raises(DivergentMass, match=parity):
-        effective_mass(osc, delta, 2)
+        effective_mass(osc, point, 2)
 
 
 def test_vanishing_overlap_gives_its_value_and_the_floor():
     # a symmetric mode under a probe 1e150 m wide: the overlap is about
     # 2*L/(pi*l_y), below the floor for a reason other than parity
     osc = make_string()
-    probe = ProbeProfile(shape="gaussian", l_y=1e150)
+    probe = ProbeProfile(l_y=1e150)
     with pytest.raises(DivergentMass, match=re.escape(
             "e-155 is below the floor 1e-12 * sqrt(<u_n^2>) = 7.07107e-13")):
         effective_mass(osc, probe, 1)
@@ -121,9 +121,9 @@ def test_vanishing_overlap_gives_its_value_and_the_floor():
 
 def test_offset_delta_probe_raises_mass():
     osc = make_string()
-    centered = effective_mass(osc, ProbeProfile(shape="delta"), 1)
+    centered = effective_mass(osc, ProbeProfile(l_y=0.0), 1)
     off = effective_mass(
-        osc, ProbeProfile(shape="delta", center_offset=osc.L / 4), 1)
+        osc, ProbeProfile(l_y=0.0, center_offset=osc.L / 4), 1)
     approx_rel(off, centered / math.cos(math.pi / 4) ** 2, 1e-12)
 
 
@@ -160,8 +160,7 @@ def _simpson_mass(osc, probe, n, points=100_001):
                                               (1, 1e-3, 0.13)])
 def test_off_centre_probe_matches_trapezoid(n, width, offset):
     osc = make_string()
-    probe = ProbeProfile(shape="gaussian", l_y=width * osc.L,
-                         center_offset=offset * osc.L)
+    probe = ProbeProfile(l_y=width * osc.L, center_offset=offset * osc.L)
     approx_rel(effective_mass(osc, probe, n),
                _trapezoid_mass(osc, probe, n), 1e-7)
 
@@ -188,12 +187,25 @@ def test_off_centre_probes_match_the_closed_form():
         c = rng.uniform(-0.5, 0.5) * L
         if c == 0.0 or abs(c) + 7.0 * l_y > L / 2.0:
             continue
-        probe = ProbeProfile(shape="gaussian", l_y=l_y, center_offset=c)
+        probe = ProbeProfile(l_y=l_y, center_offset=c)
         overlap = _closed_form_overlap(osc, probe, n)
         if abs(overlap) >= 1e-3:
             approx_rel(effective_mass(osc, probe, n),
                        0.5 * osc.physical_mass / overlap ** 2, 1e-8)
             checked += 1
+
+
+@pytest.mark.xfail(strict=True, raises=DivergentMass,
+                   reason="the quadrature misses a probe centred on an end")
+@pytest.mark.parametrize("end", [-0.5, 0.5])
+def test_probe_centred_on_a_string_end(end):
+    # half the probe lies on the string, where cos(pi*y/L) rises linearly
+    # from the end: the clamped overlap is l_y/(2L) to O((pi*l_y/L)^2)
+    osc = make_string()
+    l_y = 1e-3 * osc.L
+    probe = ProbeProfile(l_y=l_y, center_offset=end * osc.L)
+    approx_rel(effective_mass(osc, probe, 1),
+               0.5 * osc.physical_mass / (l_y / (2.0 * osc.L)) ** 2, 1e-3)
 
 
 def test_susceptibility_peak_value():
@@ -228,9 +240,8 @@ def _outside(name, bound):
             for value in (math.nan, math.inf, -math.inf, *nearest)]
 
 
-# (id, call of the value, its cases): every float argument with a bound,
-# then the two guards of another form. omega's form is tested in
-# test_sensing.py
+# (id, call of the value, its cases): every argument with a bound, then
+# mode_shape's coordinate and the one guard of another form left
 _ARGUMENTS = [
     ("backaction_rate", lambda v: backaction.backaction_rate(
         make_cavity(), make_mode(), v, make_drive()), _outside("g", "Finite")),
@@ -243,6 +254,12 @@ _ARGUMENTS = [
         make_cavity(), make_mode(), v), _outside("g", "Positive")),
     ("shot_noise_floor", lambda v: sensing.shot_noise_floor(
         make_cavity(), v, make_drive(), 1e6), _outside("g", "Positive")),
+    ("shot_noise_floor-omega", lambda v: sensing.shot_noise_floor(
+        make_cavity(), _G, make_drive(), v), _outside("omega", "Finite")),
+    ("blue_detuned_rate", lambda v: backaction.blue_detuned_rate(
+        make_cavity(), make_mode(), v, 65e-6), _outside("g", "Finite")),
+    ("blue_detuned_rate-p_in", lambda v: backaction.blue_detuned_rate(
+        make_cavity(), make_mode(), _G, v), _outside("p_in", "NonNegative")),
     ("response_coefficient-g_pump", lambda v: sensing.response_coefficient(
         make_cavity(), make_mode(), v, _G), _outside("g_pump", "Positive")),
     ("response_coefficient", lambda v: sensing.response_coefficient(
@@ -304,12 +321,52 @@ def test_nan_argument_is_rejected_by_its_guard(call, cases):
         assert str(info.value) == message
 
 
+def _array_calls():
+    """name -> (call of an array, the name its message gives, a clean
+    array, the call's value on it in the function's own operations)."""
+    cav, mode, drive = make_cavity(), make_mode(), make_drive()
+    kappa, om = cav.kappa, mode.omega_m
+    x_zp, _ = zero_point(mode)
+    shot = kappa / (4.0 * _G) * math.sqrt(HBAR * cav.omega0 / drive.p_in)
+
+    def rate(g):
+        return -((g * x_zp / kappa) ** 2 * drive.p_in / (HBAR * cav.omega0)
+                 * 8.0 * (om / kappa) / (1.0 + 4.0 * om ** 4 / kappa ** 4))
+    omega = TWO_PI * np.linspace(8e6, 12e6, 5)
+    g = _G * np.linspace(0.2, 1.0, 5)
+    return {
+        "shot_noise_floor": (
+            lambda v: sensing.shot_noise_floor(cav, _G, drive, v), "omega",
+            omega, shot * np.sqrt(1.0 + (2.0 * omega / kappa) ** 2)),
+        "blue_detuned_rate": (
+            lambda v: backaction.blue_detuned_rate(cav, mode, v, drive.p_in),
+            "g", g, rate(g)),
+        "linewidth_vs_coupling": (
+            lambda v: backaction.linewidth_vs_coupling(cav, mode, drive, v),
+            "g", g, np.maximum(mode.gamma_m + rate(g), 0.0) / TWO_PI),
+    }
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("func", ["shot_noise_floor", "blue_detuned_rate",
+                                  "linewidth_vs_coupling"])
+def test_array_argument_is_rejected_at_its_element_outside(func, value):
+    # an array is held to its bound element by element, and the message
+    # names the element, as it would a number
+    call, name, clean, expected = _array_calls()[func]
+    assert call(clean).tobytes() == expected.tobytes()
+    bad = clean.copy()
+    bad[3] = value
+    with pytest.raises(ValueError) as info:
+        call(bad)
+    assert str(info.value) == f"require finite {name}, got {value!r}"
+
+
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize("func", [
     lambda osc, n: string_mode_frequency(osc, n),
     lambda osc, n: mode_shape(osc, n, 0.0),
-    lambda osc, n: effective_mass(
-        osc, ProbeProfile("gaussian", l_y=0.2 * osc.L), n),
+    lambda osc, n: effective_mass(osc, ProbeProfile(l_y=0.2 * osc.L), n),
 ], ids=["string_mode_frequency", "mode_shape", "effective_mass"])
 def test_mode_index_below_one_raises(func, n):
     # the parity of n picks the mode pattern, so n = -1 would pass for
@@ -324,7 +381,7 @@ def test_non_finite_probe_and_mode_raise(value):
     # with a NaN l_y every integrand value is NaN and the adaptive
     # quadrature would bisect to its maximum depth on every branch
     with pytest.raises(ValueError, match="finite l_y"):
-        ProbeProfile("gaussian", l_y=value)
+        ProbeProfile(l_y=value)
     with pytest.raises(ValueError, match="finite m_eff"):
         MechanicalMode(omega_m=1.0, gamma_m=1.0, m_eff=value)
 
@@ -335,14 +392,6 @@ def test_mode_from_non_positive_quality_factor_raises(Q):
     with pytest.raises(ValueError) as info:
         MechanicalMode.from_quality_factor(omega_m=1e6, Q=Q, m_eff=1e-15)
     assert str(info.value) == f"require finite Q > 0, got {Q!r}"
-
-
-@pytest.mark.parametrize("shape", ["Gaussian", "point", ""])
-def test_unknown_probe_shape_raises(shape):
-    # caught at construction, not later as "delta probes have no
-    # pointwise density" from effective_mass
-    with pytest.raises(ValueError, match="unknown probe shape"):
-        ProbeProfile(shape, l_y=3e-6)
 
 
 def test_thermal_spectrum_peak_closed_form():
@@ -441,7 +490,7 @@ def test_snr_requirement_matches_occupancy():
 
 def test_mode_from_oscillator_consistency():
     osc = make_string()
-    probe = ProbeProfile(shape="gaussian", l_y=4.5e-6)
+    probe = ProbeProfile(l_y=4.5e-6)
     mode = mode_from_oscillator(osc, probe, 1)
     approx_rel(mode.omega_m / TWO_PI,
                (1.0 / (2.0 * osc.L)) * math.sqrt(osc.stress / osc.rho),
@@ -483,8 +532,7 @@ def _effective_mass_integrals(draws):
             osc = make_string(L=rng.uniform(5e-6, 100e-6))
             n = int(rng.integers(1, 10))
             offset = 0.0 if i % 2 == 0 else rng.uniform(-0.45, 0.45) * osc.L
-            probe = ProbeProfile(shape="gaussian",
-                                 l_y=rng.uniform(0.005, 0.6) * osc.L,
+            probe = ProbeProfile(l_y=rng.uniform(0.005, 0.6) * osc.L,
                                  center_offset=offset)
             try:
                 effective_mass(osc, probe, n)
@@ -556,8 +604,7 @@ def test_effective_mass_matches_the_oracles():
         osc = make_string(L=rng.uniform(5e-6, 100e-6))
         n = int(rng.integers(1, 10))
         offset = 0.0 if i % 2 == 0 else rng.uniform(-0.45, 0.45) * osc.L
-        probe = ProbeProfile(shape="gaussian",
-                             l_y=rng.uniform(0.005, 0.6) * osc.L,
+        probe = ProbeProfile(l_y=rng.uniform(0.005, 0.6) * osc.L,
                              center_offset=offset)
         got = _outcome(effective_mass, osc, probe, n)
         outcomes.add(_kind(got))
@@ -603,8 +650,7 @@ def test_effective_mass_matches_mpmath():
         osc = make_string(L=rng.uniform(5e-6, 100e-6))
         n = int(rng.choice([1, 3, 5]))
         offset = 0.0 if checked < 6 else rng.uniform(-0.3, 0.3) * osc.L
-        probe = ProbeProfile(shape="gaussian",
-                             l_y=rng.uniform(0.02, 0.5) * osc.L,
+        probe = ProbeProfile(l_y=rng.uniform(0.02, 0.5) * osc.L,
                              center_offset=offset)
         if abs(_closed_form_overlap(osc, probe, n)) < 0.1:
             continue

@@ -96,7 +96,7 @@ def _sample(name: str) -> dict:
         "NanoOscillator": vars(make_string()),
         "CouplingGeometry": dict(x0=1e-7, orientation="horizontal"),
         "MechanicalMode": dict(omega_m=1e7, gamma_m=1e2, m_eff=1e-15),
-        "ProbeProfile": dict(shape="gaussian", l_y=1e-6),
+        "ProbeProfile": dict(l_y=1e-6),
         "DriveCondition": dict(p_in=1e-4),
         "ResponseCurve": dict(frequencies_hz=f, magnitudes=f),
         "ResponseFit": dict(a1=1.0, omega_m=2.0, gamma_m=3.0, g_eff=4.0,
@@ -141,7 +141,7 @@ BOUNDED = {
                        "temperature": "Positive"},
     "MechanicalMode": {"omega_m": "Positive", "gamma_m": "Positive",
                        "m_eff": "Positive"},
-    "ProbeProfile": {"l_y": "Finite", "center_offset": "Finite"},
+    "ProbeProfile": {"l_y": "NonNegative", "center_offset": "Finite"},
 }
 
 

@@ -130,13 +130,6 @@ _XTOL = _FTOL = 1e-14
 _GTOL = 1e-8
 
 
-def _normal_equations(fun_jac, x: np.ndarray) -> np.ndarray:
-    """[J | r]^T [J | r] = [[J^T J, J^T r], [r^T J, ||r||^2]] at x."""
-    r, jac = fun_jac(x)
-    m = np.column_stack((jac, r))
-    return m.T @ m
-
-
 def least_squares(fun_jac, x0) -> LeastSquaresResult:
     """Minimize ||r(x)|| by Levenberg-Marquardt on the normal equations.
 
@@ -150,13 +143,14 @@ def least_squares(fun_jac, x0) -> LeastSquaresResult:
 
     This is the one solver of the package: `fit_exponential` and
     `sensing.fit_response` both call it, on their parameters divided by
-    the starting values. `fun_jac(x)` returns the residuals r and their
-    Jacobian (one row per residual) from one evaluation. It stops when
-    J^T r is below 1e-8 of ||r|| times each column norm (status 1), when
-    the actual and predicted reductions of ||r||^2 are both below 1e-14 of
-    it (2), when the step is below 1e-14 of ||x|| (3), or after 100
-    evaluations per parameter (0). As in MINPACK, the last step of a stop
-    on 2 or 3 is taken if it lowers ||r||. The result holds the
+    the starting values. `fun_jac(x)` returns, from one evaluation, the
+    Jacobian of the residuals (one row per residual) with the residuals r
+    as its last column: one C-contiguous (m, k+1) array [J | r]. It stops
+    when J^T r is below 1e-8 of ||r|| times each column norm (status 1),
+    when the actual and predicted reductions of ||r||^2 are both below
+    1e-14 of it (2), when the step is below 1e-14 of ||x|| (3), or after
+    100 evaluations per parameter (0). As in MINPACK, the last step of a
+    stop on 2 or 3 is taken if it lowers ||r||. The result holds the
     parameters `x`, `fsq` = ||r(x)||^2, the evaluation count `nfev` and
     the `status`. A non-finite residual or Jacobian at `x0`, or singular
     normal equations, raise IllConditioned.
@@ -168,31 +162,34 @@ def least_squares(fun_jac, x0) -> LeastSquaresResult:
     """
     x = np.array(x0, dtype=float)
     with np.errstate(all="ignore"):
-        gram = _normal_equations(fun_jac, x)
+        m = fun_jac(x)
+        gram = m.T @ m
         if not np.isfinite(gram).all():
             raise IllConditioned("residuals or Jacobian not finite at the "
                                  "starting point")
         nfev, mu, nu = 1, 0.0, 2.0
         while True:
             a, g, fsq = gram[:-1, :-1], gram[:-1, -1], gram[-1, -1]
+            d = a.diagonal()
             # two square roots: fsq * diag(a) overflows for residuals
             # of ~1e77 and more, which would pass the test at the start
-            if np.all(np.abs(g) <= _GTOL * np.sqrt(fsq)
-                      * np.sqrt(np.diag(a))):
+            if np.all(np.abs(g) <= _GTOL * math.sqrt(fsq) * np.sqrt(d)):
                 return LeastSquaresResult(x, fsq, nfev, 1)
             if nfev >= 100 * x.size:
                 return LeastSquaresResult(x, fsq, nfev, 0)
             try:
-                p = np.linalg.solve(a + np.diag(mu * np.diag(a)), -g)
+                p = np.linalg.solve(a + np.diag(mu * d), -g)
             except np.linalg.LinAlgError as exc:
                 raise IllConditioned(f"singular normal equations: {exc}") \
                     from exc
-            small = np.linalg.norm(p) <= _XTOL * np.linalg.norm(x)
-            gram_new = _normal_equations(fun_jac, x + p)
+            # numpy's norm of a float vector is sqrt(v.dot(v))
+            small = math.sqrt(p @ p) <= _XTOL * math.sqrt(x @ x)
+            m = fun_jac(x + p)
+            gram_new = m.T @ m
             nfev += 1
             actred = fsq - gram_new[-1, -1]
             # the reduction of ||r||^2 that the linear model predicts
-            prered = p @ a @ p + 2.0 * mu * (p * p) @ np.diag(a)
+            prered = p @ a @ p + 2.0 * mu * (p * p) @ d
             if actred > 0:
                 x, gram = x + p, gram_new
             if small or (abs(actred) <= _FTOL * fsq
@@ -325,10 +322,12 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
     # log-domain seed: the line log y = log A - x/l through the centroid
     log_y = np.log(np.ldexp(y, -k))
     with np.errstate(all="ignore"):
-        xc = x - x.mean()
-        sxx, sxy = np.stack((xc, log_y - log_y.mean())) @ xc
+        # np.mean's sum and division, without its call overhead
+        x_mean, log_y_mean = x.sum() / x.size, log_y.sum() / x.size
+        xc = x - x_mean
+        sxx, sxy = np.stack((xc, log_y - log_y_mean)) @ xc
         slope = sxy / sxx
-        intercept = log_y.mean() - slope * x.mean()
+        intercept = log_y_mean - slope * x_mean
         scales = np.array([np.ldexp(np.exp(intercept), k), -1.0 / slope])
     if not sxx > 0:
         raise IllConditioned("x0 values too small to seed the log fit")
@@ -339,15 +338,21 @@ def fit_exponential(curve: ShiftCurve) -> ExpFit:
     if not np.isfinite(scales).all():
         raise IllConditioned("log-domain seed is not finite")
 
-    def residual_and_jacobian(p):
-        # dr/dp = (e, A*e*x/l^2) * scales, written so that no factor
-        # leaves the range of the shifts
+    def jacobian_and_residual(p):
+        # [dr/dp | r] with dr/dp = (e, A*e*x/l^2) * scales, written so
+        # that no factor leaves the range of the shifts
         amp, ell = p * scales
-        e = np.exp(-x / ell)
-        jac = np.array((scales[0] * e, amp * e * (x / ell) / p[1])).T
-        return np.ldexp(amp * e - y, -k), np.ldexp(jac, -k)
+        u = x / ell
+        e = np.exp(-u)
+        out = np.empty((x.size, 3))
+        np.multiply(scales[0], e, out=out[:, 0])
+        e *= amp
+        u *= e
+        np.divide(u, p[1], out=out[:, 1])
+        np.subtract(e, y, out=out[:, 2])
+        return np.ldexp(out, -k, out=out)
 
-    sol = least_squares(residual_and_jacobian, np.ones(2))
+    sol = least_squares(jacobian_and_residual, np.ones(2))
     if sol.status <= 0:
         raise IllConditioned(f"exponential fit did not converge in "
                              f"{sol.nfev} evaluations")

@@ -76,7 +76,14 @@ def effective_mass(osc: NanoOscillator, probe: ProbeProfile, n: int) -> float:
     the probe's peak, which evenly spaced samples over the whole string
     can all miss. For c = 0 the closure is exactly even about 0 for odd
     n, so the overlap is twice the right half, and exactly odd for even
-    n, so the overlap is 0."""
+    n, so the overlap is 0.
+
+    Away from the string's ends a Gaussian probe's overlap is the point
+    value times exp(-(n*pi*l_y/L)^2/(4*pi)), which rounds to 1 below
+    l_y ~ 1.2e-8*L/n. So a probe of l_y <= 2**-40*L/n whose window
+    c +- 7*l_y lies inside the string takes the point probe's overlap:
+    the quadrature, stopped at its depth limit, missed such a probe's
+    mass by orders of magnitude."""
     require_mode_index(n)
     mean_sq = 0.5  # <u_n^2> = 1/2 exactly for the sinusoidal patterns
     c = probe.center_offset
@@ -84,11 +91,12 @@ def effective_mass(osc: NanoOscillator, probe: ProbeProfile, n: int) -> float:
         raise DivergentMass(
             "probe overlap vanishes (antisymmetric mode, symmetric probe)")
 
-    if probe.l_y == 0.0:
+    l_y, L = probe.l_y, osc.L
+    if l_y == 0.0 or (l_y <= 2.0 ** -40 * L / n
+                      and abs(c) + 7.0 * l_y <= L / 2.0):
         overlap = mode_shape(osc, n, c)
     else:
-        trig, k, L = _TRIG[n % 2], n * math.pi, osc.L
-        l_y, l2 = probe.l_y, probe.l_y ** 2
+        trig, k, l2 = _TRIG[n % 2], n * math.pi, l_y ** 2
 
         def integrand(y: float) -> float:
             u = y - c

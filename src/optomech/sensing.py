@@ -210,13 +210,13 @@ def fit_response(curve: ResponseCurve, cav: Microcavity | None = None,
 
     scales = np.array([a1_0, omega_m0, gamma0])
 
-    def residual_and_jacobian(p):
+    def jacobian_and_residual(p):
         model, jac = response_jacobian(omega, *(p * scales))
         model -= h
         jac *= scales
-        return model, jac
+        return np.column_stack((jac, model))
 
-    sol = least_squares(residual_and_jacobian, np.ones(3))
+    sol = least_squares(jacobian_and_residual, np.ones(3))
     if sol.status <= 0:
         raise IllConditioned(f"response fit did not converge in "
                              f"{sol.nfev} evaluations")

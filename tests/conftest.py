@@ -317,3 +317,56 @@ def read_columns_reference(path, names):
         raise ValueError(f"data row {bad[0] + 1}: values must be finite, "
                          f"got {', '.join(map(repr, table[bad[0]].tolist()))}")
     return table.T
+
+
+# `coupling.least_squares` as it took the residuals and the Jacobian
+# apart, stacked them, and read diag(J^T J) and the norms per use, kept
+# to hold the solver and both fits to their old bits.
+
+def least_squares_reference(fun_jac, x0):
+    """Levenberg-Marquardt on the normal equations, with `fun_jac(x)`
+    returning the residuals r and their Jacobian J."""
+    from optomech.coupling import LeastSquaresResult
+    from optomech.errors import IllConditioned
+
+    def normal_equations(x):
+        r, jac = fun_jac(x)
+        m = np.column_stack((jac, r))
+        return m.T @ m
+
+    x = np.array(x0, dtype=float)
+    with np.errstate(all="ignore"):
+        gram = normal_equations(x)
+        if not np.isfinite(gram).all():
+            raise IllConditioned("residuals or Jacobian not finite at the "
+                                 "starting point")
+        nfev, mu, nu = 1, 0.0, 2.0
+        while True:
+            a, g, fsq = gram[:-1, :-1], gram[:-1, -1], gram[-1, -1]
+            if np.all(np.abs(g) <= 1e-8 * np.sqrt(fsq)
+                      * np.sqrt(np.diag(a))):
+                return LeastSquaresResult(x, fsq, nfev, 1)
+            if nfev >= 100 * x.size:
+                return LeastSquaresResult(x, fsq, nfev, 0)
+            try:
+                p = np.linalg.solve(a + np.diag(mu * np.diag(a)), -g)
+            except np.linalg.LinAlgError as exc:
+                raise IllConditioned(f"singular normal equations: {exc}") \
+                    from exc
+            small = np.linalg.norm(p) <= 1e-14 * np.linalg.norm(x)
+            gram_new = normal_equations(x + p)
+            nfev += 1
+            actred = fsq - gram_new[-1, -1]
+            prered = p @ a @ p + 2.0 * mu * (p * p) @ np.diag(a)
+            if actred > 0:
+                x, gram = x + p, gram_new
+            if small or (abs(actred) <= 1e-14 * fsq
+                         and prered <= 1e-14 * fsq):
+                return LeastSquaresResult(x, gram[-1, -1], nfev,
+                                          3 if small else 2)
+            if actred > 0:
+                mu *= max(1.0 / 3.0, 1.0 - (2.0 * actred / prered - 1.0) ** 3)
+                nu = 2.0
+            else:
+                mu = mu * nu if mu else 1e-3
+                nu *= 2.0

@@ -475,6 +475,25 @@ def test_vanishing_probe_overlap_exits_3(tmp_path, capsys):
     assert "antisymmetric" not in message
 
 
+@pytest.mark.parametrize("section, key, value", [
+    # l_y ~ 3.7e-103 m on the 25-um string; the quadrature gave an
+    # effective mass of 1.6e-172 kg, with exit 0
+    ("cavity", "wavelength_m", 1e-200),
+    # l_y ~ 4.6e-6 m on a 1e300-m string; the quadrature overflowed
+    ("oscillator", "length_m", 1e300),
+])
+def test_probe_below_the_string_resolution_takes_half_the_mass(
+        section, key, value, tmp_path):
+    # a point probe at the string's centre
+    path = _write_config(tmp_path, "paper_si_horizontal_g", section, key,
+                         value)
+    out = tmp_path / "out"
+    assert run_cli(["run", str(path), "--out", str(out)]) == 0
+    results = json.loads((out / "result.json").read_text())["results"]
+    approx_rel(results["effective_mass_kg"]["value"],
+               results["physical_mass_kg"]["value"] / 2.0, 1e-12)
+
+
 def test_numpy_warnings_stay_off_stderr(tmp_path):
     # in a subprocess, where numpy's RuntimeWarnings would reach stderr
     path = _write_config(tmp_path, "paper_fig2c_thermal", "mode",
@@ -1047,7 +1066,8 @@ def _one_value_changed(analysis: str, section: str, key: str,
 @pytest.mark.parametrize("section, key, value, code", [
     # f_m overflows to inf: a derived value, a domain error
     ("oscillator", "density_kg_per_m3", 1e-308, 3),
-    ("oscillator", "length_m", 1e300, 3),
+    # the probe overlap underflows past its floor: a derived value too
+    ("oscillator", "length_m", 1e-300, 3),
     # 2*pi*kappa_hz overflows: the config's number is out of range
     ("cavity", "kappa_hz", 1e308, 2),
 ])

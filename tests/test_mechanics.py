@@ -56,6 +56,22 @@ def test_narrow_gaussian_approaches_point_probe_limit():
     approx_rel(effective_mass(osc, probe, 1), osc.physical_mass / 2.0, 1e-4)
 
 
+@pytest.mark.parametrize("width", [1e-18, 1e-21, 1e-24])
+@pytest.mark.parametrize("offset", [0.0, 0.1, -0.3])
+def test_probe_below_the_string_resolution_is_a_point_probe(width, offset):
+    # the quadrature, stopped at its depth limit, gave 0.031x the mass at
+    # l_y = 1e-18*L, c = 0.1*L and 2.2e-4x at 1e-21*L centred, on n = 1
+    osc = make_string()
+    c = offset * osc.L
+    probe = ProbeProfile(l_y=width * osc.L, center_offset=c)
+    for n in (1, 2, 3):
+        if c == 0.0 and n % 2 == 0:
+            continue
+        approx_rel(effective_mass(osc, probe, n),
+                   0.5 * osc.physical_mass / mode_shape(osc, n, c) ** 2,
+                   1e-12)
+
+
 def test_quadrature_against_trapezoid_oracle(rng):
     for _ in range(20):
         osc = random_string(rng)

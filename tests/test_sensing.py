@@ -8,9 +8,12 @@ from optomech import (
     DriveCondition,
     IllConditioned,
     NoResonanceInWindow,
+    OptomechError,
     ResponseCurve,
+    ShiftCurve,
     ZeroPower,
     backaction_rate,
+    fit_exponential,
     fit_response,
     g_eff_from_a1,
     noise_budget,
@@ -20,7 +23,7 @@ from optomech import (
     shot_noise_floor,
     zero_point,
 )
-from optomech import sensing
+from optomech import coupling, sensing
 from optomech.coupling import LeastSquaresResult
 from optomech.sensing import PDH_PENALTY
 from optomech.units import C_LIGHT, HBAR, TWO_PI
@@ -29,6 +32,7 @@ from conftest import (
     HZ_PER_NM,
     approx_rel,
     denominator_complex,
+    least_squares_reference,
     line_backaction,
     line_qba,
     line_shot,
@@ -370,7 +374,7 @@ def _assert_fits_match_scipy(curves, monkeypatch):
         fit_response(curve)
         fun_jac, x0, sol = calls.pop()
         oracle = scipy_least_squares(
-            lambda p: fun_jac(p)[0], x0, jac=lambda p: fun_jac(p)[1],
+            lambda p: fun_jac(p)[:, -1], x0, jac=lambda p: fun_jac(p)[:, :-1],
             method="lm", xtol=1e-14, ftol=1e-14, x_scale="jac")
         assert oracle.status > 0 and sol.status > 0
         assert np.all(np.abs(sol.x - oracle.x) <= 1e-7 * np.abs(oracle.x))
@@ -420,7 +424,8 @@ def test_response_fit_scales_exactly_with_the_frequency_unit(seed):
 def test_least_squares_solves_a_linear_problem(rng):
     a = rng.standard_normal((40, 3))
     b = rng.standard_normal(40)
-    sol = sensing.least_squares(lambda x: (a @ x - b, a), np.zeros(3))
+    sol = sensing.least_squares(
+        lambda x: np.column_stack((a, a @ x - b)), np.zeros(3))
     assert sol.status > 0 and sol.nfev <= 300
     assert np.allclose(sol.x, np.linalg.lstsq(a, b, rcond=None)[0],
                        rtol=1e-12, atol=1e-14)
@@ -432,7 +437,7 @@ def test_least_squares_stops_after_100_evaluations_per_parameter():
     # r = exp(-x): each Gauss-Newton step is x += 1 and lowers ||r|| by
     # e, but no stopping test is ever met
     sol = sensing.least_squares(
-        lambda x: (np.exp(-x), -np.exp(-x)[:, None]), np.zeros(1))
+        lambda x: np.column_stack((-np.exp(-x), np.exp(-x))), np.zeros(1))
     assert (sol.status, sol.nfev) == (0, 100)
     assert sol.x[0] == 99.0
 
@@ -446,7 +451,8 @@ def test_least_squares_takes_its_last_small_step(rng):
         b = a @ x_true
         x0 = x_true * (1.0 + 4e-15 * rng.standard_normal(3))
         r0 = a @ x0 - b
-        sol = sensing.least_squares(lambda x: (a @ x - b, a), x0)
+        sol = sensing.least_squares(
+            lambda x: np.column_stack((a, a @ x - b)), x0)
         r = a @ sol.x - b
         assert r @ r < 0.25 * (r0 @ r0)
 
@@ -455,8 +461,8 @@ def test_least_squares_damped_path():
     # Rosenbrock's valley rejects the Gauss-Newton step from (-1.2, 1), so
     # the damping has to grow and then shrink again
     def rosenbrock(x):
-        return (np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
-                np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]))
+        return np.array([[-20.0 * x[0], 10.0, 10.0 * (x[1] - x[0] ** 2)],
+                         [-1.0, 0.0, 1.0 - x[0]]])
 
     sol = sensing.least_squares(rosenbrock, np.array([-1.2, 1.0]))
     assert sol.status > 0 and sol.nfev <= 200
@@ -468,8 +474,9 @@ def test_least_squares_moves_off_huge_residuals(rng):
     # and a gradient test on that product passed at the starting point
     a = rng.standard_normal((40, 3))
     b = rng.standard_normal(40)
-    sol = sensing.least_squares(lambda x: ((a @ x - b) * 1e80, a * 1e80),
-                                np.zeros(3))
+    sol = sensing.least_squares(
+        lambda x: np.column_stack((a * 1e80, (a @ x - b) * 1e80)),
+        np.zeros(3))
     assert sol.nfev > 1 and sol.status > 0
     assert np.allclose(sol.x, np.linalg.lstsq(a, b, rcond=None)[0],
                        rtol=1e-12, atol=1e-14)
@@ -483,8 +490,51 @@ def test_least_squares_moves_off_huge_residuals(rng):
 def test_least_squares_numerical_failure_is_ill_conditioned(residual, jac):
     residual, jac = np.array(residual), np.array(jac)
     with pytest.raises(IllConditioned):
-        sensing.least_squares(lambda x: (residual + jac @ x, jac),
-                              np.zeros(2))
+        sensing.least_squares(
+            lambda x: np.column_stack((jac, residual + jac @ x)), np.zeros(2))
+
+
+def _fields_or_error(fit, *args):
+    """The fitted record's fields, or the type and message it raised."""
+    try:
+        result = fit(*args)
+    except OptomechError as exc:
+        return type(exc), str(exc)
+    return tuple(getattr(result, name) for name in result.__match_args__)
+
+
+def test_fits_match_the_reference_solver_bit_for_bit(monkeypatch):
+    # shift curves of 3-2 001 rows with the shifts scaled by 2**k across
+    # the float range, subnormals included, and response curves of
+    # 500-20 001 rows, one of 15 000: long enough for OpenBLAS to thread a
+    # 1-D dot. Noise of e**(3*N(0, 1)) on half the shift curves drives
+    # some fits to singular normal equations. The reference takes (r, J),
+    # split from [J | r]
+    rng = np.random.default_rng(3501)
+    cav, mode = make_cavity(), make_mode()
+    fits = []
+    for _ in range(200):
+        decay = rng.uniform(80e-9, 140e-9)
+        x = np.linspace(0.0, 3.0 * decay, rng.integers(3, 2002))
+        noise = rng.choice([0.01, 3.0]) * rng.standard_normal(x.size)
+        dw = -TWO_PI * rng.uniform(1e6, 5e7) * np.exp(noise - x / decay)
+        dw = np.ldexp(dw, rng.integers(-1070, 961))
+        fits.append((fit_exponential, ShiftCurve(np.column_stack((x, dw)))))
+    for points in [15_000] + rng.integers(500, 20_002, 29).tolist():
+        fits.append((fit_response, _noisy_curve(rng, points), cav, mode))
+    ours = [_fields_or_error(*args) for args in fits]
+
+    def reference(fun_jac, x0):
+        def residual_and_jacobian(x):
+            m = fun_jac(x)
+            return m[:, -1], m[:, :-1]
+        return least_squares_reference(residual_and_jacobian, x0)
+
+    monkeypatch.setattr(coupling, "least_squares", reference)
+    monkeypatch.setattr(sensing, "least_squares", reference)
+    assert ours == [_fields_or_error(*args) for args in fits]
+    # some fits raise, so the solver's errors are held to it too
+    assert 0 < sum(isinstance(o[0], type) for o in ours) < len(ours) // 2
 
 
 @pytest.mark.parametrize("f, h", [

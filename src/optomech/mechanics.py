@@ -71,19 +71,13 @@ def mode_shape(osc: NanoOscillator, n: int, y: float) -> float:
 def effective_mass(osc: NanoOscillator, probe: ProbeProfile, n: int) -> float:
     """Probe-weighted effective mass of the n-th mode (kg).
 
-    A Gaussian probe's overlap integrates one closure, mode_shape * v0^2,
-    outwards from the probe centre c: each half starts from a sample at
-    the probe's peak, which evenly spaced samples over the whole string
-    can all miss. For c = 0 the closure is exactly even about 0 for odd
-    n, so the overlap is twice the right half, and exactly odd for even
-    n, so the overlap is 0.
-
-    Away from the string's ends a Gaussian probe's overlap is the point
-    value times exp(-(n*pi*l_y/L)^2/(4*pi)), which rounds to 1 below
-    l_y ~ 1.2e-8*L/n. So a probe of l_y <= 2**-40*L/n whose window
-    c +- 7*l_y lies inside the string takes the point probe's overlap:
-    the quadrature, stopped at its depth limit, missed such a probe's
-    mass by orders of magnitude."""
+    The probe's tail beyond its window c +- 7*l_y weighs below
+    exp(-49*pi). A window inside the string, the point probe's included,
+    has the overlap u_n(c) * exp(-(n*pi*l_y/L)^2/(4*pi)); one off it, 0.
+    Otherwise adaptive Simpson integrates u_n * v0^2 over the window's
+    part of the string in panels at most min(l_y, L/n)/2 wide, whose first
+    samples cannot all miss the peak or fall on nodes. For c = 0 and odd
+    n the integrand is even: it integrates from 0 to L/2 and doubles."""
     require_mode_index(n)
     mean_sq = 0.5  # <u_n^2> = 1/2 exactly for the sinusoidal patterns
     c = probe.center_offset
@@ -92,18 +86,24 @@ def effective_mass(osc: NanoOscillator, probe: ProbeProfile, n: int) -> float:
             "probe overlap vanishes (antisymmetric mode, symmetric probe)")
 
     l_y, L = probe.l_y, osc.L
-    if l_y == 0.0 or (l_y <= 2.0 ** -40 * L / n
-                      and abs(c) + 7.0 * l_y <= L / 2.0):
-        overlap = mode_shape(osc, n, c)
+    a, b = max(-L / 2.0, c - 7.0 * l_y), min(L / 2.0, c + 7.0 * l_y)
+    if abs(c) + 7.0 * l_y <= L / 2.0:
+        overlap = mode_shape(osc, n, c) * math.exp(
+            -(n * math.pi * l_y / L) ** 2 / (4.0 * math.pi))
+    elif a >= b:
+        overlap = 0.0
     else:
         trig, k, l2 = _TRIG[n % 2], n * math.pi, l_y ** 2
 
         def integrand(y: float) -> float:
             u = y - c
             return trig(k * y / L) * (math.exp(-math.pi * u * u / l2) / l_y)
-        right = adaptive_quadrature(integrand, c, L / 2.0)
-        overlap = (2.0 * right if c == 0.0 else
-                   adaptive_quadrature(integrand, -L / 2.0, c) + right)
+        panels = math.ceil((b - a) / min(l_y, L / n) * 2.0)
+        overlap = (2.0 * adaptive_quadrature(integrand, 0.0, b) if c == 0.0
+                   else math.fsum(adaptive_quadrature(
+                       integrand, a + (b - a) * j / panels,
+                       a + (b - a) * (j + 1) / panels)
+                       for j in range(panels)))
     floor = _OVERLAP_FLOOR * math.sqrt(mean_sq)
     if abs(overlap) < floor:
         raise DivergentMass(f"probe overlap {overlap:.6g} is below the floor "

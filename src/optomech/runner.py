@@ -369,19 +369,12 @@ def _run_spectrum(cfg: dict, rec: dict) -> tuple[dict, Tables]:
     return results, {"thermal_spectrum.csv": _spectrum_table(spectrum)}
 
 
-def _homodyne_shot_floor(cav: Microcavity, mode: MechanicalMode, g: float,
-                         drive: DriveCondition) -> float:
-    """Double-sided homodyne shot-noise floor at the mechanical resonance,
-    whatever readout the drive names."""
-    return sensing.shot_noise_floor(cav, g, DriveCondition(drive.p_in),
-                                    mode.omega_m, sidedness="double")
-
-
 def _run_sensitivity(cfg: dict, rec: dict) -> tuple[dict, Tables]:
     cav, mode, drive, g = rec["cavity"], rec["mode"], rec["drive"], rec["g"]
     floor = cfg["detector_floor_m_per_sqrt_hz"]
-    shot_double = _homodyne_shot_floor(cav, mode, g, drive)
-    shot_pdh = shot_double * sensing.PDH_PENALTY
+    shot_double, shot_pdh = (sensing.shot_noise_floor(
+        cav, g, DriveCondition(drive.p_in, readout=r), mode.omega_m)
+        for r in ("homodyne", "pdh"))
     budget = sensing.noise_budget(cav, mode, g, drive, rec["grid"], floor)
     x_zp, s_sql = mechanics.zero_point(mode)
     results = {
@@ -444,7 +437,15 @@ def _run_qba(cfg: dict, rec: dict) -> tuple[dict, Tables]:
     s_th = qba.thermal_force_psd(mode, drive.temperature)
     s_qba = qba.qba_force_psd(cav, g, drive, mode.omega_m)
     ratio = qba.qba_thermal_ratio(cav, mode, g, drive)
-    s_xx_shot = _homodyne_shot_floor(cav, mode, g, drive) ** 2
+    # the homodyne floor, whatever the drive's readout; past the float range
+    # one factor of the product reaches inf or 0 before the other
+    s_xx_shot = sensing.shot_noise_floor(
+        cav, g, DriveCondition(drive.p_in), mode.omega_m) ** 2
+    if not (0.0 < s_xx_shot < math.inf and 0.0 < s_qba < math.inf):
+        raise ValueError(
+            "`heisenberg_product_over_hbar2` needs finite, nonzero factors,"
+            f" got shot-noise PSD {s_xx_shot!r} m^2/Hz and `s_ff_qba`"
+            f" {s_qba!r} N^2/Hz at the mechanical resonance")
     product_over_hbar2 = s_xx_shot * s_qba / HBAR ** 2
     results = {
         "s_ff_th": _q(s_th, "N^2/Hz"),

@@ -808,6 +808,23 @@ def test_tracer_patch_points_reach_the_fits(monkeypatch, tmp_path):
     assert tracer.counters["sensing.fit_response.nfev"] > 0
 
 
+def test_tracer_counts_the_effective_mass_quadrature(monkeypatch):
+    # the benchmark's tracer wraps `mechanics.adaptive_quadrature` and
+    # counts each integrand value; one centred string probe takes 1 589
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import tracing
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        run_scenario(scenarios.get_scenario("paper_si_horizontal_g"))
+    finally:
+        tracer.uninstall()
+    assert tracer.counters["quadrature.calls"] == 1
+    assert tracer.counters["quadrature.integrand_evals"] == 1589
+    assert tracer.counters["mechanics.effective_mass.calls"] == 1
+
+
 def test_bundled_results_match_benchmark_reference(monkeypatch, tmp_path):
     # the benchmark's cold-CLI check, run in process: a drift that would
     # fail it fails here first
@@ -1174,9 +1191,20 @@ def _g_from_string(name: str) -> dict:
     ("paper_fig2c_thermal", "mode", "effective_mass_kg", 1e-320,
      "result `x_rms_integrated_m` is nan"),
     # the cavity line overflowed a float's `** 2` in devices.detuning_sq;
-    # now s_ff_qba is 0 and the shot floor inf, so their product is nan
+    # then s_ff_qba was 0 and the shot floor inf, and their product nan
     ("paper_eq26_unity_ratio", "mode", "frequency_hz", 1e300,
-     "result `heisenberg_product_over_hbar2` is nan"),
+     "`heisenberg_product_over_hbar2` needs finite, nonzero factors, got"
+     " shot-noise PSD inf m^2/Hz and `s_ff_qba` 0.0 N^2/Hz at the"
+     " mechanical resonance"),
+    # these two exited 0 with a Heisenberg product of 0.0, not 1/2
+    ("paper_eq26_unity_ratio", "cavity", "kappa_hz", 1e150,
+     "`heisenberg_product_over_hbar2` needs finite, nonzero factors, got"
+     " shot-noise PSD 3.9792585255043966e+251 m^2/Hz and `s_ff_qba` 0.0"
+     " N^2/Hz at the mechanical resonance"),
+    ("paper_eq26_unity_ratio", "drive", "input_power_w", 1e300,
+     "`heisenberg_product_over_hbar2` needs finite, nonzero factors, got"
+     " shot-noise PSD 0.0 m^2/Hz and `s_ff_qba` 6.986990855725521e+270"
+     " N^2/Hz at the mechanical resonance"),
 ])
 def test_non_finite_output_exits_3_and_writes_nothing(
         name, section, key, value, message, tmp_path, capsys):
